@@ -87,6 +87,34 @@ void RunHostKernels(BenchJsonWriter& json, bool fast) {
     TimeKernel(json, t, "gemm_naive", n, 2 * scale, 2 * n * n * n,
                [&] { GemmNaive(a, b, c); });
   }
+  // The SHL training shapes (m x k x n, batch 50), each layout next to the
+  // naive reference on the same product: the hidden forward, the hidden dW
+  // (k = batch) and the classifier. TransA reads A stored k x m, TransB B
+  // stored n x k. The record's n is the product's n.
+  struct Shape {
+    const char* name;
+    std::size_t m, k, n;
+  };
+  for (const Shape& s : {Shape{"fwd", 50, 1024, 1024}, Shape{"dw", 1024, 50, 1024},
+                         Shape{"cls", 50, 1024, 10}}) {
+    Rng rng(2);
+    const Matrix a = Matrix::RandomNormal(s.m, s.k, rng);
+    const Matrix b = Matrix::RandomNormal(s.k, s.n, rng);
+    const Matrix at = a.Transposed();
+    const Matrix bt = b.Transposed();
+    Matrix c(s.m, s.n);
+    const std::size_t flops = 2 * s.m * s.k * s.n;
+    const std::size_t iters = 2 * scale;
+    const std::string tag = std::string("_") + s.name;
+    TimeKernel(json, t, "gemm_naive" + tag, s.n, iters, flops,
+               [&] { GemmNaive(a, b, c); });
+    TimeKernel(json, t, "gemm_blocked" + tag, s.n, iters, flops,
+               [&] { GemmBlocked(a, b, c); });
+    TimeKernel(json, t, "gemm_transa" + tag, s.n, iters, flops,
+               [&] { GemmTransA(at, b, c); });
+    TimeKernel(json, t, "gemm_transb" + tag, s.n, iters, flops,
+               [&] { GemmTransB(a, bt, c); });
+  }
   {
     const std::size_t n = 1024;
     Rng rng(3);

@@ -5,7 +5,11 @@
 #   3. compare the set of JSON keys each bench emits against the checked-in
 #      schema in scripts/bench_schemas/<bench>.keys. A missing or renamed key
 #      fails the run; a new key fails too, so schema growth is an explicit,
-#      reviewed change (update the .keys file in the same commit);
+#      reviewed change (update the .keys file in the same commit); the
+#      bench_table4_shl run, plus one at REPRO_THREADS=1, must also match
+#      scripts/golden/bench_table4_shl_fast.json byte for byte (host
+#      training numerics are bit-exact, see DESIGN.md "Host training
+#      kernels");
 #   4. trace determinism: two bench_serving --trace runs at different host
 #      thread counts must produce bitwise-identical Chrome trace JSON (and
 #      bitwise-identical metrics JSON), and the trace's key set must match
@@ -82,6 +86,25 @@ if [[ "$failed" -ne 0 ]]; then
   echo "bench JSON schema check FAILED"
   exit 1
 fi
+
+echo "== Table 4 training bytes vs golden =="
+# The accuracies in this JSON come from host training, but they are coarse
+# (400 test samples), so this gate fails only when a kernel change moves an
+# accuracy; the bitwise kernel tests under tests/ pin every training bit.
+# The golden was captured before the register-tiled GEMM core and the
+# parameter-gradients-only backward; the schema run above is the default
+# thread count.
+t4_golden="$repo_root/scripts/golden/bench_table4_shl_fast.json"
+REPRO_THREADS=1 "$build_dir/bench/bench_table4_shl" --fast \
+  --json "$tmp_dir/table4_t1.json" > "$tmp_dir/table4_t1.log"
+for out in "$tmp_dir/bench_table4_shl.json" "$tmp_dir/table4_t1.json"; do
+  if ! cmp -s "$out" "$t4_golden"; then
+    echo "FAIL: $(basename "$out") differs from the Table 4 golden"
+    diff "$out" "$t4_golden" | head -10
+    exit 1
+  fi
+done
+echo "ok: Table 4 JSON byte-identical to the golden at default and 1 thread"
 
 echo "== trace determinism =="
 # The tracer's contract: simulated-time timestamps only, so the trace bytes

@@ -50,39 +50,19 @@ std::size_t Butterfly::paramsPerFactor() const {
   return param_ == ButterflyParam::kGivens ? n_ / 2 : 2 * n_;
 }
 
-void Butterfly::blockCoeffs(std::size_t f, std::size_t p, float& a, float& b,
-                            float& c, float& d) const {
-  if (param_ == ButterflyParam::kGivens) {
-    const float theta = params_[f * paramsPerFactor() + p];
-    const float ct = std::cos(theta);
-    const float st = std::sin(theta);
-    a = ct;
-    b = -st;
-    c = st;
-    d = ct;
-  } else {
-    const float* w = params_.data() + f * paramsPerFactor() + 4 * p;
-    a = w[0];
-    b = w[1];
-    c = w[2];
-    d = w[3];
-  }
-}
-
 void Butterfly::applyFactor(std::size_t f, const Matrix& in, Matrix& out) const {
   const std::size_t stride = std::size_t{1} << f;
+  const std::vector<float> w = FactorCoeffs(f);
   for (std::size_t r = 0; r < in.rows(); ++r) {
     const float* src = in.data() + r * n_;
     float* dst = out.data() + r * n_;
-    std::size_t p = 0;
+    const float* blk = w.data();
     for (std::size_t base = 0; base < n_; base += 2 * stride) {
-      for (std::size_t i = 0; i < stride; ++i, ++p) {
-        float a, b, c, d;
-        blockCoeffs(f, p, a, b, c, d);
+      for (std::size_t i = 0; i < stride; ++i, blk += 4) {
         const float top = src[base + i];
         const float bot = src[base + stride + i];
-        dst[base + i] = a * top + b * bot;
-        dst[base + stride + i] = c * top + d * bot;
+        dst[base + i] = blk[0] * top + blk[1] * bot;
+        dst[base + stride + i] = blk[2] * top + blk[3] * bot;
       }
     }
   }
@@ -121,6 +101,7 @@ void Butterfly::Backward(const Workspace& ws, const Matrix& dy, Matrix& dx) {
   for (std::size_t fi = num_factors_; fi-- > 0;) {
     const Matrix& input = ws.acts[fi];  // input to factor fi
     const std::size_t stride = std::size_t{1} << fi;
+    const std::vector<float> w = FactorCoeffs(fi);
     float* g = grads_.data() + fi * paramsPerFactor();
     for (std::size_t r = 0; r < batch; ++r) {
       const float* gy = grad.data() + r * n_;
@@ -129,8 +110,8 @@ void Butterfly::Backward(const Workspace& ws, const Matrix& dy, Matrix& dx) {
       std::size_t p = 0;
       for (std::size_t base = 0; base < n_; base += 2 * stride) {
         for (std::size_t i = 0; i < stride; ++i, ++p) {
-          float a, b, c, d;
-          blockCoeffs(fi, p, a, b, c, d);
+          const float a = w[4 * p + 0], b = w[4 * p + 1];
+          const float c = w[4 * p + 2], d = w[4 * p + 3];
           const float top = xin[base + i];
           const float bot = xin[base + stride + i];
           const float gt = gy[base + i];
@@ -139,10 +120,10 @@ void Butterfly::Backward(const Workspace& ws, const Matrix& dy, Matrix& dx) {
           gx[base + i] = a * gt + c * gb;
           gx[base + stride + i] = b * gt + d * gb;
           if (param_ == ButterflyParam::kGivens) {
-            // d/dtheta [c -s; s c] = [-s -c; c -s]
-            const float theta = params_[fi * paramsPerFactor() + p];
-            const float ct = std::cos(theta);
-            const float st = std::sin(theta);
+            // d/dtheta [c -s; s c] = [-s -c; c -s], with the block's own
+            // cos (a = d) and sin (c = -b).
+            const float ct = a;
+            const float st = c;
             g[p] += gt * (-st * top - ct * bot) + gb * (ct * top - st * bot);
           } else {
             g[4 * p + 0] += gt * top;
@@ -170,9 +151,16 @@ void Butterfly::Backward(const Workspace& ws, const Matrix& dy, Matrix& dx) {
 
 std::vector<float> Butterfly::FactorCoeffs(std::size_t f) const {
   REPRO_REQUIRE(f < num_factors_, "factor %zu out of %zu", f, num_factors_);
+  const float* params = params_.data() + f * paramsPerFactor();
+  if (param_ == ButterflyParam::kDense2x2) return {params, params + 2 * n_};
   std::vector<float> w(4 * (n_ / 2));
   for (std::size_t p = 0; p < n_ / 2; ++p) {
-    blockCoeffs(f, p, w[4 * p + 0], w[4 * p + 1], w[4 * p + 2], w[4 * p + 3]);
+    const float ct = std::cos(params[p]);
+    const float st = std::sin(params[p]);
+    w[4 * p + 0] = ct;
+    w[4 * p + 1] = -st;
+    w[4 * p + 2] = st;
+    w[4 * p + 3] = ct;
   }
   return w;
 }

@@ -54,8 +54,9 @@ class Butterfly {
 
   // Factor f's 2x2 blocks expanded to (a, b, c, d) rows in traversal order
   // (the pair order applyFactor and the device Butterfly2x2 lowering share).
-  // Used by the forward-only serving export, which uploads the expanded
-  // coefficients as the device weight tensor for stage f.
+  // Forward and Backward expand each factor once per call; the forward-only
+  // serving export uploads the expanded coefficients as the device weight
+  // tensor for stage f.
   std::vector<float> FactorCoeffs(std::size_t f) const;
 
   // The fixed input permutation P of T = B P (size 0 means identity).
@@ -67,9 +68,6 @@ class Butterfly {
   void zeroGrad();
 
  private:
-  // Expands factor f's parameters into (a, b, c, d) for pair p.
-  void blockCoeffs(std::size_t f, std::size_t p, float& a, float& b, float& c,
-                   float& d) const;
   void applyFactor(std::size_t f, const Matrix& in, Matrix& out) const;
   std::size_t paramsPerFactor() const;
 

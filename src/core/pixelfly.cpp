@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "linalg/gemm.h"
 #include "util/bitops.h"
 #include "util/error.h"
 
@@ -34,7 +35,12 @@ std::vector<BlockCoord> FlatButterflyPattern(std::size_t n, std::size_t block,
   return coords;
 }
 
-Pixelfly::Pixelfly(const PixelflyConfig& config, Rng& rng) : config_(config) {
+Pixelfly::Pixelfly(const PixelflyConfig& config, Rng& rng)
+    : config_(config),
+      u_(config.n, config.low_rank),
+      u_grads_(config.n, config.low_rank),
+      v_(config.n, config.low_rank),
+      v_grads_(config.n, config.low_rank) {
   pattern_ = FlatButterflyPattern(config.n, config.block_size,
                                   config.butterfly_size);
   const std::size_t b2 = config.block_size * config.block_size;
@@ -44,17 +50,11 @@ Pixelfly::Pixelfly(const PixelflyConfig& config, Rng& rng) : config_(config) {
   // start small so I + S + UV^T is near identity.
   const float bscale = 1.0f / std::sqrt(static_cast<float>(config.n));
   rng.FillNormal(blocks_.data(), blocks_.size(), bscale);
-  const std::size_t nr = config.n * config.low_rank;
-  u_.resize(nr);
-  v_.resize(nr);
-  u_grads_.assign(nr, 0.0f);
-  v_grads_.assign(nr, 0.0f);
-  if (nr > 0) {
+  if (config.low_rank > 0) {
     const float lrscale =
-        1.0f / std::sqrt(static_cast<float>(std::max<std::size_t>(
-                  1, config.low_rank)) * config.n);
-    rng.FillNormal(u_.data(), nr, lrscale);
-    rng.FillNormal(v_.data(), nr, lrscale);
+        1.0f / std::sqrt(static_cast<float>(config.low_rank) * config.n);
+    rng.FillNormal(u_.data(), u_.size(), lrscale);
+    rng.FillNormal(v_.data(), v_.size(), lrscale);
   }
 }
 
@@ -88,26 +88,11 @@ void Pixelfly::Forward(const Matrix& x, Matrix& y, Workspace* ws) const {
     }
   }
   // Low-rank term: t = x V (batch x r), y += t U^T.
-  Matrix t(batch, std::max<std::size_t>(r, 1));
+  Matrix t;
   if (r > 0) {
-    for (std::size_t row = 0; row < batch; ++row) {
-      const float* xr = x.data() + row * n;
-      float* tr = t.data() + row * t.cols();
-      for (std::size_t j = 0; j < r; ++j) tr[j] = 0.0f;
-      for (std::size_t i = 0; i < n; ++i) {
-        const float xv = xr[i];
-        if (xv == 0.0f) continue;
-        const float* vrow = v_.data() + i * r;
-        for (std::size_t j = 0; j < r; ++j) tr[j] += xv * vrow[j];
-      }
-      float* yr = y.data() + row * n;
-      for (std::size_t i = 0; i < n; ++i) {
-        const float* urow = u_.data() + i * r;
-        float acc = 0.0f;
-        for (std::size_t j = 0; j < r; ++j) acc += urow[j] * tr[j];
-        yr[i] += acc;
-      }
-    }
+    t = Matrix(batch, r);
+    GemmBlocked(x, v_, t);
+    GemmTransB(t, u_, y, /*accumulate=*/true);
   }
   if (ws != nullptr) {
     ws->x = x;
@@ -115,65 +100,44 @@ void Pixelfly::Forward(const Matrix& x, Matrix& y, Workspace* ws) const {
   }
 }
 
-void Pixelfly::Backward(const Workspace& ws, const Matrix& dy, Matrix& dx) {
+void Pixelfly::Backward(const Workspace& ws, const Matrix& dy, Matrix* dx) {
   const std::size_t n = config_.n;
   const std::size_t b = config_.block_size;
   const std::size_t r = config_.low_rank;
   const std::size_t batch = dy.rows();
   REPRO_REQUIRE(ws.x.rows() == batch && dy.cols() == n,
                 "pixelfly backward shape mismatch");
-  dx = Matrix(batch, n);
-  if (config_.residual) dx = dy;
+  if (dx != nullptr) *dx = config_.residual ? dy : Matrix(batch, n);
 
   const std::size_t b2 = b * b;
   for (std::size_t row = 0; row < batch; ++row) {
     const float* xr = ws.x.data() + row * n;
     const float* gy = dy.data() + row * n;
-    float* gx = dx.data() + row * n;
+    float* gx = dx != nullptr ? dx->data() + row * n : nullptr;
     for (std::size_t q = 0; q < pattern_.size(); ++q) {
       const float* w = blocks_.data() + q * b2;
       float* gw = block_grads_.data() + q * b2;
       const float* xb = xr + pattern_[q].bj * b;
       const float* gyb = gy + pattern_[q].bi * b;
-      float* gxb = gx + pattern_[q].bj * b;
       for (std::size_t i = 0; i < b; ++i) {
         const float g = gyb[i];
         if (g == 0.0f) continue;
-        const float* wrow = w + i * b;
         float* gwrow = gw + i * b;
-        for (std::size_t p = 0; p < b; ++p) {
-          gwrow[p] += g * xb[p];
-          gxb[p] += wrow[p] * g;
-        }
-      }
-    }
-    if (r > 0) {
-      const float* tr = ws.t.data() + row * ws.t.cols();
-      // dt = U^T dy ; dU += dy t^T ; dV += x dt^T ; dx += V dt.
-      std::vector<float> dt(r, 0.0f);
-      for (std::size_t i = 0; i < n; ++i) {
-        const float g = gy[i];
-        if (g == 0.0f) continue;
-        const float* urow = u_.data() + i * r;
-        float* gurow = u_grads_.data() + i * r;
-        for (std::size_t j = 0; j < r; ++j) {
-          dt[j] += urow[j] * g;
-          gurow[j] += g * tr[j];
-        }
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        const float xv = xr[i];
-        const float* vrow = v_.data() + i * r;
-        float* gvrow = v_grads_.data() + i * r;
-        float acc = 0.0f;
-        for (std::size_t j = 0; j < r; ++j) {
-          gvrow[j] += xv * dt[j];
-          acc += vrow[j] * dt[j];
-        }
-        gx[i] += acc;
+        for (std::size_t p = 0; p < b; ++p) gwrow[p] += g * xb[p];
+        if (gx == nullptr) continue;
+        const float* wrow = w + i * b;
+        float* gxb = gx + pattern_[q].bj * b;
+        for (std::size_t p = 0; p < b; ++p) gxb[p] += wrow[p] * g;
       }
     }
   }
+  if (r == 0) return;
+  // dT = dY U ; dU += dY^T T ; dV += X^T dT ; dX += dT V^T.
+  Matrix dt(batch, r);
+  GemmBlocked(dy, u_, dt);
+  GemmTransA(dy, ws.t, u_grads_, /*accumulate=*/true);
+  GemmTransA(ws.x, dt, v_grads_, /*accumulate=*/true);
+  if (dx != nullptr) GemmTransB(dt, v_, *dx, /*accumulate=*/true);
 }
 
 Matrix Pixelfly::ToDense() const {
@@ -186,8 +150,8 @@ Matrix Pixelfly::ToDense() const {
 
 void Pixelfly::zeroGrad() {
   block_grads_.assign(block_grads_.size(), 0.0f);
-  u_grads_.assign(u_grads_.size(), 0.0f);
-  v_grads_.assign(v_grads_.size(), 0.0f);
+  u_grads_.Zero();
+  v_grads_.Zero();
 }
 
 }  // namespace repro::core

@@ -65,7 +65,9 @@ class Pixelfly {
 
   // y = [x +] S x + U V^T x per row of the batch matrix.
   void Forward(const Matrix& x, Matrix& y, Workspace* ws = nullptr) const;
-  void Backward(const Workspace& ws, const Matrix& dy, Matrix& dx);
+  // Accumulates the parameter gradients of the matching Forward and, when dx
+  // is non-null, sets *dx = df/dx^T dy (null: parameter gradients only).
+  void Backward(const Workspace& ws, const Matrix& dy, Matrix* dx);
 
   Matrix ToDense() const;
 
@@ -73,18 +75,20 @@ class Pixelfly {
   std::span<float> blockParams() { return blocks_; }
   std::span<const float> blockParams() const { return blocks_; }
   std::span<float> blockGrads() { return block_grads_; }
-  std::span<float> uParams() { return u_; }
-  std::span<float> uGrads() { return u_grads_; }
-  std::span<float> vParams() { return v_; }
-  std::span<float> vGrads() { return v_grads_; }
+  std::span<float> uParams() { return u_.flat(); }
+  std::span<float> uGrads() { return u_grads_.flat(); }
+  std::span<float> vParams() { return v_.flat(); }
+  std::span<float> vGrads() { return v_grads_.flat(); }
+  const Matrix& u() const { return u_; }  // n x r
+  const Matrix& v() const { return v_; }  // n x r
   void zeroGrad();
 
  private:
   PixelflyConfig config_;
   std::vector<BlockCoord> pattern_;
   std::vector<float> blocks_, block_grads_;  // pattern.size() * b * b
-  std::vector<float> u_, u_grads_;           // n * r
-  std::vector<float> v_, v_grads_;           // n * r
+  Matrix u_, u_grads_;                       // n x r
+  Matrix v_, v_grads_;                       // n x r
 };
 
 }  // namespace repro::core

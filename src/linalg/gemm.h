@@ -1,9 +1,11 @@
 // Dense matrix multiplication kernels.
 //
-// GemmNaive is the reference; GemmBlocked is the cache-blocked kernel the NN
-// trainer uses on the host (single-core throughput matters for the Table 4
-// training benches). Both compute C = A * B (optionally transposing inputs),
-// with an accumulate flag for C += A * B.
+// GemmNaive is the reference. GemmBlocked, GemmTransA and GemmTransB are the
+// three layouts the host NN trainer multiplies in (Table 4 training runs on
+// them); all three are wrappers over one register-tiled core that shards row
+// blocks of C over the host thread pool. Every C element adds its k products
+// one at a time in p order, starting from the value named on each wrapper,
+// so results are bitwise independent of tiling and thread count.
 #pragma once
 
 #include "linalg/matrix.h"
@@ -14,15 +16,18 @@ namespace repro {
 void GemmNaive(const Matrix& a, const Matrix& b, Matrix& c,
                bool accumulate = false);
 
-// Cache-blocked GEMM; identical result up to float association order.
+// C = A(m x k) * B(k x n); each element starts from C when accumulating,
+// else from 0.
 void GemmBlocked(const Matrix& a, const Matrix& b, Matrix& c,
                  bool accumulate = false);
 
-// C = A^T * B where A is (k x m): avoids materialising the transpose.
+// C = A^T * B where A is (k x m), read in place; each element starts from C
+// when accumulating, else from 0.
 void GemmTransA(const Matrix& a, const Matrix& b, Matrix& c,
                 bool accumulate = false);
 
-// C = A * B^T where B is (n x k).
+// C = A * B^T where B is (n x k); each element sums its products from 0 and
+// then, when accumulating, is added to C.
 void GemmTransB(const Matrix& a, const Matrix& b, Matrix& c,
                 bool accumulate = false);
 

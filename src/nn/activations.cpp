@@ -15,11 +15,14 @@ void Relu::Forward(const Matrix& x, Matrix& y, bool train) {
   }
 }
 
-void Relu::Backward(const Matrix& dy, Matrix& dx) {
+void Relu::Backward(const Matrix& dy, Matrix* dx) {
   REPRO_REQUIRE(mask_.rows() == dy.rows(), "Relu backward without cache");
-  if (dx.rows() != dy.rows() || dx.cols() != dim_) dx = Matrix(dy.rows(), dim_);
+  if (dx == nullptr) return;
+  if (dx->rows() != dy.rows() || dx->cols() != dim_) {
+    *dx = Matrix(dy.rows(), dim_);
+  }
   for (std::size_t i = 0; i < dy.size(); ++i) {
-    dx.data()[i] = dy.data()[i] * mask_.data()[i];
+    dx->data()[i] = dy.data()[i] * mask_.data()[i];
   }
 }
 

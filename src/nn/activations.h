@@ -14,7 +14,7 @@ class Relu : public Layer {
   const char* name() const override { return "Relu"; }
 
   void Forward(const Matrix& x, Matrix& y, bool train) override;
-  void Backward(const Matrix& dy, Matrix& dx) override;
+  void Backward(const Matrix& dy, Matrix* dx) override;
 
  private:
   std::size_t dim_;

@@ -79,21 +79,11 @@ ForwardSpec ExportForward(Sequential& model) {
     spec.pf_pattern = p.pattern();
     auto blocks = p.blockParams();
     spec.pf_blocks.assign(blocks.begin(), blocks.end());
-    const std::size_t n = spec.pixelfly.n;
-    const std::size_t r = spec.pixelfly.low_rank;
-    if (r > 0) {
+    if (spec.pixelfly.low_rank > 0) {
       // Host stores U and V as (n x r); the device wants V^T (r x n) for the
       // bottleneck matmul and U (n x r) block-rows for the expansion.
-      spec.pf_vt = Matrix(r, n);
-      spec.pf_u = Matrix(n, r);
-      auto u = p.uParams();
-      auto v = p.vParams();
-      for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = 0; j < r; ++j) {
-          spec.pf_vt(j, i) = v[i * r + j];
-          spec.pf_u(i, j) = u[i * r + j];
-        }
-      }
+      spec.pf_vt = p.v().Transposed();
+      spec.pf_u = p.u();
     }
     return spec;
   }

@@ -26,8 +26,10 @@ class Layer {
 
   // y = f(x). When `train` is true the layer caches whatever Backward needs.
   virtual void Forward(const Matrix& x, Matrix& y, bool train) = 0;
-  // dx = df/dx^T dy; accumulates parameter gradients from the cached state.
-  virtual void Backward(const Matrix& dy, Matrix& dx) = 0;
+  // Accumulates parameter gradients from the cached state and, when dx is
+  // non-null, sets *dx = df/dx^T dy. A null dx means "parameter gradients
+  // only": the first layer of a model has no reader for its input gradient.
+  virtual void Backward(const Matrix& dy, Matrix* dx) = 0;
 
   virtual std::vector<ParamRef> parameters() { return {}; }
 

@@ -29,7 +29,7 @@ void Linear::Forward(const Matrix& x, Matrix& y, bool train) {
   if (train) x_cache_ = x;
 }
 
-void Linear::Backward(const Matrix& dy, Matrix& dx) {
+void Linear::Backward(const Matrix& dy, Matrix* dx) {
   REPRO_REQUIRE(x_cache_.rows() == dy.rows(), "Linear backward without cache");
   // dW += X^T dY ; db += sum dY ; dX = dY W^T.
   GemmTransA(x_cache_, dy, w_grad_, /*accumulate=*/true);
@@ -39,8 +39,11 @@ void Linear::Backward(const Matrix& dy, Matrix& dx) {
       for (std::size_t c = 0; c < out_; ++c) b_grad_[c] += row[c];
     }
   }
-  if (dx.rows() != dy.rows() || dx.cols() != in_) dx = Matrix(dy.rows(), in_);
-  GemmTransB(dy, w_, dx);
+  if (dx == nullptr) return;
+  if (dx->rows() != dy.rows() || dx->cols() != in_) {
+    *dx = Matrix(dy.rows(), in_);
+  }
+  GemmTransB(dy, w_, *dx);
 }
 
 std::vector<ParamRef> Linear::parameters() {

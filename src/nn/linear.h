@@ -17,7 +17,7 @@ class Linear : public Layer {
   const char* name() const override { return "Linear"; }
 
   void Forward(const Matrix& x, Matrix& y, bool train) override;
-  void Backward(const Matrix& dy, Matrix& dx) override;
+  void Backward(const Matrix& dy, Matrix* dx) override;
   std::vector<ParamRef> parameters() override;
 
   Matrix& weight() { return w_; }

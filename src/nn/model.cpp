@@ -28,8 +28,10 @@ const Matrix& Sequential::Forward(const Matrix& x, bool train) {
 
 void Sequential::Backward(const Matrix& dout) {
   grad_a_ = dout;
+  // Nothing reads the model input's gradient: layer 0 computes parameter
+  // gradients only.
   for (std::size_t i = layers_.size(); i-- > 0;) {
-    layers_[i]->Backward(grad_a_, grad_b_);
+    layers_[i]->Backward(grad_a_, i == 0 ? nullptr : &grad_b_);
     std::swap(grad_a_, grad_b_);
   }
 }

@@ -22,7 +22,8 @@ class Sequential {
 
   // Forward through all layers; returns the final activation.
   const Matrix& Forward(const Matrix& x, bool train);
-  // Backpropagates dLoss/dOutput through all layers.
+  // Backpropagates dLoss/dOutput through all layers into the parameter
+  // gradients (the model input's gradient is not computed).
   void Backward(const Matrix& dout);
 
   std::vector<ParamRef> parameters();

@@ -32,9 +32,12 @@ void ButterflyLayer::Forward(const Matrix& x, Matrix& y, bool train) {
   addBias(y);
 }
 
-void ButterflyLayer::Backward(const Matrix& dy, Matrix& dx) {
+void ButterflyLayer::Backward(const Matrix& dy, Matrix* dx) {
   biasGrad(dy);
-  bf_.Backward(ws_, dy, dx);
+  // The factor chain carries the input gradient down to factor 0 anyway;
+  // without a reader it lands in a scratch matrix.
+  Matrix unread;
+  bf_.Backward(ws_, dy, dx != nullptr ? *dx : unread);
 }
 
 std::vector<ParamRef> ButterflyLayer::parameters() {
@@ -53,7 +56,7 @@ void PixelflyLayer::Forward(const Matrix& x, Matrix& y, bool train) {
   addBias(y);
 }
 
-void PixelflyLayer::Backward(const Matrix& dy, Matrix& dx) {
+void PixelflyLayer::Backward(const Matrix& dy, Matrix* dx) {
   biasGrad(dy);
   pf_.Backward(ws_, dy, dx);
 }
@@ -114,7 +117,7 @@ void FastfoodLayer::Forward(const Matrix& x, Matrix& y, bool train) {
   addBias(y);
 }
 
-void FastfoodLayer::Backward(const Matrix& dy, Matrix& dx) {
+void FastfoodLayer::Backward(const Matrix& dy, Matrix* dx) {
   const std::size_t batch = dy.rows();
   REPRO_REQUIRE(x0_.rows() == batch, "Fastfood backward without cache");
   biasGrad(dy);
@@ -148,15 +151,16 @@ void FastfoodLayer::Backward(const Matrix& dy, Matrix& dx) {
   }
   core::FwhtRows(g2);  // d1 = H d2
   // dB and dx = B . d1
-  if (dx.rows() != batch || dx.cols() != n_) dx = Matrix(batch, n_);
+  if (dx != nullptr && (dx->rows() != batch || dx->cols() != n_)) {
+    *dx = Matrix(batch, n_);
+  }
   for (std::size_t r = 0; r < batch; ++r) {
     const float* grow = g2.data() + r * n_;
     const float* x0row = x0_.data() + r * n_;
-    float* dxrow = dx.data() + r * n_;
-    for (std::size_t i = 0; i < n_; ++i) {
-      bdiag_g_[i] += grow[i] * x0row[i];
-      dxrow[i] = grow[i] * bdiag_[i];
-    }
+    for (std::size_t i = 0; i < n_; ++i) bdiag_g_[i] += grow[i] * x0row[i];
+    if (dx == nullptr) continue;
+    float* dxrow = dx->data() + r * n_;
+    for (std::size_t i = 0; i < n_; ++i) dxrow[i] = grow[i] * bdiag_[i];
   }
 }
 
@@ -186,15 +190,17 @@ void CirculantLayer::Forward(const Matrix& x, Matrix& y, bool train) {
   if (train) x_cache_ = x;
 }
 
-void CirculantLayer::Backward(const Matrix& dy, Matrix& dx) {
+void CirculantLayer::Backward(const Matrix& dy, Matrix* dx) {
   biasGrad(dy);
-  if (dx.rows() != dy.rows() || dx.cols() != n_) dx = Matrix(dy.rows(), n_);
+  if (dx != nullptr && (dx->rows() != dy.rows() || dx->cols() != n_)) {
+    *dx = Matrix(dy.rows(), n_);
+  }
   std::vector<float> dc(n_);
   for (std::size_t r = 0; r < dy.rows(); ++r) {
     // dc[j] = sum_i dy[i] x[(i-j) mod n] ; dx[k] = sum_i dy[i] c[(i-k) mod n].
     core::CircularCorrelate(x_cache_.row(r), dy.row(r), dc);
     for (std::size_t j = 0; j < n_; ++j) c_grad_[j] += dc[j];
-    core::CircularCorrelate(c_, dy.row(r), dx.row(r));
+    if (dx != nullptr) core::CircularCorrelate(c_, dy.row(r), dx->row(r));
   }
 }
 
@@ -235,7 +241,7 @@ void LowRankLayer::Forward(const Matrix& x, Matrix& y, bool train) {
   }
 }
 
-void LowRankLayer::Backward(const Matrix& dy, Matrix& dx) {
+void LowRankLayer::Backward(const Matrix& dy, Matrix* dx) {
   biasGrad(dy);
   const std::size_t batch = dy.rows();
   // dV += T^T dY ; dT = dY V^T ; dU += X^T dT ; dX = dT U^T.
@@ -243,8 +249,9 @@ void LowRankLayer::Backward(const Matrix& dy, Matrix& dx) {
   Matrix dt(batch, rank_);
   GemmTransB(dy, v_, dt);
   GemmTransA(x_cache_, dt, u_grad_, true);
-  if (dx.rows() != batch || dx.cols() != in_) dx = Matrix(batch, in_);
-  GemmTransB(dt, u_, dx);
+  if (dx == nullptr) return;
+  if (dx->rows() != batch || dx->cols() != in_) *dx = Matrix(batch, in_);
+  GemmTransB(dt, u_, *dx);
 }
 
 std::vector<ParamRef> LowRankLayer::parameters() {

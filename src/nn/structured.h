@@ -37,7 +37,7 @@ class ButterflyLayer : public Layer, private BiasMixin {
   std::size_t outDim() const override { return bf_.n(); }
   const char* name() const override { return "ButterflyLayer"; }
   void Forward(const Matrix& x, Matrix& y, bool train) override;
-  void Backward(const Matrix& dy, Matrix& dx) override;
+  void Backward(const Matrix& dy, Matrix* dx) override;
   std::vector<ParamRef> parameters() override;
 
   core::Butterfly& butterfly() { return bf_; }
@@ -55,7 +55,7 @@ class PixelflyLayer : public Layer, private BiasMixin {
   std::size_t outDim() const override { return pf_.n(); }
   const char* name() const override { return "PixelflyLayer"; }
   void Forward(const Matrix& x, Matrix& y, bool train) override;
-  void Backward(const Matrix& dy, Matrix& dx) override;
+  void Backward(const Matrix& dy, Matrix* dx) override;
   std::vector<ParamRef> parameters() override;
 
   core::Pixelfly& pixelfly() { return pf_; }
@@ -75,7 +75,7 @@ class FastfoodLayer : public Layer, private BiasMixin {
   std::size_t outDim() const override { return n_; }
   const char* name() const override { return "FastfoodLayer"; }
   void Forward(const Matrix& x, Matrix& y, bool train) override;
-  void Backward(const Matrix& dy, Matrix& dx) override;
+  void Backward(const Matrix& dy, Matrix* dx) override;
   std::vector<ParamRef> parameters() override;
 
  private:
@@ -96,7 +96,7 @@ class CirculantLayer : public Layer, private BiasMixin {
   std::size_t outDim() const override { return n_; }
   const char* name() const override { return "CirculantLayer"; }
   void Forward(const Matrix& x, Matrix& y, bool train) override;
-  void Backward(const Matrix& dy, Matrix& dx) override;
+  void Backward(const Matrix& dy, Matrix* dx) override;
   std::vector<ParamRef> parameters() override;
 
  private:
@@ -114,7 +114,7 @@ class LowRankLayer : public Layer, private BiasMixin {
   std::size_t outDim() const override { return out_; }
   const char* name() const override { return "LowRankLayer"; }
   void Forward(const Matrix& x, Matrix& y, bool train) override;
-  void Backward(const Matrix& dy, Matrix& dx) override;
+  void Backward(const Matrix& dy, Matrix* dx) override;
   std::vector<ParamRef> parameters() override;
 
  private:

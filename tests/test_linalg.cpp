@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "linalg/gemm.h"
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
 #include "linalg/spmm.h"
+#include "util/parallel.h"
 
 namespace repro {
 namespace {
@@ -51,47 +54,118 @@ TEST(Matrix, AllCloseTolerances) {
   EXPECT_FALSE(AllClose(a, Matrix(1, 1, 2.0f), 1e-4, 1e-4));
 }
 
+// The three GEMM layouts as the scalar loop nests they were before the
+// register-tiled core: each wrapper must reproduce its loop nest bitwise.
+void RefBlocked(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
+  constexpr std::size_t kBlock = 64;
+  const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
+  if (!accumulate) c.Zero();
+  for (std::size_t i0 = 0; i0 < m; i0 += kBlock) {
+    const std::size_t i1 = std::min(i0 + kBlock, m);
+    for (std::size_t p0 = 0; p0 < k; p0 += kBlock) {
+      const std::size_t p1 = std::min(p0 + kBlock, k);
+      for (std::size_t j0 = 0; j0 < n; j0 += kBlock) {
+        const std::size_t j1 = std::min(j0 + kBlock, n);
+        for (std::size_t i = i0; i < i1; ++i) {
+          for (std::size_t p = p0; p < p1; ++p) {
+            const float av = a(i, p);
+            for (std::size_t j = j0; j < j1; ++j) c(i, j) += av * b(p, j);
+          }
+        }
+      }
+    }
+  }
+}
+
+void RefTransA(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
+  const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
+  if (!accumulate) c.Zero();
+  for (std::size_t p = 0; p < k; ++p) {
+    for (std::size_t i = 0; i < m; ++i) {
+      const float av = a(p, i);
+      if (av == 0.0f) continue;
+      for (std::size_t j = 0; j < n; ++j) c(i, j) += av * b(p, j);
+    }
+  }
+}
+
+void RefTransB(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
+  const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < k; ++p) acc += a(i, p) * b(j, p);
+      c(i, j) = accumulate ? c(i, j) + acc : acc;
+    }
+  }
+}
+
+using GemmFn = void (*)(const Matrix&, const Matrix&, Matrix&, bool);
+
+// Runs `fn` into copies of c0, overwriting and accumulating, at 1 and 4 host
+// threads; every result must be bitwise the reference's.
+void ExpectBitwise(GemmFn fn, GemmFn ref, const Matrix& a, const Matrix& b,
+                   const Matrix& c0) {
+  for (const bool accumulate : {false, true}) {
+    Matrix want = c0;
+    ref(a, b, want, accumulate);
+    for (const std::size_t threads : {1, 4}) {
+      SetParallelWorkers(threads);
+      Matrix got = c0;
+      fn(a, b, got, accumulate);
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), want.size() * sizeof(float)),
+                0)
+          << "accumulate=" << accumulate << " threads=" << threads
+          << " max diff " << MaxAbsDiff(got, want);
+    }
+  }
+  SetParallelWorkers(0);
+}
+
+// Random normal entries with every `every`-th one exactly zero.
+Matrix WithZeros(std::size_t rows, std::size_t cols, std::size_t every,
+                 Rng& rng) {
+  Matrix m = Matrix::RandomNormal(rows, cols, rng);
+  for (std::size_t i = 0; i < m.size(); i += every) m.data()[i] = 0.0f;
+  return m;
+}
+
 class GemmSizes : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
-TEST_P(GemmSizes, BlockedMatchesNaive) {
+TEST_P(GemmSizes, BlockedMatchesReference) {
   auto [m, k, n] = GetParam();
   Rng rng(m * 100 + k * 10 + n);
-  Matrix a = Matrix::RandomNormal(m, k, rng);
-  Matrix b = Matrix::RandomNormal(k, n, rng);
-  Matrix c1(m, n), c2(m, n);
-  GemmNaive(a, b, c1);
-  GemmBlocked(a, b, c2);
-  EXPECT_TRUE(AllClose(c1, c2, 1e-4, 1e-4)) << MaxAbsDiff(c1, c2);
+  const Matrix a = WithZeros(m, k, 5, rng);
+  const Matrix b = WithZeros(k, n, 7, rng);
+  ExpectBitwise(GemmBlocked, RefBlocked, a, b, Matrix::RandomNormal(m, n, rng));
 }
 
-TEST_P(GemmSizes, TransAMatchesExplicitTranspose) {
+TEST_P(GemmSizes, TransAMatchesReference) {
   auto [m, k, n] = GetParam();
   Rng rng(7);
-  Matrix at = Matrix::RandomNormal(k, m, rng);  // A^T stored as (k x m)
-  Matrix b = Matrix::RandomNormal(k, n, rng);
-  Matrix c1(m, n), c2(m, n);
-  GemmTransA(at, b, c1);
-  GemmNaive(at.Transposed(), b, c2);
-  EXPECT_TRUE(AllClose(c1, c2, 1e-4, 1e-4));
+  const Matrix at = WithZeros(k, m, 5, rng);  // A^T stored as (k x m)
+  const Matrix b = WithZeros(k, n, 7, rng);
+  ExpectBitwise(GemmTransA, RefTransA, at, b, Matrix::RandomNormal(m, n, rng));
 }
 
-TEST_P(GemmSizes, TransBMatchesExplicitTranspose) {
+TEST_P(GemmSizes, TransBMatchesReference) {
   auto [m, k, n] = GetParam();
   Rng rng(8);
-  Matrix a = Matrix::RandomNormal(m, k, rng);
-  Matrix bt = Matrix::RandomNormal(n, k, rng);  // B^T stored as (n x k)
-  Matrix c1(m, n), c2(m, n);
-  GemmTransB(a, bt, c1);
-  GemmNaive(a, bt.Transposed(), c2);
-  EXPECT_TRUE(AllClose(c1, c2, 1e-4, 1e-4));
+  const Matrix a = WithZeros(m, k, 5, rng);
+  const Matrix bt = WithZeros(n, k, 7, rng);  // B^T stored as (n x k)
+  ExpectBitwise(GemmTransB, RefTransB, a, bt, Matrix::RandomNormal(m, n, rng));
 }
 
+// The ragged shapes hit every edge tile: partial row tiles, partial column
+// panels and both at once, down to 1 x 1, plus the SHL classifier shape.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmSizes,
     ::testing::Values(std::tuple{1, 1, 1}, std::tuple{3, 5, 7},
                       std::tuple{16, 16, 16}, std::tuple{33, 17, 65},
                       std::tuple{64, 128, 32}, std::tuple{100, 1, 100},
-                      std::tuple{1, 200, 1}, std::tuple{70, 70, 70}));
+                      std::tuple{1, 200, 1}, std::tuple{70, 70, 70},
+                      std::tuple{5, 3, 9}, std::tuple{4, 50, 8},
+                      std::tuple{65, 7, 33}, std::tuple{50, 1024, 10}));
 
 TEST(Gemm, AccumulateMode) {
   Rng rng(5);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "data/synthetic.h"
 #include "linalg/gemm.h"
@@ -15,7 +16,9 @@
 namespace repro::nn {
 namespace {
 
-// Generic numeric gradient check for any layer.
+// Generic numeric gradient check for any layer. It also requires a
+// parameter-gradients-only backward (null dx) to produce bitwise the
+// parameter gradients of the full backward.
 void GradCheck(Layer& layer, std::size_t batch, double tol = 2e-2) {
   Rng rng(99);
   Matrix x = Matrix::RandomNormal(batch, layer.inDim(), rng);
@@ -23,8 +26,22 @@ void GradCheck(Layer& layer, std::size_t batch, double tol = 2e-2) {
   Matrix y;
   layer.Forward(x, y, /*train=*/true);
   layer.zeroGrad();
+  layer.Backward(g, nullptr);
+  std::vector<std::vector<float>> params_only;
+  for (const auto& p : layer.parameters()) {
+    params_only.emplace_back(p.grad.begin(), p.grad.end());
+  }
+  layer.zeroGrad();
   Matrix dx;
-  layer.Backward(g, dx);
+  layer.Backward(g, &dx);
+  const std::vector<ParamRef> full = layer.parameters();
+  ASSERT_EQ(full.size(), params_only.size());
+  for (std::size_t t = 0; t < full.size(); ++t) {
+    EXPECT_EQ(std::memcmp(full[t].grad.data(), params_only[t].data(),
+                          params_only[t].size() * sizeof(float)),
+              0)
+        << layer.name() << " parameter tensor " << t;
+  }
 
   auto loss = [&]() {
     Matrix yy;
@@ -159,7 +176,7 @@ TEST(ReluLayer, ForwardBackward) {
   EXPECT_FLOAT_EQ(y(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(y(0, 1), 2.0f);
   Matrix dy(2, 4, 1.0f), dx;
-  r.Backward(dy, dx);
+  r.Backward(dy, &dx);
   EXPECT_FLOAT_EQ(dx(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(dx(0, 1), 1.0f);
   EXPECT_FLOAT_EQ(dx(1, 3), 1.0f);
@@ -328,7 +345,7 @@ TEST(Model, ZeroGradViaOptimizer) {
   Matrix x = Matrix::RandomNormal(2, 4, rng);
   Matrix y, dx;
   l.Forward(x, y, true);
-  l.Backward(y, dx);
+  l.Backward(y, &dx);
   Sgd opt(l.parameters(), {0.1, 0.0, 0.0});
   opt.ZeroGrad();
   for (auto& p : l.parameters()) {
@@ -369,9 +386,20 @@ TEST(Trainer, EvaluateMatchesManualArgmax) {
   data::Dataset d = data::SyntheticCifar10(cfg);
   core::ShlShape shape;
   Sequential model = BuildShl(core::Method::kLowRank, shape, rng);
-  const double acc = Evaluate(model, d);
-  EXPECT_GE(acc, 0.0);
-  EXPECT_LE(acc, 100.0);
+  // Batches of 25 cover all 100 samples, so Evaluate must count exactly the
+  // rows whose argmax over one whole-dataset forward is the label.
+  const double acc = Evaluate(model, d, /*batch_size=*/25);
+  const Matrix& logits = model.Forward(d.images, /*train=*/false);
+  std::size_t correct = 0;
+  for (std::size_t r = 0; r < d.size(); ++r) {
+    std::size_t argmax = 0;
+    for (std::size_t c = 1; c < logits.cols(); ++c) {
+      if (logits(r, c) > logits(r, argmax)) argmax = c;
+    }
+    correct += argmax == d.labels[r] ? 1 : 0;
+  }
+  EXPECT_DOUBLE_EQ(acc, 100.0 * static_cast<double>(correct) /
+                            static_cast<double>(d.size()));
 }
 
 TEST(Trainer, StepsCountMatchesSchedule) {

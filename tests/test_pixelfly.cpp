@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "core/pixelfly.h"
@@ -78,7 +79,7 @@ TEST_P(PixelflyConfigs, GradCheck) {
   pf.Forward(x, y, &ws);
   Matrix dx(batch, cfg.n);
   pf.zeroGrad();
-  pf.Backward(ws, g, dx);
+  pf.Backward(ws, g, &dx);
 
   auto loss = [&]() {
     Matrix yy(batch, cfg.n);
@@ -140,6 +141,132 @@ INSTANTIATE_TEST_SUITE_P(
                       MakeConfig(64, 8, 8, 8, true),
                       MakeConfig(64, 16, 4, 0, false),
                       MakeConfig(128, 16, 8, 16, true)));
+
+// Pixelfly's forward and backward as scalar loops over the batch rows, the
+// form they had before the low-rank term moved onto the GEMM wrappers: the
+// bitwise oracle for that term. Parameter gradients start from zero.
+struct LoopResult {
+  Matrix y, dx;
+  std::vector<float> block_grads, u_grads, v_grads;
+};
+
+LoopResult RunLoops(const Pixelfly& pf, const Matrix& x, const Matrix& dy) {
+  const PixelflyConfig& cfg = pf.config();
+  const std::size_t n = cfg.n, b = cfg.block_size, r = cfg.low_rank;
+  const std::size_t b2 = b * b, batch = x.rows();
+  const auto& pattern = pf.pattern();
+  const float* blocks = pf.blockParams().data();
+  const float* u = pf.u().data();
+  const float* v = pf.v().data();
+  LoopResult out;
+  out.y = cfg.residual ? x : Matrix(batch, n);
+  out.dx = cfg.residual ? dy : Matrix(batch, n);
+  out.block_grads.assign(pf.blockParams().size(), 0.0f);
+  out.u_grads.assign(n * r, 0.0f);
+  out.v_grads.assign(n * r, 0.0f);
+  Matrix t(batch, std::max<std::size_t>(r, 1));
+  for (std::size_t row = 0; row < batch; ++row) {
+    const float* xr = x.data() + row * n;
+    float* yr = out.y.data() + row * n;
+    for (std::size_t q = 0; q < pattern.size(); ++q) {
+      const float* w = blocks + q * b2;
+      const float* xb = xr + pattern[q].bj * b;
+      float* yb = yr + pattern[q].bi * b;
+      for (std::size_t i = 0; i < b; ++i) {
+        float acc = 0.0f;
+        for (std::size_t p = 0; p < b; ++p) acc += w[i * b + p] * xb[p];
+        yb[i] += acc;
+      }
+    }
+    if (r == 0) continue;
+    float* tr = t.data() + row * r;
+    for (std::size_t i = 0; i < n; ++i) {
+      const float xv = xr[i];
+      if (xv == 0.0f) continue;
+      for (std::size_t j = 0; j < r; ++j) tr[j] += xv * v[i * r + j];
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      float acc = 0.0f;
+      for (std::size_t j = 0; j < r; ++j) acc += u[i * r + j] * tr[j];
+      yr[i] += acc;
+    }
+  }
+  for (std::size_t row = 0; row < batch; ++row) {
+    const float* xr = x.data() + row * n;
+    const float* gy = dy.data() + row * n;
+    float* gx = out.dx.data() + row * n;
+    for (std::size_t q = 0; q < pattern.size(); ++q) {
+      const float* w = blocks + q * b2;
+      float* gw = out.block_grads.data() + q * b2;
+      const float* xb = xr + pattern[q].bj * b;
+      const float* gyb = gy + pattern[q].bi * b;
+      float* gxb = gx + pattern[q].bj * b;
+      for (std::size_t i = 0; i < b; ++i) {
+        const float g = gyb[i];
+        if (g == 0.0f) continue;
+        for (std::size_t p = 0; p < b; ++p) {
+          gw[i * b + p] += g * xb[p];
+          gxb[p] += w[i * b + p] * g;
+        }
+      }
+    }
+    if (r == 0) continue;
+    const float* tr = t.data() + row * r;
+    std::vector<float> dt(r, 0.0f);
+    for (std::size_t i = 0; i < n; ++i) {
+      const float g = gy[i];
+      if (g == 0.0f) continue;
+      for (std::size_t j = 0; j < r; ++j) {
+        dt[j] += u[i * r + j] * g;
+        out.u_grads[i * r + j] += g * tr[j];
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      float acc = 0.0f;
+      for (std::size_t j = 0; j < r; ++j) {
+        out.v_grads[i * r + j] += xr[i] * dt[j];
+        acc += v[i * r + j] * dt[j];
+      }
+      gx[i] += acc;
+    }
+  }
+  return out;
+}
+
+bool SameBits(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST(Pixelfly, MatchesLoopReferenceBitwise) {
+  for (const std::size_t r : {std::size_t{96}, std::size_t{0}}) {
+    PixelflyConfig cfg;  // the paper's SHL hidden layer: n=1024, b=16, s=64
+    cfg.low_rank = r;
+    Rng rng(25);
+    Pixelfly pf(cfg, rng);
+    // A ragged batch, with exact zeros where the loops skip work (the ReLU
+    // upstream of a hidden layer's gradient produces them).
+    const std::size_t batch = 5;
+    Matrix x = Matrix::RandomNormal(batch, cfg.n, rng);
+    Matrix dy = Matrix::RandomNormal(batch, cfg.n, rng);
+    for (std::size_t i = 0; i < x.size(); i += 7) x.data()[i] = 0.0f;
+    for (std::size_t i = 0; i < dy.size(); i += 3) dy.data()[i] = 0.0f;
+
+    Matrix y(batch, cfg.n), dx;
+    Pixelfly::Workspace ws;
+    pf.Forward(x, y, &ws);
+    pf.zeroGrad();
+    pf.Backward(ws, dy, &dx);
+
+    const LoopResult want = RunLoops(pf, x, dy);
+    EXPECT_TRUE(SameBits(y.flat(), want.y.flat())) << "forward, r=" << r;
+    EXPECT_TRUE(SameBits(dx.flat(), want.dx.flat())) << "dx, r=" << r;
+    EXPECT_TRUE(SameBits(pf.blockGrads(), want.block_grads)) << "r=" << r;
+    EXPECT_TRUE(SameBits(pf.uGrads(), want.u_grads)) << "r=" << r;
+    EXPECT_TRUE(SameBits(pf.vGrads(), want.v_grads)) << "r=" << r;
+  }
+}
 
 TEST(Pixelfly, ResidualShiftsDenseByIdentity) {
   Rng rng(21);
