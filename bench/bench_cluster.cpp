@@ -29,7 +29,6 @@
 #include "core/method.h"
 #include "gpusim/gpu_backend.h"
 #include "ipusim/arch.h"
-#include "ipusim/multi_ipu.h"
 #include "nn/export.h"
 #include "nn/model.h"
 #include "serve/model_plan.h"
@@ -93,12 +92,7 @@ int main(int argc, char** argv) {
   obs::Tracer* const tp = io.tracer();
 
   const ipu::IpuArch arch = ipu::Gc200();
-  const ipu::M2000Arch pod;  // IPU-Link constants: the fabric's source
-  const ipu::LinkFabric fabric(ipu::LinkFabricConfig{
-      .num_ipus = chips_max,
-      .link_bytes_per_sec = pod.inter_ipu_bytes_per_sec,
-      .link_latency_sec = pod.link_latency_sec,
-  });
+  const ipu::LinkFabric fabric(ipu::LinkFabricConfig{.num_ipus = chips_max});
 
   core::ShlShape shape;
   shape.input = n;

@@ -24,11 +24,6 @@ int main(int argc, char** argv) {
   core::IpuLoweringOptions opts;
   opts.fuse_compute_sets = cli.GetBool("fuse", true);
   opts.reuse_variable_memory = cli.GetBool("reuse", true);
-  // --no-specialize falls back to generic per-vertex dispatch. Ledger JSON
-  // and timings are identical either way; only the engine host wall moves
-  // (timing-only sessions skip per-vertex argument resolution when on).
-  const bool specialize = !cli.Has("no-specialize");
-  opts.specialize_kernels = specialize;
   // BenchIo carries the shared --json / --trace / --cache-dir surface:
   // --cache-dir persists the compiled artifacts (a second run reloads them
   // instead of recompiling, and check.sh asserts its ledger JSON is
@@ -40,10 +35,6 @@ int main(int argc, char** argv) {
   // --reuse (those ablate the factorized graphs only), so it gets its own
   // options object carrying just the trace sink.
   core::IpuLoweringOptions lin_opts;
-  // --no-specialize is a dispatch-path toggle, not a cost ablation, so it
-  // applies to the linear lowering too (the host-wall ratio covers every
-  // engine the bench stands up).
-  lin_opts.specialize_kernels = specialize;
   lin_opts.cache = &io.cache();
   std::size_t next_pid = 0;
   auto traced = [&](core::IpuLoweringOptions base, const char* method,
@@ -93,7 +84,7 @@ int main(int argc, char** argv) {
       "  the number of variables, edges and vertices, and with total memory\n"
       "  -- the same correlation PopVision shows in the paper.\n");
   io.PrintCacheStats();
-  PrintEngineHostWall(specialize);
+  PrintEngineHostWall();
   io.Finish();
   return 0;
 }

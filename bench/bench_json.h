@@ -20,11 +20,9 @@
 namespace repro {
 
 // One stdout line with the process-wide engine host wall-clock counters
-// (ipusim/engine.h), labeled with the dispatch path. stdout only, never the
-// --json records: wall clock is not reproducible, and scripts/check.sh holds
-// the JSON bytes to equality across runs while parsing the speedup gate from
-// these lines.
-inline void PrintEngineHostWall(bool specialize) {
+// (ipusim/engine.h). stdout only, never the --json records: wall clock is
+// not reproducible, and the JSON bytes are held to equality across runs.
+inline void PrintEngineHostWall() {
   const ipu::EngineHostStats s = ipu::EngineHostStatsSnapshot();
   const double build_vps =
       s.build_seconds > 0.0
@@ -34,12 +32,10 @@ inline void PrintEngineHostWall(bool specialize) {
       s.run_seconds > 0.0 ? static_cast<double>(s.run_vertices) / s.run_seconds
                           : 0.0;
   std::printf(
-      "engine host wall [specialize=%s]: build %.6f s (%llu vertices, "
-      "%.6g vertices/s), run %.6f s (%llu vertices, %llu dispatches, "
-      "%.6g vertices/s)\n",
-      specialize ? "on" : "off", s.build_seconds,
-      static_cast<unsigned long long>(s.build_vertices), build_vps,
-      s.run_seconds, static_cast<unsigned long long>(s.run_vertices),
+      "engine host wall: build %.6f s (%llu vertices, %.6g vertices/s), "
+      "run %.6f s (%llu vertices, %llu dispatches, %.6g vertices/s)\n",
+      s.build_seconds, static_cast<unsigned long long>(s.build_vertices),
+      build_vps, s.run_seconds, static_cast<unsigned long long>(s.run_vertices),
       static_cast<unsigned long long>(s.run_dispatches), run_vps);
 }
 

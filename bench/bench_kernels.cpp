@@ -1,4 +1,4 @@
-// Host-kernel and dispatch-path microbenchmarks.
+// Host-kernel and vertex-dispatch microbenchmarks.
 //
 // Part 1 (host kernels): the numeric substrate the training experiments run
 // on -- GEMM, SpMM, butterfly/pixelfly forwards, FWHT, FFT, circular
@@ -6,14 +6,10 @@
 // that the Table 4 runs are not bottlenecked by an accidentally slow host
 // kernel.
 //
-// Part 2 (dispatch paths): the same vertex graph executed through the
-// engine's two dispatch paths -- generic string-keyed per-vertex dispatch
-// vs the specialized KernelPlan's fused per-(tile, codelet) batches -- with
-// per-path host wall-clock per vertex and the speedup ratio in the --json
-// records. Tensor results are byte-compared between the paths, so this
-// bench doubles as an end-to-end conformance check, and --require-speedup X
-// turns the ratio into a hard gate (exit 1 below X) that scripts/check.sh
-// uses to hold the specialization's host-throughput claim.
+// Part 2 (vertex dispatch): one compute set of many tiny vertices run
+// through the engine's KernelPlan dispatch -- fused per-(tile, codelet)
+// batches -- with host wall-clock build and run ns per vertex and vertices
+// per dispatch in the --json records.
 //
 // JSON values here are wall-clock measurements and intentionally vary run
 // to run; scripts/check.sh holds only the key schema stable
@@ -21,7 +17,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -173,10 +168,8 @@ void RunHostKernels(BenchJsonWriter& json, bool fast) {
 }
 
 // ---------------------------------------------------------------------------
-// Dispatch-path benchmark: one compute set of many tiny mixed-codelet
-// vertices, where per-vertex dispatch overhead (string-keyed map lookups,
-// one std::function hop per vertex) dominates the arithmetic -- the
-// workload the specialized batched path exists for.
+// Dispatch benchmark: one compute set of many tiny mixed-codelet vertices,
+// where per-vertex dispatch overhead dominates the arithmetic.
 
 struct DispatchShape {
   std::size_t tiles = 64;
@@ -184,18 +177,10 @@ struct DispatchShape {
   std::size_t elems = 8;      // span elements per vertex
 };
 
-struct DispatchGraph {
-  ipu::ComputeSetId cs = 0;
-  // Output tensors for the cross-path byte comparison.
-  std::vector<ipu::Tensor> outs;
-  std::size_t vertices = 0;
-};
-
-DispatchGraph BuildDispatchGraph(ipu::Session& session,
-                                 const DispatchShape& shape) {
+ipu::ComputeSetId BuildDispatchGraph(ipu::Session& session,
+                                     const DispatchShape& shape) {
   ipu::Graph& g = session.graph();
-  DispatchGraph dg;
-  dg.cs = g.addComputeSet("dispatch");
+  const ipu::ComputeSetId cs = g.addComputeSet("dispatch");
   for (std::size_t tile = 0; tile < shape.tiles; ++tile) {
     const std::size_t n = shape.per_tile * shape.elems;
     const std::string suffix = "_" + std::to_string(tile);
@@ -207,47 +192,38 @@ DispatchGraph BuildDispatchGraph(ipu::Session& session,
     for (ipu::Tensor t : {x, y, z, w, d}) g.setTileMapping(t, tile);
     for (std::size_t i = 0; i < shape.per_tile; ++i) {
       const ipu::Tensor xi = x.slice(i * shape.elems, shape.elems);
-      ipu::VertexId relu = g.addVertex(dg.cs, ipu::codelets::kRelu, tile);
+      ipu::VertexId relu = g.addVertex(cs, ipu::codelets::kRelu, tile);
       g.connect(relu, "x", xi);
       g.connect(relu, "y", y.slice(i * shape.elems, shape.elems), true);
-      ipu::VertexId axpy = g.addVertex(dg.cs, ipu::codelets::kScaledAdd, tile);
+      ipu::VertexId axpy = g.addVertex(cs, ipu::codelets::kScaledAdd, tile);
       g.connect(axpy, "x", xi);
       g.connect(axpy, "y", z.slice(i * shape.elems, shape.elems), true);
       g.setInitialValue(axpy, "alpha", 0.5 + 0.25 * static_cast<double>(i % 3));
-      ipu::VertexId diag = g.addVertex(dg.cs, ipu::codelets::kDiagMul, tile);
+      ipu::VertexId diag = g.addVertex(cs, ipu::codelets::kDiagMul, tile);
       g.connect(diag, "d", d.slice(i, 1));
       g.connect(diag, "x", xi);
       g.connect(diag, "y", w.slice(i * shape.elems, shape.elems), true);
       g.setInitialValue(diag, "batch", static_cast<double>(shape.elems));
-      dg.vertices += 3;
     }
-    dg.outs.push_back(y);
-    dg.outs.push_back(z);
-    dg.outs.push_back(w);
   }
-  return dg;
+  return cs;
 }
 
 struct DispatchResult {
   double build_ns_per_vertex = 0.0;
   double run_ns_per_vertex = 0.0;
   double vertices_per_dispatch = 0.0;
-  std::vector<std::vector<float>> outputs;
 };
 
-DispatchResult RunDispatchPath(bool specialize, const DispatchShape& shape,
-                               std::size_t runs) {
+DispatchResult RunDispatch(const DispatchShape& shape, std::size_t runs) {
   ipu::ResetEngineHostStats();
   ipu::SessionOptions so;
   so.execute = true;
   so.host_threads = 1;  // dispatch overhead per vertex, not thread scaling
-  so.specialize_kernels = specialize;
   ipu::Session session(ipu::Gc200(), so);
-  DispatchGraph dg = BuildDispatchGraph(session, shape);
-  REPRO_REQUIRE(session.compile(ipu::Program::Execute(dg.cs)).ok(),
+  const ipu::ComputeSetId cs = BuildDispatchGraph(session, shape);
+  REPRO_REQUIRE(session.compile(ipu::Program::Execute(cs)).ok(),
                 "dispatch bench graph failed to compile");
-  // Deterministic inputs, identical for both paths (variables are written
-  // in id order, so the Rng stream lines up between the two sessions).
   Rng rng(7);
   const ipu::Graph& g = session.graph();
   for (std::size_t vi = 0; vi < g.variables().size(); ++vi) {
@@ -272,12 +248,6 @@ DispatchResult RunDispatchPath(bool specialize, const DispatchShape& shape,
       s.run_dispatches > 0 ? static_cast<double>(s.run_vertices) /
                                  static_cast<double>(s.run_dispatches)
                            : 0.0;
-  r.outputs.reserve(dg.outs.size());
-  for (const ipu::Tensor& t : dg.outs) {
-    std::vector<float> out(t.numel);
-    session.readTensor(t, out);
-    r.outputs.push_back(std::move(out));
-  }
   return r;
 }
 
@@ -288,85 +258,36 @@ int main(int argc, char** argv) {
   const bool fast = cli.Fast();
   BenchIo io("kernels", cli);
   BenchJsonWriter& json = io.json();
-  // --require-speedup X: exit nonzero unless the specialized run path is at
-  // least X times the generic path's vertex throughput (0 disables).
-  const double require_speedup = cli.GetDouble("require-speedup", 0.0);
 
   if (!cli.GetBool("dispatch-only", false)) RunHostKernels(json, fast);
 
-  PrintBanner("Engine dispatch paths: generic per-vertex vs specialized "
-              "batched SoA");
+  PrintBanner("Engine vertex dispatch: KernelPlan batches");
   DispatchShape shape;
   shape.tiles = cli.GetInt("tiles", fast ? 32 : 64);
   shape.per_tile = cli.GetInt("per-tile", 32);
   shape.elems = cli.GetInt("elems", 8);
   const std::size_t runs = cli.GetInt("runs", fast ? 60 : 200);
-
-  const DispatchResult gen = RunDispatchPath(false, shape, runs);
-  const DispatchResult spec = RunDispatchPath(true, shape, runs);
-
-  // Conformance: both paths must produce byte-identical tensors.
-  REPRO_REQUIRE(gen.outputs.size() == spec.outputs.size(),
-                "dispatch paths read different output sets");
-  for (std::size_t i = 0; i < gen.outputs.size(); ++i) {
-    REPRO_REQUIRE(gen.outputs[i].size() == spec.outputs[i].size() &&
-                      std::memcmp(gen.outputs[i].data(), spec.outputs[i].data(),
-                                  gen.outputs[i].size() * sizeof(float)) == 0,
-                  "dispatch paths disagree on output tensor %zu", i);
-  }
-
   const std::size_t vertices = shape.tiles * shape.per_tile * 3;
-  const double run_speedup = spec.run_ns_per_vertex > 0.0
-                                 ? gen.run_ns_per_vertex / spec.run_ns_per_vertex
-                                 : 0.0;
-  const double build_speedup =
-      spec.build_ns_per_vertex > 0.0
-          ? gen.build_ns_per_vertex / spec.build_ns_per_vertex
-          : 0.0;
+  const DispatchResult r = RunDispatch(shape, runs);
 
-  Table t({"path", "vertices", "runs", "build ns/vtx", "run ns/vtx",
+  Table t({"dispatch", "vertices", "runs", "build ns/vtx", "run ns/vtx",
            "vtx/dispatch"});
-  auto row = [&](const char* name, const DispatchResult& r) {
-    t.AddRow({name, Table::Int(static_cast<long long>(vertices)),
-              Table::Int(static_cast<long long>(runs)),
-              Table::Num(r.build_ns_per_vertex, 1),
-              Table::Num(r.run_ns_per_vertex, 1),
-              Table::Num(r.vertices_per_dispatch, 1)});
-  };
-  row("generic", gen);
-  row("specialized", spec);
+  t.AddRow({"kernel_plan", Table::Int(static_cast<long long>(vertices)),
+            Table::Int(static_cast<long long>(runs)),
+            Table::Num(r.build_ns_per_vertex, 1),
+            Table::Num(r.run_ns_per_vertex, 1),
+            Table::Num(r.vertices_per_dispatch, 1)});
   t.Print();
-  std::printf("\nrun speedup %.2fx, build speedup %.2fx "
-              "(tensor outputs byte-identical across paths)\n",
-              run_speedup, build_speedup);
 
-  auto record = [&](const char* name, const DispatchResult& r) {
-    char rec[320];
-    std::snprintf(rec, sizeof rec,
-                  "{\"dispatch\": \"%s\", \"vertices\": %zu, \"runs\": %zu, "
-                  "\"build_ns_per_vertex\": %.17g, "
-                  "\"run_ns_per_vertex\": %.17g, "
-                  "\"run_vertices_per_dispatch\": %.17g}",
-                  name, vertices, runs, r.build_ns_per_vertex,
-                  r.run_ns_per_vertex, r.vertices_per_dispatch);
-    json.Add(rec);
-  };
-  record("generic", gen);
-  record("specialized", spec);
-  {
-    char rec[192];
-    std::snprintf(rec, sizeof rec,
-                  "{\"dispatch\": \"summary\", \"run_speedup\": %.17g, "
-                  "\"build_speedup\": %.17g}",
-                  run_speedup, build_speedup);
-    json.Add(rec);
-  }
+  char rec[320];
+  std::snprintf(rec, sizeof rec,
+                "{\"dispatch\": \"kernel_plan\", \"vertices\": %zu, "
+                "\"runs\": %zu, \"build_ns_per_vertex\": %.17g, "
+                "\"run_ns_per_vertex\": %.17g, "
+                "\"run_vertices_per_dispatch\": %.17g}",
+                vertices, runs, r.build_ns_per_vertex, r.run_ns_per_vertex,
+                r.vertices_per_dispatch);
+  json.Add(rec);
   io.Finish();
-
-  if (require_speedup > 0.0 && run_speedup < require_speedup) {
-    std::printf("FAIL: specialized run speedup %.2fx below required %.2fx\n",
-                run_speedup, require_speedup);
-    return 1;
-  }
   return 0;
 }

@@ -11,7 +11,6 @@
 #include "bench_json.h"
 #include "cluster/link_fabric.h"
 #include "core/device_time.h"
-#include "ipusim/multi_ipu.h"
 #include "util/cli.h"
 #include "util/table.h"
 
@@ -23,7 +22,8 @@ int main(int argc, char** argv) {
   // (LinkFabric ring steps) as Chrome trace spans. Off by default; all
   // stdout/--json bytes are unchanged without it.
   BenchIo io("multi_ipu", cli);
-  ipu::M2000Arch pod;
+  const ipu::LinkFabricConfig pod;  // the M2000: 4 GC200s on an IPU-Link ring
+  const ipu::LinkFabric fabric(pod);
   core::ShlShape shape;
 
   PrintBanner(
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
                              core::MethodName(m));
       double cursor_us = 0.0;
       for (const ipu::FabricStep& s :
-           pod.fabric().RingAllReduceSteps(params * sizeof(float))) {
+           fabric.RingAllReduceSteps(params * sizeof(float))) {
         track.Complete(s.name, "collective", cursor_us, s.seconds * 1e6,
                        {obs::Arg("bytes", static_cast<std::uint64_t>(s.bytes)),
                         obs::Arg("hops", static_cast<std::uint64_t>(s.hops))});
@@ -80,9 +80,9 @@ int main(int argc, char** argv) {
   t.Print();
 
   const double dense_ar =
-      ipu::AllReduceSeconds(pod, 1059850 * sizeof(float)) * 1e6;
+      fabric.RingAllReduceSeconds(1059850 * sizeof(float)) * 1e6;
   const double bfly_ar =
-      ipu::AllReduceSeconds(pod, 16394 * sizeof(float)) * 1e6;
+      fabric.RingAllReduceSeconds(16394 * sizeof(float)) * 1e6;
   std::printf(
       "\nGradient allreduce per step at 4 IPUs: baseline %.1f us vs butterfly "
       "%.1f us\n(%.0fx less inter-chip traffic -- the same 98.5%% compression "

@@ -212,7 +212,6 @@ int RunAutoMode(Cli& cli, BenchIo& io) {
   const std::size_t cap = cli.GetInt("cap", 256);
   const std::uint64_t seed = cli.GetInt("seed", 1);
   const std::size_t host_threads = cli.GetInt("host-threads", 0);
-  const bool specialize = !cli.Has("no-specialize");
   const bool require_crossover = cli.Has("require-crossover");
   obs::Tracer* const tp = io.tracer();
   const ipu::IpuArch arch = ipu::Gc200();
@@ -235,7 +234,6 @@ int RunAutoMode(Cli& cli, BenchIo& io) {
       const nn::ForwardSpec spec = BuildSpec(method, ni, seed, model);
 
       serve::PlanOptions popts{.max_batch = max_batch, .execute = false};
-      popts.specialize_kernels = specialize;
       popts.cache = &io.cache();
       const serve::CapacityProbe cp =
           serve::ProbeMaxReplicas(spec, arch, popts, cap);
@@ -292,7 +290,6 @@ int RunAutoMode(Cli& cli, BenchIo& io) {
     const nn::ForwardSpec spec =
         BuildSpec(core::Method::kButterfly, n, seed, model);
     serve::PlanOptions popts{.max_batch = max_batch, .execute = false};
-    popts.specialize_kernels = specialize;
     popts.cache = &io.cache();
     const serve::CapacityProbe cp =
         serve::ProbeMaxReplicas(spec, arch, popts, cap);
@@ -341,7 +338,7 @@ int RunAutoMode(Cli& cli, BenchIo& io) {
   }
 
   io.PrintCacheStats();
-  PrintEngineHostWall(specialize);
+  PrintEngineHostWall();
   io.Finish();
   if (require_crossover && !crossover_ok) {
     std::printf("\n--require-crossover not met\n");
@@ -368,10 +365,6 @@ int main(int argc, char** argv) {
   // Host workers for the serving numerics replay; trace + metrics bytes are
   // invariant to it (scripts/check.sh cmp(1)s two --host-threads runs).
   const std::size_t host_threads = cli.GetInt("host-threads", 0);
-  // --no-specialize falls back to the generic string-keyed vertex dispatch
-  // (the conformance oracle); all --json bytes are identical either way,
-  // only the "engine host wall" stdout line moves.
-  const bool specialize = !cli.Has("no-specialize");
   // Shared --json / --trace / --cache-dir surface. The compile cache is
   // always on in-process (the probe and the serving plan share artifacts);
   // --cache-dir additionally persists artifacts on disk so a second
@@ -408,7 +401,6 @@ int main(int argc, char** argv) {
     nn::ForwardSpec spec = nn::ExportForward(model);
 
     serve::PlanOptions probe{.max_batch = max_batch, .execute = false};
-    probe.specialize_kernels = specialize;
     probe.cache = &io.cache();
     MethodResult r;
     r.method = method;
@@ -554,7 +546,7 @@ int main(int argc, char** argv) {
   // previous run left in --cache-dir, and the --json bytes are held to
   // cold-vs-warm equality by scripts/check.sh.
   io.PrintCacheStats();
-  PrintEngineHostWall(specialize);
+  PrintEngineHostWall();
   io.Finish();
   if (!stream_win_ok) {
     std::printf("\n--require-stream-win %.4f not met\n", require_win);

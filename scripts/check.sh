@@ -9,7 +9,8 @@
 #      bench_table4_shl run, plus one at REPRO_THREADS=1, must also match
 #      scripts/golden/bench_table4_shl_fast.json byte for byte (host
 #      training numerics are bit-exact, see DESIGN.md "Host training
-#      kernels");
+#      kernels"), and the bench_fig7_computesets and bench_multi_ipu runs
+#      must match their scripts/golden/*_fast.json byte for byte;
 #   4. trace determinism: two bench_serving --trace runs at different host
 #      thread counts must produce bitwise-identical Chrome trace JSON (and
 #      bitwise-identical metrics JSON), and the trace's key set must match
@@ -28,10 +29,7 @@
 #      serve_demo into a --cache-dir, then rerun each in a fresh process that
 #      must load every ipu::Executable from disk (0 compiles) and produce
 #      byte-identical JSON/output;
-#   6. specialized vs generic dispatch: bench JSON and (compile-span-filtered)
-#      traces byte-identical with specialize_kernels on vs --no-specialize,
-#      and bench_kernels --require-speedup 3 gates the throughput claim;
-#   7. AddressSanitizer build of the concurrency-heavy tests (test_serve,
+#   6. AddressSanitizer build of the concurrency-heavy tests (test_serve,
 #      test_session, test_obs, test_kernels) in a side build dir.
 #
 # Usage: scripts/check.sh [build-dir]      (default: build)
@@ -105,6 +103,20 @@ for out in "$tmp_dir/bench_table4_shl.json" "$tmp_dir/table4_t1.json"; do
   fi
 done
 echo "ok: Table 4 JSON byte-identical to the golden at default and 1 thread"
+
+echo "== fig7 ledger + multi-IPU scaling bytes vs goldens =="
+# Compiler ledgers, graph counts and the fabric's allreduce algebra, held to
+# the bytes the goldens were captured with (both deterministic across host
+# thread counts).
+for bench in bench_fig7_computesets bench_multi_ipu; do
+  golden="$repo_root/scripts/golden/${bench}_fast.json"
+  if ! cmp -s "$tmp_dir/$bench.json" "$golden"; then
+    echo "FAIL: $bench --fast --json differs from its golden"
+    diff "$tmp_dir/$bench.json" "$golden" | head -10
+    exit 1
+  fi
+done
+echo "ok: fig7 and multi-IPU JSON byte-identical to their goldens"
 
 echo "== trace determinism =="
 # The tracer's contract: simulated-time timestamps only, so the trace bytes
@@ -308,63 +320,6 @@ if ! cmp -s "$tmp_dir/demo_cold.log" <(sed 's/^loaded cached/compiled/' \
   exit 1
 fi
 echo "ok: cold and warm runs byte-identical; warm runs served entirely from disk"
-
-echo "== specialized vs generic dispatch: observational identity =="
-# The specialize_kernels pass only changes host dispatch, never simulated
-# results: --json output (reports, ledgers, serving percentiles) must be
-# byte-identical with the pass on (default) and off (--no-specialize).
-spec_on="$tmp_dir/serving_spec_on.json"
-spec_off="$tmp_dir/serving_spec_off.json"
-"$build_dir/bench/bench_serving" --fast --requests 128 \
-  --json "$spec_on" > "$tmp_dir/spec_on.log"
-"$build_dir/bench/bench_serving" --fast --requests 128 --no-specialize \
-  --json "$spec_off" > "$tmp_dir/spec_off.log"
-if ! cmp -s "$spec_on" "$spec_off"; then
-  echo "FAIL: bench_serving --json differs between dispatch paths"
-  diff "$spec_on" "$spec_off" | head -10
-  exit 1
-fi
-fig7_spec_on="$tmp_dir/fig7_spec_on.json"
-fig7_spec_off="$tmp_dir/fig7_spec_off.json"
-"$build_dir/bench/bench_fig7_computesets" --fast \
-  --json "$fig7_spec_on" > /dev/null
-"$build_dir/bench/bench_fig7_computesets" --fast --no-specialize \
-  --json "$fig7_spec_off" > /dev/null
-if ! cmp -s "$fig7_spec_on" "$fig7_spec_off"; then
-  echo "FAIL: fig7 ledger JSON differs between dispatch paths"
-  diff "$fig7_spec_on" "$fig7_spec_off" | head -10
-  exit 1
-fi
-# Trace cross-check. The off path legitimately lacks the specialize-kernels
-# compile-pass span and its compile.passes increment; after dropping
-# compile-category events and normalizing that counter, every remaining
-# byte (the whole BSP timeline) must match.
-ts_on="$tmp_dir/trace_spec_on.json"
-ts_off="$tmp_dir/trace_spec_off.json"
-REPRO_THREADS=1 "$build_dir/bench/bench_serving" --fast --requests 128 \
-  --trace "$ts_on" > /dev/null
-REPRO_THREADS=1 "$build_dir/bench/bench_serving" --fast --requests 128 \
-  --no-specialize --trace "$ts_off" > /dev/null
-norm_trace() {
-  grep -v '"cat": "compile"' "$1" \
-    | sed 's/"compile.passes": [0-9]*/"compile.passes": _/'
-}
-if ! cmp -s <(norm_trace "$ts_on") <(norm_trace "$ts_off"); then
-  echo "FAIL: BSP trace differs between dispatch paths"
-  diff <(norm_trace "$ts_on") <(norm_trace "$ts_off") | head -10
-  exit 1
-fi
-# The throughput claim, machine-checked: with outputs already proven
-# byte-identical, the specialized run path must clear 3x the generic
-# path's host vertex throughput.
-if ! REPRO_THREADS=1 "$build_dir/bench/bench_kernels" --fast --dispatch-only \
-    --require-speedup 3 > "$tmp_dir/kernels_gate.log"; then
-  echo "FAIL: specialized dispatch below 3x generic throughput"
-  tail -5 "$tmp_dir/kernels_gate.log"
-  exit 1
-fi
-grep 'speedup' "$tmp_dir/kernels_gate.log" || true
-echo "ok: dispatch paths observationally identical; specialized >= 3x generic"
 
 echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable) =="
 asan_dir="$build_dir-asan"

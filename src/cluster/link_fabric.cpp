@@ -120,4 +120,27 @@ std::vector<FabricStep> LinkFabric::RingAllReduceSteps(
   return steps;
 }
 
+std::vector<ScalingPoint> DataParallelScaling(const LinkFabricConfig& config,
+                                              double single_step_seconds,
+                                              double min_step_seconds,
+                                              std::size_t n_params) {
+  REPRO_REQUIRE(single_step_seconds > 0.0, "non-positive step time");
+  std::vector<ScalingPoint> out;
+  const double compute_part =
+      std::max(0.0, single_step_seconds - min_step_seconds);
+  for (std::size_t p = 1; p <= config.num_ipus; p *= 2) {
+    LinkFabricConfig sub = config;
+    sub.num_ipus = p;
+    ScalingPoint pt;
+    pt.ipus = p;
+    pt.step_seconds =
+        min_step_seconds + compute_part / static_cast<double>(p) +
+        LinkFabric(sub).RingAllReduceSeconds(n_params * sizeof(float));
+    pt.speedup = single_step_seconds / pt.step_seconds;
+    pt.efficiency = pt.speedup / static_cast<double>(p);
+    out.push_back(pt);
+  }
+  return out;
+}
+
 }  // namespace repro::ipu

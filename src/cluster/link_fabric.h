@@ -14,9 +14,9 @@
 // Everything here is a pure function of (config, bytes, topology): costs are
 // deterministic doubles on the same virtual clock as the BSP engine, so
 // cluster schedules built on them inherit the repo's bitwise-reproducibility
-// contract. `multi_ipu.h` (the original M2000 data-parallel training model)
-// is a thin wrapper over this module, and `cluster::ShardPlan` /
-// `cluster::Router` cost their inter-chip steps through it.
+// contract. The M2000 data-parallel training model (DataParallelScaling
+// below, bench_multi_ipu), `cluster::ShardPlan` and `cluster::Router` all
+// cost their inter-chip steps through it.
 #pragma once
 
 #include <cstddef>
@@ -64,8 +64,7 @@ class LinkFabric {
   double PointToPointSeconds(std::size_t bytes, std::size_t hops = 1) const;
 
   // Ring allreduce: every byte crosses the links 2(p-1)/p times plus
-  // 2(p-1) latency hops (reduce-scatter then allgather). This is exactly
-  // the formula multi_ipu.h::AllReduceSeconds has always used.
+  // 2(p-1) latency hops (reduce-scatter then allgather).
   double RingAllReduceSeconds(std::size_t bytes) const;
   // The two halves of the allreduce, each (p-1)/p traversals + (p-1) hops.
   double RingReduceScatterSeconds(std::size_t bytes) const;
@@ -94,5 +93,28 @@ class LinkFabric {
  private:
   LinkFabricConfig config_;
 };
+
+// Data-parallel training on the M2000 pod -- the paper's future-work
+// direction ("scaling to multiple IPUs ... for scalable learning problems").
+// Each IPU computes a local step on 1/p of the global batch, then gradients
+// are ring-allreduced over the IPU-Links. Compressed layers (butterfly: 16 k
+// parameters) cut the allreduce volume by the same ~98.5% as the memory
+// footprint, so they scale better than the dense baseline.
+struct ScalingPoint {
+  std::size_t ipus = 1;
+  double step_seconds = 0.0;
+  double speedup = 1.0;      // vs 1 IPU
+  double efficiency = 1.0;   // speedup / ipus
+};
+
+// Scaling of one SGD step at p = 1, 2, 4, ... up to config.num_ipus, whose
+// single-IPU compute time is `single_step_seconds` (global batch fixed;
+// per-IPU batch shrinks with p, so compute scales ~1/p down to
+// `min_step_seconds` of un-shrinkable per-step overhead) and whose gradient
+// exchange is `n_params` floats.
+std::vector<ScalingPoint> DataParallelScaling(const LinkFabricConfig& config,
+                                              double single_step_seconds,
+                                              double min_step_seconds,
+                                              std::size_t n_params);
 
 }  // namespace repro::ipu

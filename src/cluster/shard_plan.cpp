@@ -24,7 +24,6 @@ ipu::SessionOptions StageSessionOptions(const ShardOptions& opts,
   so.execute = true;
   so.fast_repeat = true;
   so.host_threads = 1;
-  so.specialize_kernels = opts.specialize_kernels;
   so.tracer = opts.tracer;
   so.trace_pid = opts.trace_pid + pid_offset;
   so.trace_label =

@@ -54,7 +54,6 @@ ipu::SessionOptions TimingOptions(const IpuLoweringOptions& opts = {}) {
                              .fast_repeat = true,
                              .fuse_compute_sets = opts.fuse_compute_sets,
                              .reuse_variable_memory = opts.reuse_variable_memory,
-                             .specialize_kernels = opts.specialize_kernels,
                              .tracer = opts.tracer,
                              .trace_pid = opts.trace_pid,
                              .trace_label = opts.trace_label,

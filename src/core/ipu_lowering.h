@@ -68,10 +68,6 @@ struct IpuLoweringOptions {
   // off exposes what the graph costs without the passes (bench_ablations).
   bool fuse_compute_sets = true;
   bool reuse_variable_memory = true;
-  // Compile the specialized KernelPlan (timing-only sessions skip per-vertex
-  // argument resolution at engine construction when it is on). Reported
-  // timings and ledgers are bitwise identical on or off.
-  bool specialize_kernels = true;
   // Optional trace sink (SessionOptions passthrough): compile-pass spans and
   // the BSP timeline of the timing run land on trace_pid.
   obs::Tracer* tracer = nullptr;

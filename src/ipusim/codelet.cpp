@@ -9,13 +9,11 @@ namespace {
 
 std::size_t Pad16(std::size_t x) { return CeilDiv(x, 16) * 16; }
 
-// --- shared arithmetic cores ------------------------------------------------
+// --- arithmetic cores -------------------------------------------------------
 //
-// Each builtin's real arithmetic lives in exactly one core function called by
-// both the per-vertex compute (VertexArgs) and the fused batch_compute
-// (ResolvedArgs) paths. Same instructions in the same order => bitwise
-// identical results, which is what lets scripts/check.sh byte-compare the two
-// dispatch paths.
+// Cores applied per vertex by the builtins' compute functions. The comments
+// give each formula and its accumulation order; tests/test_kernels.cpp holds
+// every builtin bitwise to an independent host reference written from them.
 
 // Dense block GEMM: out(m x n) (+)= a(m x k) * b(k x n).
 void GemmCore(std::size_t m, std::size_t k, std::size_t n, bool accumulate,
@@ -166,15 +164,7 @@ void BlockMacCore(std::size_t b, std::size_t batch, std::span<const float> w,
 // --- dense codelets ---------------------------------------------------------
 
 // Shared dense block GEMM: out(m x n) (+)= a(m x k) * b(k x n).
-void BlockGemmCompute(VertexArgs& v) {
-  const auto m = static_cast<std::size_t>(v.imm("m"));
-  const auto k = static_cast<std::size_t>(v.imm("k"));
-  const auto n = static_cast<std::size_t>(v.imm("n"));
-  const bool accumulate = v.imm("accumulate", 0.0) != 0.0;
-  GemmCore(m, k, n, accumulate, v.in("a"), v.in("b"), v.out("out"));
-}
-
-void BlockGemmBatch(const ResolvedArgs& g) {
+void BlockGemmCompute(const ResolvedArgs& g) {
   const int fa = g.fieldSlot("a"), fb = g.fieldSlot("b");
   const int fo = g.fieldSlot("out");
   const int im = g.immSlot("m"), ik = g.immSlot("k"), in = g.immSlot("n");
@@ -201,7 +191,6 @@ void RegisterDense(CodeletRegistry& reg) {
       .name = codelets::kScalarGemm,
       .code_bytes = 320,
       .base_state_bytes = 32,
-      .compute = BlockGemmCompute,
       .cycles =
           [](const VertexArgs& v) {
             // "cpm_mult" scales cycles-per-MAC above the straight-line scalar
@@ -212,7 +201,7 @@ void RegisterDense(CodeletRegistry& reg) {
                    30.0;
           },
       .flops = GemmFlopsOf,
-      .batch_compute = BlockGemmBatch,
+      .compute = BlockGemmCompute,
   });
 
   // AmpGemm: the Accumulating Matrix Product pipeline. Streams 16 MACs per
@@ -222,7 +211,6 @@ void RegisterDense(CodeletRegistry& reg) {
       .name = codelets::kAmpGemm,
       .code_bytes = 512,
       .base_state_bytes = 48,
-      .compute = BlockGemmCompute,
       .cycles =
           [](const VertexArgs& v) {
             const double m = static_cast<double>(Pad16(
@@ -233,7 +221,7 @@ void RegisterDense(CodeletRegistry& reg) {
                    v.arch().amp_setup_cycles;
           },
       .flops = GemmFlopsOf,
-      .batch_compute = BlockGemmBatch,
+      .compute = BlockGemmCompute,
   });
 
   // ReduceAdd: out[j] = sum_i partials_i[j]; used by k-split matmuls.
@@ -241,16 +229,6 @@ void RegisterDense(CodeletRegistry& reg) {
       .name = codelets::kReduceAdd,
       .code_bytes = 192,
       .base_state_bytes = 24,
-      .compute =
-          [](VertexArgs& v) {
-            auto out = v.out("out");
-            for (auto& o : out) o = 0.0f;
-            for (std::size_t i = 0; i < v.fan("partials"); ++i) {
-              auto p = v.in("partials", i);
-              REPRO_REQUIRE(p.size() == out.size(), "ReduceAdd ragged partial");
-              for (std::size_t j = 0; j < out.size(); ++j) out[j] += p[j];
-            }
-          },
       .cycles =
           [](const VertexArgs& v) {
             return static_cast<double>(v.totalElems("partials")) /
@@ -261,7 +239,7 @@ void RegisterDense(CodeletRegistry& reg) {
           [](const VertexArgs& v) {
             return static_cast<double>(v.totalElems("partials"));
           },
-      .batch_compute =
+      .compute =
           [](const ResolvedArgs& g) {
             const int fo = g.fieldSlot("out");
             const int fp = g.fieldSlot("partials");
@@ -284,11 +262,6 @@ void RegisterDense(CodeletRegistry& reg) {
       .name = codelets::kScaledAdd,
       .code_bytes = 128,
       .base_state_bytes = 24,
-      .compute =
-          [](VertexArgs& v) {
-            const float alpha = static_cast<float>(v.imm("alpha", 1.0));
-            AxpyCore(alpha, v.in("x"), v.out("y"));
-          },
       .cycles =
           [](const VertexArgs& v) {
             return static_cast<double>(v.totalElems("x")) /
@@ -299,7 +272,7 @@ void RegisterDense(CodeletRegistry& reg) {
           [](const VertexArgs& v) {
             return 2.0 * static_cast<double>(v.totalElems("x"));
           },
-      .batch_compute =
+      .compute =
           [](const ResolvedArgs& g) {
             const int fx = g.fieldSlot("x"), fy = g.fieldSlot("y");
             const int ial = g.immSlot("alpha");
@@ -314,7 +287,6 @@ void RegisterDense(CodeletRegistry& reg) {
       .name = codelets::kRelu,
       .code_bytes = 96,
       .base_state_bytes = 24,
-      .compute = [](VertexArgs& v) { ReluCore(v.in("x"), v.out("y")); },
       .cycles =
           [](const VertexArgs& v) {
             return static_cast<double>(v.totalElems("x")) /
@@ -325,7 +297,7 @@ void RegisterDense(CodeletRegistry& reg) {
           [](const VertexArgs& v) {
             return static_cast<double>(v.totalElems("x"));
           },
-      .batch_compute =
+      .compute =
           [](const ResolvedArgs& g) {
             const int fx = g.fieldSlot("x"), fy = g.fieldSlot("y");
             for (std::size_t v = 0; v < g.size(); ++v) {
@@ -342,12 +314,6 @@ void RegisterDense(CodeletRegistry& reg) {
       .name = codelets::kBiasRelu,
       .code_bytes = 128,
       .base_state_bytes = 24,
-      .compute =
-          [](VertexArgs& v) {
-            const auto batch = static_cast<std::size_t>(v.imm("batch"));
-            const bool relu = v.imm("relu", 1.0) != 0.0;
-            BiasReluCore(batch, relu, v.in("bias"), v.in("x"), v.out("y"));
-          },
       .cycles =
           [](const VertexArgs& v) {
             return 2.0 * static_cast<double>(v.totalElems("x")) /
@@ -358,7 +324,7 @@ void RegisterDense(CodeletRegistry& reg) {
           [](const VertexArgs& v) {
             return 2.0 * static_cast<double>(v.totalElems("x"));
           },
-      .batch_compute =
+      .compute =
           [](const ResolvedArgs& g) {
             const int fb = g.fieldSlot("bias"), fx = g.fieldSlot("x");
             const int fy = g.fieldSlot("y");
@@ -377,11 +343,6 @@ void RegisterDense(CodeletRegistry& reg) {
       .name = codelets::kDiagMul,
       .code_bytes = 128,
       .base_state_bytes = 24,
-      .compute =
-          [](VertexArgs& v) {
-            const auto batch = static_cast<std::size_t>(v.imm("batch"));
-            DiagMulCore(batch, v.in("d"), v.in("x"), v.out("y"));
-          },
       .cycles =
           [](const VertexArgs& v) {
             return static_cast<double>(v.totalElems("x")) /
@@ -392,7 +353,7 @@ void RegisterDense(CodeletRegistry& reg) {
           [](const VertexArgs& v) {
             return static_cast<double>(v.totalElems("x"));
           },
-      .batch_compute =
+      .compute =
           [](const ResolvedArgs& g) {
             const int fd = g.fieldSlot("d"), fx = g.fieldSlot("x");
             const int fy = g.fieldSlot("y");
@@ -419,12 +380,6 @@ void RegisterStructured(CodeletRegistry& reg) {
       .name = codelets::kButterfly2x2,
       .code_bytes = 384,
       .base_state_bytes = 32,
-      .compute =
-          [](VertexArgs& v) {
-            const auto batch = static_cast<std::size_t>(v.imm("batch"));
-            ButterflyCore(batch, v.in("w"), v.in("x_top"), v.in("x_bot"),
-                          v.out("y_top"), v.out("y_bot"));
-          },
       .cycles =
           [](const VertexArgs& v) {
             const double macs = 4.0 * static_cast<double>(v.totalElems("x_top"));
@@ -434,7 +389,7 @@ void RegisterStructured(CodeletRegistry& reg) {
           [](const VertexArgs& v) {
             return 8.0 * static_cast<double>(v.totalElems("x_top"));
           },
-      .batch_compute =
+      .compute =
           [](const ResolvedArgs& g) {
             const int fw = g.fieldSlot("w");
             const int fxt = g.fieldSlot("x_top"), fxb = g.fieldSlot("x_bot");
@@ -454,11 +409,6 @@ void RegisterStructured(CodeletRegistry& reg) {
       .name = codelets::kHadamard2,
       .code_bytes = 192,
       .base_state_bytes = 24,
-      .compute =
-          [](VertexArgs& v) {
-            HadamardCore(v.in("x_top"), v.in("x_bot"), v.out("y_top"),
-                         v.out("y_bot"));
-          },
       .cycles =
           [](const VertexArgs& v) {
             return 2.0 * static_cast<double>(v.totalElems("x_top")) /
@@ -469,7 +419,7 @@ void RegisterStructured(CodeletRegistry& reg) {
           [](const VertexArgs& v) {
             return 2.0 * static_cast<double>(v.totalElems("x_top"));
           },
-      .batch_compute =
+      .compute =
           [](const ResolvedArgs& g) {
             const int fxt = g.fieldSlot("x_top"), fxb = g.fieldSlot("x_bot");
             const int fyt = g.fieldSlot("y_top"), fyb = g.fieldSlot("y_bot");
@@ -490,14 +440,6 @@ void RegisterStructured(CodeletRegistry& reg) {
       .name = codelets::kSparseRowsMac,
       .code_bytes = 448,
       .base_state_bytes = 40,
-      .compute =
-          [](VertexArgs& v) {
-            const auto m = static_cast<std::size_t>(v.imm("m"));
-            const auto n = static_cast<std::size_t>(v.imm("n"));
-            const bool accumulate = v.imm("accumulate", 0.0) != 0.0;
-            SparseRowsMacCore(m, n, accumulate, v.in("b"), v.out("out"),
-                              v.state());
-          },
       .cycles =
           [](const VertexArgs& v) {
             const auto m = v.imm("m");
@@ -510,7 +452,7 @@ void RegisterStructured(CodeletRegistry& reg) {
                 (static_cast<double>(v.state().size()) - v.imm("m")) / 2.0;
             return 2.0 * nnz * v.imm("n");
           },
-      .batch_compute =
+      .compute =
           [](const ResolvedArgs& g) {
             const int fb = g.fieldSlot("b"), fo = g.fieldSlot("out");
             const int im = g.immSlot("m"), in = g.immSlot("n");
@@ -534,13 +476,6 @@ void RegisterStructured(CodeletRegistry& reg) {
       .name = codelets::kSparseCooMac,
       .code_bytes = 416,
       .base_state_bytes = 40,
-      .compute =
-          [](VertexArgs& v) {
-            const auto n = static_cast<std::size_t>(v.imm("n"));
-            const bool accumulate = v.imm("accumulate", 0.0) != 0.0;
-            SparseCooMacCore(n, accumulate, v.in("b"), v.out("out"),
-                             v.state());
-          },
       .cycles =
           [](const VertexArgs& v) {
             const double nnz = static_cast<double>(v.state().size()) / 3.0;
@@ -551,7 +486,7 @@ void RegisterStructured(CodeletRegistry& reg) {
             return 2.0 * (static_cast<double>(v.state().size()) / 3.0) *
                    v.imm("n");
           },
-      .batch_compute =
+      .compute =
           [](const ResolvedArgs& g) {
             const int fb = g.fieldSlot("b"), fo = g.fieldSlot("out");
             const int in = g.immSlot("n"), ia = g.immSlot("accumulate");
@@ -573,22 +508,6 @@ void RegisterStructured(CodeletRegistry& reg) {
       .name = codelets::kBlockGemmAmp,
       .code_bytes = 512,
       .base_state_bytes = 48,
-      .compute =
-          [](VertexArgs& v) {
-            const auto b = static_cast<std::size_t>(v.imm("b"));
-            const auto batch = static_cast<std::size_t>(v.imm("batch"));
-            const bool accumulate = v.imm("accumulate", 0.0) != 0.0;
-            auto out = v.out("out");
-            REPRO_REQUIRE(out.size() == b * batch, "BlockGemmAmp out mismatch");
-            if (!accumulate) {
-              for (auto& o : out) o = 0.0f;
-            }
-            const std::size_t nblocks = v.fan("w");
-            REPRO_REQUIRE(v.fan("x") == nblocks, "BlockGemmAmp w/x fan mismatch");
-            for (std::size_t blk = 0; blk < nblocks; ++blk) {
-              BlockMacCore(b, batch, v.in("w", blk), v.in("x", blk), out);
-            }
-          },
       .cycles =
           [](const VertexArgs& v) {
             const auto b = static_cast<std::size_t>(v.imm("b"));
@@ -609,7 +528,7 @@ void RegisterStructured(CodeletRegistry& reg) {
             const double b = v.imm("b");
             return 2.0 * b * b * v.imm("batch") * static_cast<double>(v.fan("w"));
           },
-      .batch_compute =
+      .compute =
           [](const ResolvedArgs& g) {
             const int fw = g.fieldSlot("w"), fx = g.fieldSlot("x");
             const int fo = g.fieldSlot("out");

@@ -6,15 +6,12 @@
 // architecturally plausible. Cycle constants are calibrated against the
 // paper's measurements; each builtin documents its calibration.
 //
-// Two execution representations exist side by side:
-//  * VertexArgs -- string-keyed, one vertex per call. The fallback path and
-//    the conformance oracle for everything below.
-//  * ResolvedArgs -- field names interned to integer slots at compile time
-//    (specialize_kernels pass), spans packed contiguously in SoA tables, all
-//    vertices of one (compute set, tile, codelet) group handed to a single
-//    Codelet::batch_compute call. Batch kernels share their arithmetic cores
-//    with the per-vertex compute functions, so the two paths are bitwise
-//    identical by construction.
+// Vertices run through one representation, the compiled KernelPlan: the
+// specialize-kernels pass interns field and immediate names to integer
+// slots and packs each (compute set, tile, codelet) group's edges into SoA
+// tables, and the engine hands each group to one Codelet::compute call over
+// a ResolvedArgs view. The cycle and flop estimators run once per vertex in
+// that pass, over a VertexArgs view of sizes, immediates and state.
 #pragma once
 
 #include <cstdint>
@@ -31,92 +28,51 @@
 
 namespace repro::ipu {
 
-// Resolved vertex context handed to compute/cycle functions. Field edges are
-// resolved to spans into engine storage, in connection order.
+// What the cycle and flop estimators may read of one vertex: edge counts and
+// sizes per field, immediates, baked state and the arch -- never tensor
+// contents, which is what lets the specialize-kernels pass evaluate them
+// once at compile time.
 class VertexArgs {
  public:
-  // Unresolved placeholder so containers of args can be sized up front and
-  // filled in parallel; any use before assignment fails loudly (see
-  // requireResolved below) instead of dereferencing null pointers.
-  VertexArgs() : arch_(nullptr), imms_(nullptr), state_(nullptr) {}
-  VertexArgs(const IpuArch* arch, const std::map<std::string, double>* imms,
-             const std::vector<float>* state)
-      : arch_(arch), imms_(imms), state_(state) {}
+  VertexArgs(const IpuArch& arch, const Vertex& vertex)
+      : arch_(arch), vertex_(vertex) {}
 
-  void addEdge(const std::string& field, std::span<float> data) {
-    requireResolved();
-    fields_[field].push_back(data);
-    sizes_[field].push_back(data.size());
-  }
-  // Timing-only mode: record the edge size without backing storage. The
-  // cycle/flops estimators only consult sizes; compute() must not run.
-  void addEdgeSize(const std::string& field, std::size_t size) {
-    requireResolved();
-    sizes_[field].push_back(size);
-  }
-
-  std::size_t fan(const std::string& field) const {
-    auto it = sizes_.find(field);
-    return it == sizes_.end() ? 0 : it->second.size();
-  }
-  std::span<const float> in(const std::string& field, std::size_t i = 0) const {
-    return edge(field, i);
-  }
-  std::span<float> out(const std::string& field, std::size_t i = 0) const {
-    return edge(field, i);
+  // Number of connections of a field.
+  std::size_t fan(std::string_view field) const {
+    std::size_t n = 0;
+    for (const Edge& e : vertex_.edges) n += e.field == field ? 1 : 0;
+    return n;
   }
   // Total element count across all edges of a field.
-  std::size_t totalElems(const std::string& field) const {
+  std::size_t totalElems(std::string_view field) const {
     std::size_t n = 0;
-    auto it = sizes_.find(field);
-    if (it != sizes_.end()) {
-      for (auto s : it->second) n += s;
+    for (const Edge& e : vertex_.edges) {
+      if (e.field == field) n += e.view.numel;
     }
     return n;
   }
 
   double imm(const std::string& name, double def = 0.0) const {
-    requireResolved();
-    auto it = imms_->find(name);
-    return it == imms_->end() ? def : it->second;
+    auto it = vertex_.immediates.find(name);
+    return it == vertex_.immediates.end() ? def : it->second;
   }
   std::span<const float> state() const {
-    requireResolved();
-    return {state_->data(), state_->size()};
+    return {vertex_.state.data(), vertex_.state.size()};
   }
-  const IpuArch& arch() const {
-    requireResolved();
-    return *arch_;
-  }
+  const IpuArch& arch() const { return arch_; }
 
  private:
-  void requireResolved() const {
-    REPRO_REQUIRE(arch_ != nullptr,
-                  "VertexArgs used before assignment: default-constructed "
-                  "placeholder was never bound to a vertex");
-  }
-
-  std::span<float> edge(const std::string& field, std::size_t i) const {
-    auto it = fields_.find(field);
-    REPRO_REQUIRE(it != fields_.end() && i < it->second.size(),
-                  "vertex field '%s'[%zu] not connected", field.c_str(), i);
-    return it->second[i];
-  }
-
-  const IpuArch* arch_;
-  const std::map<std::string, double>* imms_;
-  const std::vector<float>* state_;
-  std::map<std::string, std::vector<std::span<float>>> fields_;
-  std::map<std::string, std::vector<std::size_t>> sizes_;
+  const IpuArch& arch_;
+  const Vertex& vertex_;
 };
 
-// --- specialized kernel plan (specialize_kernels pass) ---------------------
+// --- kernel plan (specialize-kernels pass) ---------------------------------
 //
-// The compile-time product that replaces string-keyed per-vertex dispatch:
-// field and immediate names are interned per codelet into sorted slot
-// tables, and each (compute set, tile, codelet) group's edges/immediates are
-// packed into SoA offset tables the engine resolves once per engine, not
-// once per run. Serialized into the ipu::Executable wire format.
+// The compile-time dispatch tables: field and immediate names are interned
+// per codelet into sorted slot tables, and each (compute set, tile, codelet)
+// group's edges/immediates are packed into SoA offset tables the engine
+// resolves once per engine, not once per run. Serialized into the
+// ipu::Executable wire format.
 
 // Interning tables for one codelet: the sorted distinct field and immediate
 // names observed across its vertices. Slot ids index these vectors.
@@ -147,9 +103,10 @@ struct KernelGroup {
 };
 
 struct KernelPlan {
-  bool enabled = false;
   std::vector<KernelCodelet> codelets;
   // Sorted by (cs, tile, codelet) so per-compute-set ranges are contiguous.
+  // Every vertex of every executed compute set sits in exactly one group of
+  // that compute set.
   std::vector<KernelGroup> groups;
   // Data-independent per-vertex costs, evaluated once at compile time (the
   // cycle/flops estimators only consult sizes/immediates/state/arch, never
@@ -159,7 +116,7 @@ struct KernelPlan {
   std::vector<double> vertex_flops;
 };
 
-// Resolved SoA view of one KernelGroup, handed to Codelet::batch_compute.
+// Resolved SoA view of one KernelGroup, handed to Codelet::compute.
 // Spans are resolved into engine storage (by the engine, once per engine);
 // slot lookups happen once per dispatch, outside the vertex loop.
 class ResolvedArgs {
@@ -200,16 +157,6 @@ class ResolvedArgs {
                   "batch vertex field slot %d[%zu] not connected", slot, i);
     return spans_[row[v] + i];
   }
-  // Total element count across all edges of a field, mirroring
-  // VertexArgs::totalElems.
-  std::size_t totalElems(std::size_t v, int slot) const {
-    if (slot < 0) return 0;
-    const std::uint32_t* row = rowOf(slot);
-    std::size_t n = 0;
-    for (std::uint32_t e = row[v]; e < row[v + 1]; ++e) n += spans_[e].size();
-    return n;
-  }
-
   double imm(std::size_t v, int slot, double def = 0.0) const {
     if (slot < 0) return def;
     const std::size_t idx = static_cast<std::size_t>(slot) * nv_ + v;
@@ -245,15 +192,11 @@ struct Codelet {
   // Fixed per-vertex descriptor bytes (on top of edge pointers and baked
   // state, which the compiler adds separately).
   std::size_t base_state_bytes = 32;
-  std::function<void(VertexArgs&)> compute;
   std::function<double(const VertexArgs&)> cycles;
   std::function<double(const VertexArgs&)> flops;
-  // Optional fused dispatch: one call runs every vertex of a (compute set,
-  // tile, codelet) group over ResolvedArgs' SoA tables. Must be
-  // arithmetic-identical to per-vertex compute -- the generic path is the
-  // conformance oracle (tests/test_kernels.cpp byte-compares them). Absent
-  // => the engine falls back to per-vertex compute for this codelet.
-  std::function<void(const ResolvedArgs&)> batch_compute;
+  // Runs every vertex of one (compute set, tile, codelet) group over
+  // ResolvedArgs' SoA tables, in lowered order.
+  std::function<void(const ResolvedArgs&)> compute;
 };
 
 // Global codelet registry; builtins are registered on first access.

@@ -47,11 +47,9 @@ StatusOr<Executable> Compile(const Graph& graph, Program program,
   }
   pipeline.push_back(std::make_unique<ExchangePlanPass>());
   pipeline.push_back(std::make_unique<LedgerPass>());
-  if (options.specialize_kernels) {
-    // Last: groups are built over the final lowered compute sets, and the
-    // pass is additive (no ledger or exchange effects).
-    pipeline.push_back(std::make_unique<SpecializeKernelsPass>());
-  }
+  // Last: groups are built over the final lowered compute sets, and the
+  // pass is additive (no ledger or exchange effects).
+  pipeline.push_back(std::make_unique<SpecializeKernelsPass>());
 
   // Compile spans live on an ordinal clock (pass index as the timestamp):
   // the wall-clock duration in PassReport::seconds would break the bitwise

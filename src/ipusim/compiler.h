@@ -1,9 +1,10 @@
 // Graph compilation: a pipeline of passes (src/ipusim/passes/) that
 // validates tile mappings, optionally fuses compute sets and reuses
-// variable memory, builds per-compute-set exchange plans, and produces the
+// variable memory, builds per-compute-set exchange plans, produces the
 // per-tile memory ledger that drives the paper's Observation 3 (memory
 // overhead scales with graph structure -- edges, vertices, compute sets --
-// not just data footprint).
+// not just data footprint), and last builds the KernelPlan the engine
+// dispatches vertices through.
 //
 // The product types (Executable, TileLedger, CompileStats, ...) live in
 // executable.h so the engine can depend on them without depending on the
@@ -35,12 +36,6 @@ struct CompileOptions {
   // mappings share per-tile arena slots in the ledger. Accounting only:
   // engine storage and results are unaffected.
   bool reuse_variable_memory = true;
-  // Build the KernelPlan that lets the engine run each compute set as fused
-  // per-(tile, codelet) batches over SoA tables instead of string-keyed
-  // per-vertex dispatch. Results, reports, ledgers, and traces are bitwise
-  // identical either way (the generic path is the conformance oracle); off
-  // exists for cross-checking and as the fallback dispatch path.
-  bool specialize_kernels = true;
   // Optional trace sink: one span per pass on (trace_pid, obs::kLaneCompile).
   // Pass spans use the pass index as their (ordinal) timestamp -- wall clock
   // stays in PassReport::seconds, outside the determinism contract.

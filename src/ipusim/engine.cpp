@@ -6,7 +6,6 @@
 #include <cstring>
 #include <map>
 #include <mutex>
-#include <set>
 #include <sstream>
 
 #include "obs/trace.h"
@@ -101,115 +100,54 @@ Engine::Engine(Internal, std::shared_ptr<const Executable> exe, Options opts)
   auto& registry = CodeletRegistry::Get();
   const auto& vertices = graph_.vertices();
   const KernelPlan& plan = exe_->kernel_plan;
-  specialized_ = plan.enabled;
-
-  if (specialized_) {
-    // Specialized dispatch: per-vertex costs were evaluated once at compile
-    // time (bit-identical to evaluating them here), so construction skips
-    // the string-keyed argument resolution for every plan-covered vertex --
-    // the dominant cost of standing up replicas and timing-only sessions.
-    REPRO_REQUIRE(plan.vertex_cycles.size() == vertices.size() &&
-                      plan.vertex_flops.size() == vertices.size(),
-                  "kernel plan does not cover the graph");
-    group_codelet_.resize(plan.groups.size());
-    std::vector<std::uint8_t> covered(vertices.size(), 0);
-    for (std::size_t gi = 0; gi < plan.groups.size(); ++gi) {
-      const KernelGroup& g = plan.groups[gi];
-      group_codelet_[gi] = &registry.Lookup(plan.codelets[g.codelet].name);
-      if (group_codelet_[gi]->batch_compute) {
-        for (VertexId vid : g.vertices) covered[vid] = 1;
-      }
+  const std::size_t num_cs = exe_->lowered_cs.size();
+  // Per-vertex costs were evaluated once at compile time, so construction
+  // only resolves each group's codelet, the contiguous per-compute-set group
+  // ranges (plan groups are sorted by cs) and, in execute mode, spans.
+  REPRO_REQUIRE(plan.vertex_cycles.size() == vertices.size() &&
+                    plan.vertex_flops.size() == vertices.size(),
+                "kernel plan does not cover the graph");
+  group_codelet_.resize(plan.groups.size());
+  cs_groups_.assign(num_cs, {0, 0});
+  for (std::size_t gi = 0; gi < plan.groups.size(); ++gi) {
+    const KernelGroup& g = plan.groups[gi];
+    group_codelet_[gi] = &registry.Lookup(plan.codelets[g.codelet].name);
+    REPRO_REQUIRE(g.cs < num_cs,
+                  "kernel plan group names a missing compute set");
+    auto& range = cs_groups_[g.cs];
+    if (range.first == range.second) {
+      range = {gi, gi + 1};
+    } else {
+      REPRO_REQUIRE(range.second == gi,
+                    "kernel plan groups are not sorted by compute set");
+      range.second = gi + 1;
     }
-    // Contiguous per-compute-set group ranges (plan groups are sorted by cs).
-    cs_groups_.assign(exe_->lowered_cs.size(), {0, 0});
-    cs_dispatches_.assign(exe_->lowered_cs.size(), 0);
-    for (std::size_t gi = 0; gi < plan.groups.size(); ++gi) {
-      const ComputeSetId cs = plan.groups[gi].cs;
-      REPRO_REQUIRE(cs < cs_groups_.size(),
-                    "kernel plan group names a missing compute set");
-      if (cs_groups_[cs].first == cs_groups_[cs].second) {
-        cs_groups_[cs] = {gi, gi + 1};
-      } else {
-        REPRO_REQUIRE(cs_groups_[cs].second == gi,
-                      "kernel plan groups are not sorted by compute set");
-        cs_groups_[cs].second = gi + 1;
-      }
-      cs_dispatches_[cs] += group_codelet_[gi]->batch_compute
-                                ? 1
-                                : plan.groups[gi].vertices.size();
-    }
-    if (opts_.execute) {
-      // Resolve each group's SoA edge table into this engine's private
-      // storage, and vertex states into span views, aligned index-for-index
-      // with the plan's tables.
-      group_spans_.resize(plan.groups.size());
-      group_states_.resize(plan.groups.size());
-      ParallelForWith(workers, 0, plan.groups.size(),
-                      [&](std::size_t lo, std::size_t hi) {
-                        for (std::size_t gi = lo; gi < hi; ++gi) {
-                          const KernelGroup& g = plan.groups[gi];
-                          auto& spans = group_spans_[gi];
-                          spans.resize(g.edges.size());
-                          for (std::size_t e = 0; e < g.edges.size(); ++e) {
-                            const Tensor& t = g.edges[e];
-                            spans[e] = {storage_[t.var].data() + t.offset,
-                                        t.numel};
-                          }
-                          auto& states = group_states_[gi];
-                          states.resize(g.vertices.size());
-                          for (std::size_t i = 0; i < g.vertices.size(); ++i) {
-                            const auto& st = vertices[g.vertices[i]].state;
-                            states[i] = {st.data(), st.size()};
-                          }
+  }
+  if (opts_.execute) {
+    // Resolve each group's SoA edge table into this engine's private
+    // storage, and vertex states into span views, aligned index-for-index
+    // with the plan's tables.
+    group_spans_.resize(plan.groups.size());
+    group_states_.resize(plan.groups.size());
+    ParallelForWith(workers, 0, plan.groups.size(),
+                    [&](std::size_t lo, std::size_t hi) {
+                      for (std::size_t gi = lo; gi < hi; ++gi) {
+                        const KernelGroup& g = plan.groups[gi];
+                        auto& spans = group_spans_[gi];
+                        spans.resize(g.edges.size());
+                        for (std::size_t e = 0; e < g.edges.size(); ++e) {
+                          const Tensor& t = g.edges[e];
+                          spans[e] = {storage_[t.var].data() + t.offset,
+                                      t.numel};
                         }
-                      });
-      // String-keyed fallback args only for vertices the plan cannot batch
-      // (codelets without a batch_compute).
-      args_.resize(vertices.size());
-      ParallelForWith(
-          workers, 0, vertices.size(),
-          [&](std::size_t lo, std::size_t hi) {
-            for (std::size_t i = lo; i < hi; ++i) {
-              if (covered[i]) continue;
-              const Vertex& v = vertices[i];
-              VertexArgs a(&graph_.arch(), &v.immediates, &v.state);
-              for (const Edge& e : v.edges) {
-                auto& buf = storage_[e.view.var];
-                a.addEdge(e.field, {buf.data() + e.view.offset, e.view.numel});
-              }
-              args_[i] = std::move(a);
-            }
-          },
-          /*min_grain=*/64);
-    }
-  } else {
-    // Generic dispatch: resolve string-keyed vertex arguments and evaluate
-    // the data-independent costs per vertex. Each vertex writes only its own
-    // slot, so the resolution shards cleanly.
-    args_.resize(vertices.size());
-    vertex_cycles_.resize(vertices.size());
-    vertex_flops_.resize(vertices.size());
-    ParallelForWith(
-        workers, 0, vertices.size(),
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) {
-            const Vertex& v = vertices[i];
-            VertexArgs a(&graph_.arch(), &v.immediates, &v.state);
-            for (const Edge& e : v.edges) {
-              if (opts_.execute) {
-                auto& buf = storage_[e.view.var];
-                a.addEdge(e.field, {buf.data() + e.view.offset, e.view.numel});
-              } else {
-                a.addEdgeSize(e.field, e.view.numel);
-              }
-            }
-            args_[i] = std::move(a);
-            const Codelet& codelet = registry.Lookup(v.codelet);
-            vertex_cycles_[i] = codelet.cycles(args_[i]);
-            vertex_flops_[i] = codelet.flops(args_[i]);
-          }
-        },
-        /*min_grain=*/64);
+                        auto& states = group_states_[gi];
+                        states.resize(g.vertices.size());
+                        for (std::size_t i = 0; i < g.vertices.size(); ++i) {
+                          const auto& st = vertices[g.vertices[i]].state;
+                          states[i] = {st.data(), st.size()};
+                        }
+                      }
+                    });
   }
 
   // Per lowered compute set (the executable's table, which includes the
@@ -217,14 +155,8 @@ Engine::Engine(Internal, std::shared_ptr<const Executable> exe, Options opts)
   // total. Compute sets are independent, so they shard across threads;
   // within one compute set the walk stays serial in lowered vertex order,
   // which keeps the floating-point flop sum bit-identical for every thread
-  // count -- and identical across dispatch paths, since the specialized
-  // per-vertex costs are the same doubles the generic path evaluates.
-  const double* vcycles =
-      specialized_ ? plan.vertex_cycles.data() : vertex_cycles_.data();
-  const double* vflops =
-      specialized_ ? plan.vertex_flops.data() : vertex_flops_.data();
+  // count.
   const IpuArch& arch = graph_.arch();
-  const std::size_t num_cs = exe_->lowered_cs.size();
   cs_compute_cycles_.assign(num_cs, 0.0);
   cs_flops_.assign(num_cs, 0.0);
   cs_bottleneck_tile_.assign(num_cs, 0);
@@ -235,8 +167,8 @@ Engine::Engine(Internal, std::shared_ptr<const Executable> exe, Options opts)
       double flops = 0.0;
       for (VertexId vid : exe_->lowered_cs[cs].vertices) {
         tile_cycles[vertices[vid].tile] +=
-            vcycles[vid] + arch.vertex_dispatch_cycles;
-        flops += vflops[vid];
+            plan.vertex_cycles[vid] + arch.vertex_dispatch_cycles;
+        flops += plan.vertex_flops[vid];
       }
       double max_cycles = 0.0;
       std::size_t max_tile = 0;
@@ -252,24 +184,6 @@ Engine::Engine(Internal, std::shared_ptr<const Executable> exe, Options opts)
       cs_bottleneck_tile_[cs] = max_tile;
     }
   });
-
-  if (opts_.tracer != nullptr) {
-    // vertices per host dispatch, a pure function of the graph: identical on
-    // both dispatch paths (the generic path "dispatches" per vertex but
-    // reports the same fused-group figure), so trace bytes stay comparable
-    // across specialize on/off.
-    cs_vertices_per_dispatch_.assign(num_cs, 0.0);
-    for (std::size_t cs = 0; cs < num_cs; ++cs) {
-      const auto& vids = exe_->lowered_cs[cs].vertices;
-      if (vids.empty()) continue;
-      std::set<std::pair<std::size_t, std::string_view>> tile_codelet;
-      for (VertexId vid : vids) {
-        tile_codelet.insert({vertices[vid].tile, vertices[vid].codelet});
-      }
-      cs_vertices_per_dispatch_[cs] = static_cast<double>(vids.size()) /
-                                      static_cast<double>(tile_codelet.size());
-    }
-  }
 
   AccumulateBuildStats(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - build_t0)
@@ -452,9 +366,15 @@ void Engine::execComputeSet(ComputeSetId cs, RunReport& r) {
   // tile finishes. All accounting was precomputed serially at construction.
   const auto sync = static_cast<std::uint64_t>(arch.compute_sync_cycles);
   const auto compute = static_cast<std::uint64_t>(cs_compute_cycles_[cs]);
+  const auto [gb, ge] = cs_groups_[cs];
   if (tr_sync_ != nullptr) {
     const double t = traceNowUs(r);
     const double sync_us = cyclesToUs(static_cast<double>(sync));
+    // One host dispatch per plan group of this compute set.
+    const double per_dispatch =
+        gb == ge ? 0.0
+                 : static_cast<double>(exe_->lowered_cs[cs].vertices.size()) /
+                       static_cast<double>(ge - gb);
     tr_sync_->Complete("sync", "sync", t, sync_us,
                        {obs::Arg("cycles", static_cast<std::uint64_t>(sync))});
     tr_compute_->Complete(
@@ -463,7 +383,7 @@ void Engine::execComputeSet(ComputeSetId cs, RunReport& r) {
         {obs::Arg("cycles", static_cast<std::uint64_t>(compute)),
          obs::Arg("flops", cs_flops_[cs]),
          obs::Arg("bottleneck_tile", cs_bottleneck_tile_[cs]),
-         obs::Arg("vertices_per_dispatch", cs_vertices_per_dispatch_[cs])});
+         obs::Arg("vertices_per_dispatch", per_dispatch)});
     opts_.tracer->Count("bsp.supersteps");
   }
   r.sync_cycles += sync;
@@ -472,52 +392,24 @@ void Engine::execComputeSet(ComputeSetId cs, RunReport& r) {
   r.flops += cs_flops_[cs];
 
   if (opts_.execute) {
-    const std::vector<VertexId>& vids = exe_->lowered_cs[cs].vertices;
-    if (specialized_) {
-      // Specialized dispatch: one batch_compute call per (tile, codelet)
-      // group, iterating the plan's SoA tables -- no string lookups, no
-      // per-vertex std::function hop. Groups write disjoint regions (their
-      // vertices do, validated at compile time), so they shard across host
-      // threads; within a group the batch kernel runs vertices in lowered
-      // order with the same arithmetic as the generic path, so results
-      // match it bitwise.
-      const auto [gb, ge] = cs_groups_[cs];
-      const KernelPlan& plan = exe_->kernel_plan;
-      ParallelForWith(hostWorkers(), gb, ge,
-                      [&](std::size_t lo, std::size_t hi) {
-                        for (std::size_t gi = lo; gi < hi; ++gi) {
-                          const KernelGroup& g = plan.groups[gi];
-                          const Codelet& c = *group_codelet_[gi];
-                          if (c.batch_compute) {
-                            c.batch_compute(ResolvedArgs(
-                                &graph_.arch(), &plan.codelets[g.codelet], &g,
-                                group_spans_[gi].data(),
-                                group_states_[gi].data()));
-                          } else {
-                            for (VertexId vid : g.vertices) c.compute(args_[vid]);
-                          }
-                        }
-                      });
-      run_vertices_acc_ += vids.size();
-      run_dispatches_acc_ += cs_dispatches_[cs];
-    } else {
-      // Generic dispatch: vertex arithmetic shards across host threads;
-      // within a compute set vertices write disjoint regions (validated at
-      // compile time), so the stores never race and the results match
-      // serial execution bitwise.
-      auto& registry = CodeletRegistry::Get();
-      const auto& vertices = graph_.vertices();
-      ParallelForWith(hostWorkers(), 0, vids.size(),
-                      [&](std::size_t lo, std::size_t hi) {
-                        for (std::size_t i = lo; i < hi; ++i) {
-                          const VertexId vid = vids[i];
-                          registry.Lookup(vertices[vid].codelet)
-                              .compute(args_[vid]);
-                        }
-                      });
-      run_vertices_acc_ += vids.size();
-      run_dispatches_acc_ += vids.size();
-    }
+    // One compute call per (tile, codelet) group, iterating the plan's SoA
+    // tables. Groups write disjoint regions (their vertices do, validated
+    // at compile time), so they shard across host threads; within a group
+    // the kernel runs vertices in lowered order, so results are bitwise
+    // identical for every thread count.
+    const KernelPlan& plan = exe_->kernel_plan;
+    ParallelForWith(hostWorkers(), gb, ge,
+                    [&](std::size_t lo, std::size_t hi) {
+                      for (std::size_t gi = lo; gi < hi; ++gi) {
+                        const KernelGroup& g = plan.groups[gi];
+                        group_codelet_[gi]->compute(ResolvedArgs(
+                            &graph_.arch(), &plan.codelets[g.codelet], &g,
+                            group_spans_[gi].data(),
+                            group_states_[gi].data()));
+                      }
+                    });
+    run_vertices_acc_ += exe_->lowered_cs[cs].vertices.size();
+    run_dispatches_acc_ += ge - gb;
   }
 }
 

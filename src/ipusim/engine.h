@@ -60,17 +60,15 @@ struct RunReport {
 };
 
 // Process-wide host wall-clock accounting for the engine's two hot paths:
-// construction (argument resolution + cost precomputation) and run()
-// (vertex execution). Accumulated across every engine in the process.
-// Host-only observability: no simulated quantity reads it. Benches print it
-// per dispatch path; scripts/check.sh gates the specialize-on vs -off
-// throughput ratio on those lines.
+// construction (span resolution + cost precomputation) and run() (vertex
+// execution). Accumulated across every engine in the process. Host-only
+// observability: no simulated quantity reads it; benches print it to stdout.
 struct EngineHostStats {
   double build_seconds = 0.0;
   std::uint64_t build_vertices = 0;  // graph vertices per engine constructed
   double run_seconds = 0.0;
   std::uint64_t run_vertices = 0;    // vertex computations executed
-  std::uint64_t run_dispatches = 0;  // host kernel invocations running them
+  std::uint64_t run_dispatches = 0;  // plan groups dispatched to run them
 };
 EngineHostStats EngineHostStatsSnapshot();
 void ResetEngineHostStats();
@@ -154,31 +152,15 @@ class Engine {
   const Graph& graph_;                     // alias of *exe_->graph
   Options opts_;
   std::vector<std::vector<float>> storage_;  // per variable (execute mode)
-  // Generic dispatch path: string-keyed args resolved per vertex. In
-  // specialized mode only fallback vertices (codelets without a
-  // batch_compute) get an entry; plan-covered vertices skip it entirely.
-  std::vector<VertexArgs> args_;
-  // Data-independent per-vertex costs. In specialized mode these stay empty
-  // and the executable's KernelPlan tables are used instead (evaluated once
-  // at compile time, bit-identical values).
-  std::vector<double> vertex_cycles_;
-  std::vector<double> vertex_flops_;
-  // Specialized dispatch state (exe_->kernel_plan.enabled): per-group spans
-  // and vertex states resolved against this engine's private storage,
-  // aligned with the plan's SoA tables; cached codelet pointers; contiguous
-  // per-compute-set group ranges; per-CS host dispatch counts for
-  // EngineHostStats.
-  bool specialized_ = false;
+  // Kernel-plan dispatch state: per-group spans and vertex states resolved
+  // against this engine's private storage (execute mode), aligned with the
+  // plan's SoA tables; cached codelet pointers; and each lowered compute
+  // set's contiguous [begin, end) range of plan groups, one host dispatch
+  // per group.
   std::vector<std::vector<std::span<float>>> group_spans_;
   std::vector<std::vector<std::span<const float>>> group_states_;
   std::vector<const Codelet*> group_codelet_;
   std::vector<std::pair<std::size_t, std::size_t>> cs_groups_;
-  std::vector<std::uint64_t> cs_dispatches_;
-  // vertices / distinct (tile, codelet) pairs per lowered compute set, for
-  // the compute-span trace arg. A pure function of the graph, computed the
-  // same way on both dispatch paths so trace bytes stay identical; only
-  // filled when tracing is on.
-  std::vector<double> cs_vertices_per_dispatch_;
   // Host wall-clock accumulators flushed into the process-wide
   // EngineHostStats at the end of each run().
   std::uint64_t run_vertices_acc_ = 0;

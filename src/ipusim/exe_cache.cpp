@@ -57,7 +57,6 @@ std::uint64_t ExeCache::KeyOf(const Graph& graph, const Program& program,
   bytes.push_back(options.allow_oversubscription ? 1 : 0);
   bytes.push_back(options.fuse_compute_sets ? 1 : 0);
   bytes.push_back(options.reuse_variable_memory ? 1 : 0);
-  bytes.push_back(options.specialize_kernels ? 1 : 0);
   // Graph bytes embed the IpuArch fingerprint and all tile mappings (the
   // tile-slice size); trace options are deliberately not hashed.
   AppendGraphBytes(graph, bytes);

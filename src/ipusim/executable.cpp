@@ -315,7 +315,6 @@ CompileStats TakeStats(Reader& r) {
 }
 
 void PutKernelPlan(std::vector<std::uint8_t>& out, const KernelPlan& plan) {
-  PutU8(out, plan.enabled ? 1 : 0);
   PutU64(out, plan.codelets.size());
   for (const KernelCodelet& c : plan.codelets) {
     PutString(out, c.name);
@@ -348,7 +347,6 @@ void PutKernelPlan(std::vector<std::uint8_t>& out, const KernelPlan& plan) {
 
 KernelPlan TakeKernelPlan(Reader& r) {
   KernelPlan plan;
-  plan.enabled = r.TakeU8() != 0;
   const std::uint64_t ncod = r.TakeCount();
   plan.codelets.reserve(ncod);
   for (std::uint64_t i = 0; i < ncod && !r.failed; ++i) {
@@ -414,60 +412,111 @@ KernelPlan TakeKernelPlan(Reader& r) {
 }
 
 // Referential integrity of a deserialized plan against the graph and lowered
-// tables: the engine indexes all of these with REPRO_REQUIRE-level trust.
+// tables: the engine indexes all of these with REPRO_REQUIRE-level trust and
+// runs vertices only through the plan, so every codelet must be registered,
+// groups must be sorted by compute set, and each compute set the program
+// executes (`executed`, by lowered id) must be covered exactly once by its
+// groups, each vertex under its own codelet and tile.
 Status ValidateKernelPlan(const KernelPlan& plan, const Graph& graph,
-                          std::size_t num_lowered_cs) {
-  const std::size_t nverts = graph.vertices().size();
-  if (plan.enabled && (plan.vertex_cycles.size() != nverts ||
-                       plan.vertex_flops.size() != nverts)) {
+                          const std::vector<LoweredComputeSet>& lowered,
+                          const std::vector<std::uint8_t>& executed) {
+  const std::vector<Vertex>& vertices = graph.vertices();
+  const std::size_t nverts = vertices.size();
+  if (plan.vertex_cycles.size() != nverts ||
+      plan.vertex_flops.size() != nverts) {
     return Status::InvalidArgument(
         "artifact kernel plan cycle/flop tables do not cover the graph");
   }
-  for (const KernelGroup& g : plan.groups) {
-    if (g.codelet >= plan.codelets.size() || g.cs >= num_lowered_cs ||
-        g.tile >= graph.arch().num_tiles || g.vertices.empty()) {
+  const CodeletRegistry& registry = CodeletRegistry::Get();
+  for (const KernelCodelet& c : plan.codelets) {
+    if (!registry.Has(c.name)) {
       return Status::InvalidArgument(
-          "artifact kernel plan group references missing codelet, compute "
-          "set, or tile");
+          "artifact kernel plan names unregistered codelet '" + c.name + "'");
     }
-    for (VertexId v : g.vertices) {
-      if (v >= nverts) {
+  }
+  // stamp[v] == cs + 1 while vertex v is claimed by a group of compute set
+  // cs and not yet matched against the lowered table.
+  std::vector<std::uint32_t> stamp(nverts, 0);
+  std::size_t gi = 0;
+  for (ComputeSetId cs = 0; cs < lowered.size(); ++cs) {
+    std::size_t claimed = 0;
+    for (; gi < plan.groups.size() && plan.groups[gi].cs == cs; ++gi) {
+      const KernelGroup& g = plan.groups[gi];
+      if (g.codelet >= plan.codelets.size() ||
+          g.tile >= graph.arch().num_tiles || g.vertices.empty()) {
         return Status::InvalidArgument(
-            "artifact kernel plan group references missing vertex");
+            "artifact kernel plan group references missing codelet or tile");
+      }
+      const KernelCodelet& c = plan.codelets[g.codelet];
+      for (VertexId v : g.vertices) {
+        if (v >= nverts) {
+          return Status::InvalidArgument(
+              "artifact kernel plan group references missing vertex");
+        }
+        if (vertices[v].tile != g.tile || vertices[v].codelet != c.name) {
+          return Status::InvalidArgument(
+              "artifact kernel plan group vertex has another codelet or tile");
+        }
+        if (stamp[v] == cs + 1) {
+          return Status::InvalidArgument(
+              "artifact kernel plan runs a vertex twice in one compute set");
+        }
+        stamp[v] = cs + 1;
+      }
+      claimed += g.vertices.size();
+      const std::size_t nv = g.vertices.size();
+      if (g.edge_start.size() != c.fields.size() * (nv + 1) ||
+          g.imm_values.size() != c.imms.size() * nv ||
+          g.imm_present.size() != g.imm_values.size()) {
+        return Status::InvalidArgument(
+            "artifact kernel plan group tables are inconsistently sized");
+      }
+      std::uint32_t prev = 0;
+      for (std::size_t i = 0; i < g.edge_start.size(); ++i) {
+        const std::uint32_t e = g.edge_start[i];
+        if (e < prev || e > g.edges.size() || (i == 0 && e != 0)) {
+          return Status::InvalidArgument(
+              "artifact kernel plan edge offsets are not a valid CSR table");
+        }
+        prev = e;
+      }
+      if (!g.edge_start.empty() && g.edge_start.back() != g.edges.size()) {
+        return Status::InvalidArgument(
+            "artifact kernel plan edge offsets do not cover the edge table");
+      }
+      if (g.edge_start.empty() && !g.edges.empty()) {
+        return Status::InvalidArgument(
+            "artifact kernel plan edge table has no offsets");
+      }
+      for (const Tensor& t : g.edges) {
+        if (t.var >= graph.variables().size() ||
+            t.offset + t.numel > graph.variables()[t.var].numel) {
+          return Status::InvalidArgument(
+              "artifact kernel plan edge references out-of-range variable "
+              "view");
+        }
       }
     }
-    const KernelCodelet& c = plan.codelets[g.codelet];
-    const std::size_t nv = g.vertices.size();
-    if (g.edge_start.size() != c.fields.size() * (nv + 1) ||
-        g.imm_values.size() != c.imms.size() * nv ||
-        g.imm_present.size() != g.imm_values.size()) {
-      return Status::InvalidArgument(
-          "artifact kernel plan group tables are inconsistently sized");
-    }
-    std::uint32_t prev = 0;
-    for (std::size_t i = 0; i < g.edge_start.size(); ++i) {
-      const std::uint32_t e = g.edge_start[i];
-      if (e < prev || e > g.edges.size() || (i == 0 && e != 0)) {
+    if (!executed[cs]) continue;
+    // Unstamping makes a duplicate lowered entry fail, so the count match
+    // below means the groups hold exactly the lowered vertices.
+    for (VertexId v : lowered[cs].vertices) {
+      if (stamp[v] != cs + 1) {
         return Status::InvalidArgument(
-            "artifact kernel plan edge offsets are not a valid CSR table");
+            "artifact kernel plan does not run every vertex of an executed "
+            "compute set");
       }
-      prev = e;
+      stamp[v] = 0;
     }
-    if (!g.edge_start.empty() && g.edge_start.back() != g.edges.size()) {
+    if (claimed != lowered[cs].vertices.size()) {
       return Status::InvalidArgument(
-          "artifact kernel plan edge offsets do not cover the edge table");
+          "artifact kernel plan runs vertices outside their compute set");
     }
-    if (g.edge_start.empty() && !g.edges.empty()) {
-      return Status::InvalidArgument(
-          "artifact kernel plan edge table has no offsets");
-    }
-    for (const Tensor& t : g.edges) {
-      if (t.var >= graph.variables().size() ||
-          t.offset + t.numel > graph.variables()[t.var].numel) {
-        return Status::InvalidArgument(
-            "artifact kernel plan edge references out-of-range variable view");
-      }
-    }
+  }
+  if (gi != plan.groups.size()) {
+    return Status::InvalidArgument(
+        "artifact kernel plan groups are not sorted by compute set or name a "
+        "missing compute set");
   }
   return Status::Ok();
 }
@@ -698,14 +747,15 @@ StatusOr<Executable> Executable::Deserialize(
       }
     }
   }
-  // Walk the program tree for compute-set ids beyond the lowered table.
+  // Walk the program tree for compute-set ids beyond the lowered table,
+  // collecting the executed ones for the kernel plan check.
+  std::vector<std::uint8_t> executed(exe.lowered_cs.size(), 0);
   const std::function<bool(const Program&)> valid = [&](const Program& p) {
-    if (p.kind == Program::Kind::kExecute &&
-        p.cs >= exe.lowered_cs.size()) {
-      return false;
-    }
-    if (p.kind == Program::Kind::kExecute && p.cs >= exe.cs_exchange.size()) {
-      return false;
+    if (p.kind == Program::Kind::kExecute) {
+      if (p.cs >= exe.lowered_cs.size() || p.cs >= exe.cs_exchange.size()) {
+        return false;
+      }
+      executed[p.cs] = 1;
     }
     for (const Program& c : p.children) {
       if (!valid(c)) return false;
@@ -717,7 +767,7 @@ StatusOr<Executable> Executable::Deserialize(
         "artifact program executes a compute set outside the lowered table");
   }
   if (Status plan_ok = ValidateKernelPlan(exe.kernel_plan, *exe.graph,
-                                          exe.lowered_cs.size());
+                                          exe.lowered_cs, executed);
       !plan_ok.ok()) {
     return plan_ok;
   }

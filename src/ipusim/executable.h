@@ -34,9 +34,10 @@ inline constexpr std::size_t kNumMemCategories =
 
 // Bumped whenever the byte layout below changes; Load() rejects artifacts
 // written by any other version with a clean Status (never a crash).
-// v2: appended the specialize_kernels KernelPlan section (codelet.h).
+// v2: appended the KernelPlan section (codelet.h).
 // v3: appended the host-stream descriptor section (HostStream below).
-inline constexpr std::uint32_t kExecutableFormatVersion = 3;
+// v4: dropped the KernelPlan's enabled byte; every artifact carries a plan.
+inline constexpr std::uint32_t kExecutableFormatVersion = 4;
 
 struct TileLedger {
   std::array<std::size_t, kNumMemCategories> bytes{};
@@ -131,9 +132,8 @@ struct Executable {
   // Compute sets by lowered id: graph compute sets first, fused merges
   // after. The engine executes these, never graph.verticesInCs().
   std::vector<LoweredComputeSet> lowered_cs;
-  // Specialized dispatch tables from the specialize_kernels pass (disabled =>
-  // the engine resolves string-keyed VertexArgs per vertex, the generic
-  // fallback path). See codelet.h for the types.
+  // Vertex dispatch tables from the specialize-kernels pass: the only way
+  // the engine runs vertices. See codelet.h for the types.
   KernelPlan kernel_plan;
   // Host FIFO endpoints in first-appearance program order (validate pass).
   // Empty for programs without StreamIn/StreamOut ops.

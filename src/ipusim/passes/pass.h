@@ -52,8 +52,7 @@ struct LoweringContext {
   std::vector<TileLedger> tiles;
   CompileStats stats;
 
-  // Specialized dispatch tables, filled by the specialize_kernels pass
-  // (disabled/empty when the pass is off).
+  // Vertex dispatch tables, filled by the specialize-kernels pass.
   KernelPlan kernel_plan;
 
   // Host FIFO descriptors collected by the validate pass from the program's

@@ -14,7 +14,6 @@ Status SpecializeKernelsPass::Run(LoweringContext& ctx, PassReport& report) {
   const Graph& graph = *ctx.graph;
   const std::vector<Vertex>& vertices = graph.vertices();
   KernelPlan& plan = ctx.kernel_plan;
-  plan.enabled = true;
 
   // Intern codelet names and, per codelet, the sorted distinct field and
   // immediate names across its vertices. std::map/std::set give the sorted
@@ -39,8 +38,8 @@ Status SpecializeKernelsPass::Run(LoweringContext& ctx, PassReport& report) {
     }
   }
 
-  // Evaluate every vertex's data-independent cycle/FLOP model once, in
-  // timing mode (sizes only). Parallel over disjoint slots: deterministic.
+  // Evaluate every vertex's data-independent cycle/FLOP model once (sizes,
+  // immediates and state only). Parallel over disjoint slots: deterministic.
   const CodeletRegistry& registry = CodeletRegistry::Get();
   plan.vertex_cycles.resize(vertices.size());
   plan.vertex_flops.resize(vertices.size());
@@ -49,10 +48,7 @@ Status SpecializeKernelsPass::Run(LoweringContext& ctx, PassReport& report) {
       [&](std::size_t lo, std::size_t hi) {
         for (std::size_t i = lo; i < hi; ++i) {
           const Vertex& v = vertices[i];
-          VertexArgs args(&graph.arch(), &v.immediates, &v.state);
-          for (const Edge& e : v.edges) {
-            args.addEdgeSize(e.field, e.view.numel);
-          }
+          const VertexArgs args(graph.arch(), v);
           const Codelet& c = registry.Lookup(v.codelet);
           plan.vertex_cycles[i] = c.cycles(args);
           plan.vertex_flops[i] = c.flops(args);

@@ -4,23 +4,21 @@
 
 namespace repro::ipu {
 
-// Builds the KernelPlan (codelet.h) that replaces string-keyed per-vertex
-// dispatch with fused per-(compute set, tile, codelet) batches:
+// Builds the KernelPlan (codelet.h) the engine runs vertices through, one
+// fused batch per (compute set, tile, codelet):
 //  * interns every codelet's field and immediate names into sorted slot
 //    tables,
 //  * packs each group's edge views and immediates into SoA offset tables in
 //    lowered execution order,
 //  * evaluates every vertex's cycle/FLOP model once at compile time (the
 //    estimators are data-independent -- they consult sizes, immediates,
-//    state, and arch, never span contents -- so the values are bit-identical
-//    to the engine's own evaluation and survive serialization exactly).
+//    state, and arch, never span contents -- so the values survive
+//    serialization exactly).
 //
-// Additive only: lowered compute sets, exchange plans, and ledgers are
-// untouched, so every memory/cycle ledger is byte-identical with the pass on
-// or off. Groups cover reachable compute sets; the engine falls back to
-// VertexArgs dispatch for anything outside the plan. Report counts:
-// objects_before = per-vertex dispatches across reachable compute sets,
-// objects_after = fused groups.
+// Runs last, on every compile: lowered compute sets, exchange plans, and
+// ledgers are untouched. Groups cover the reachable compute sets. Report
+// counts: objects_before = per-vertex dispatches across reachable compute
+// sets, objects_after = fused groups.
 class SpecializeKernelsPass : public CompilerPass {
  public:
   const char* name() const override { return "specialize-kernels"; }

@@ -52,11 +52,6 @@ struct SessionOptions {
   // lifetimes (compiler liveness pass). Ledger-only: engine results are
   // bitwise identical either way.
   bool reuse_variable_memory = true;
-  // Compile the specialized KernelPlan so the engine dispatches fused
-  // per-(tile, codelet) batches (compiler.h). Results, reports, ledgers and
-  // traces are bitwise identical on or off; off is the generic string-keyed
-  // fallback path, kept as the conformance oracle.
-  bool specialize_kernels = true;
   // Host worker threads for engine execution; 0 defers to REPRO_THREADS /
   // hardware concurrency. Never affects simulated results.
   std::size_t host_threads = 0;
@@ -88,7 +83,6 @@ struct SessionOptions {
     return CompileOptions{.allow_oversubscription = allow_oversubscription,
                           .fuse_compute_sets = fuse_compute_sets,
                           .reuse_variable_memory = reuse_variable_memory,
-                          .specialize_kernels = specialize_kernels,
                           .tracer = tracer,
                           .trace_pid = trace_pid,
                           .trace_label = trace_label};

@@ -251,7 +251,6 @@ StatusOr<std::unique_ptr<ModelPlan>> ModelPlan::Build(
   // One host worker per replica engine: the pool parallelises across
   // replicas, not within one (and timing-only sessions must stay at 0).
   so.host_threads = opts.execute ? 1 : 0;
-  so.specialize_kernels = opts.specialize_kernels;
   so.tracer = opts.tracer;
   so.trace_pid = opts.trace_pid;
   so.trace_label = opts.trace_label;

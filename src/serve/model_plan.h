@@ -49,10 +49,6 @@ struct PlanOptions {
   std::size_t num_tiles = 0;
   // Butterfly stages at PopTorch-parity cost (the calibrated default).
   bool poptorch_parity = true;
-  // Compile the specialized KernelPlan so replica engines dispatch fused
-  // per-(tile, codelet) batches (SessionOptions passthrough). Logits,
-  // reports and traces are bitwise identical on or off.
-  bool specialize_kernels = true;
   // Optional trace sink (SessionOptions passthrough): compile-pass spans
   // and the calibration run's BSP timeline land on trace_pid. Capacity
   // probes (MaxReplicasPerIpu) always null it -- dozens of probe compiles

@@ -1,6 +1,5 @@
 // Tests for the cluster serving fabric (src/cluster): LinkFabric collective
-// algebra (and its exact agreement with the multi_ipu wrappers it subsumed),
-// consistent-hash ring stability, router placement determinism and
+// algebra, consistent-hash ring stability, router placement determinism and
 // backpressure, sharded-vs-unsharded logit parity, the autoscaler, and the
 // cluster determinism contract (metrics + logits invariant to host threads).
 #include <cmath>
@@ -16,7 +15,6 @@
 #include "core/device_time.h"
 #include "core/method.h"
 #include "ipusim/arch.h"
-#include "ipusim/multi_ipu.h"
 #include "linalg/matrix.h"
 #include "nn/export.h"
 #include "nn/model.h"
@@ -33,18 +31,6 @@ using core::Method;
 
 // ---------------------------------------------------------------------------
 // LinkFabric algebra
-
-TEST(LinkFabricTest, AllReduceMatchesMultiIpuWrapperExactly) {
-  // multi_ipu.h::AllReduceSeconds is now a thin wrapper over the fabric;
-  // the numbers must be bit-identical to the pre-refactor formula.
-  const ipu::M2000Arch pod;
-  const ipu::LinkFabric fabric = pod.fabric();
-  for (std::size_t bytes : {std::size_t{0}, std::size_t{65576},
-                            std::size_t{4239400}, std::size_t{1} << 28}) {
-    EXPECT_EQ(ipu::AllReduceSeconds(pod, bytes),
-              fabric.RingAllReduceSeconds(bytes));
-  }
-}
 
 TEST(LinkFabricTest, ReduceScatterPlusAllGatherIsAllReduce) {
   const ipu::LinkFabric fabric(

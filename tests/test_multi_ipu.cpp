@@ -1,38 +1,38 @@
+// M2000 data-parallel training model over the IPU-Link fabric
+// (cluster/link_fabric.h): ring-allreduce cost and DataParallelScaling.
 #include <gtest/gtest.h>
 
-#include "ipusim/multi_ipu.h"
+#include "cluster/link_fabric.h"
 
 namespace repro::ipu {
 namespace {
 
 TEST(AllReduce, SingleIpuIsFree) {
-  M2000Arch pod;
-  pod.num_ipus = 1;
-  EXPECT_EQ(AllReduceSeconds(pod, 1 << 20), 0.0);
+  const LinkFabric fabric(LinkFabricConfig{.num_ipus = 1});
+  EXPECT_EQ(fabric.RingAllReduceSeconds(1 << 20), 0.0);
 }
 
 TEST(AllReduce, ScalesWithBytes) {
-  M2000Arch pod;
-  const double small = AllReduceSeconds(pod, 1 << 16);
-  const double large = AllReduceSeconds(pod, 1 << 26);
+  const LinkFabric fabric;
+  const double small = fabric.RingAllReduceSeconds(1 << 16);
+  const double large = fabric.RingAllReduceSeconds(1 << 26);
   EXPECT_GT(large, 100 * small / 200);  // latency floor aside, ~linear
   EXPECT_GT(large, small);
 }
 
 TEST(AllReduce, RingVolumeFormula) {
-  M2000Arch pod;
-  pod.num_ipus = 4;
-  pod.link_latency_sec = 0.0;
+  const LinkFabric fabric(
+      LinkFabricConfig{.num_ipus = 4, .link_latency_sec = 0.0});
   const std::size_t bytes = 320'000'000;  // 1 ms of link bandwidth
   // 2 * (4-1)/4 = 1.5 traversals of 1 ms each.
-  EXPECT_NEAR(AllReduceSeconds(pod, bytes), 1.5e-3, 1e-9);
+  EXPECT_NEAR(fabric.RingAllReduceSeconds(bytes), 1.5e-3, 1e-9);
 }
 
 TEST(Scaling, DenseVsButterflyEfficiency) {
   // The future-work punchline: butterfly's 16k parameters allreduce ~65x
   // cheaper than the baseline's 1.06M, so it scales with higher efficiency
   // once compute shrinks per IPU.
-  M2000Arch pod;
+  const LinkFabricConfig pod;
   const double step = 400e-6;   // single-IPU baseline step
   const double floor = 150e-6;  // un-shrinkable per-step overhead
   auto dense = DataParallelScaling(pod, step, floor, 1059850);
@@ -49,8 +49,7 @@ TEST(Scaling, DenseVsButterflyEfficiency) {
 }
 
 TEST(Scaling, MonotoneStepTimeDecrease) {
-  M2000Arch pod;
-  auto pts = DataParallelScaling(pod, 1e-3, 1e-4, 16394);
+  auto pts = DataParallelScaling(LinkFabricConfig{}, 1e-3, 1e-4, 16394);
   for (std::size_t i = 1; i < pts.size(); ++i) {
     EXPECT_LT(pts[i].step_seconds, pts[i - 1].step_seconds);
   }
@@ -59,8 +58,8 @@ TEST(Scaling, MonotoneStepTimeDecrease) {
 TEST(Scaling, HugeGradientsCanInvertScaling) {
   // With enormous parameter counts the allreduce dominates and 4 IPUs can
   // be slower than 1 -- the regime where compression is *necessary*.
-  M2000Arch pod;
-  auto pts = DataParallelScaling(pod, 200e-6, 100e-6, 400u * 1000 * 1000);
+  auto pts = DataParallelScaling(LinkFabricConfig{}, 200e-6, 100e-6,
+                                 400u * 1000 * 1000);
   EXPECT_LT(pts.back().speedup, 1.0);
 }
 
