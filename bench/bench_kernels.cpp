@@ -110,6 +110,29 @@ void RunHostKernels(BenchJsonWriter& json, bool fast) {
     TimeKernel(json, t, "gemm_transb" + tag, s.n, iters, flops,
                [&] { GemmTransB(a, bt, c); });
   }
+  // The IPU serving vertices on GemmSerial, the entry the engine calls: a
+  // dense AmpGemm (a 16-row weight block times a k x 32 activation chunk),
+  // the same accumulating, and a pixelfly BlockGemmAmp vertex of two
+  // 16 x 16 blocks accumulated in turn. B's 32-float rows are read in place.
+  {
+    Rng rng(9);
+    const auto gemm = [&](const std::string& name, std::size_t m,
+                          std::size_t k, std::size_t n, std::size_t blocks,
+                          bool accumulate) {
+      const Matrix a = Matrix::RandomNormal(blocks * m, k, rng);
+      const Matrix b = Matrix::RandomNormal(blocks * k, n, rng);
+      Matrix c(m, n);
+      TimeKernel(json, t, name, n, 64 * scale, 2 * blocks * m * k * n, [&] {
+        for (std::size_t blk = 0; blk < blocks; ++blk) {
+          GemmSerial(m, k, n, a.data() + blk * m * k, b.data() + blk * k * n,
+                     c.data(), accumulate || blk > 0);
+        }
+      });
+    };
+    gemm("gemm_vertex_amp", 16, 256, 32, 1, false);
+    gemm("gemm_vertex_amp_acc", 16, 96, 32, 1, true);
+    gemm("gemm_vertex_block", 16, 16, 32, 2, true);
+  }
   {
     const std::size_t n = 1024;
     Rng rng(3);

@@ -30,7 +30,9 @@
 #      must load every ipu::Executable from disk (0 compiles) and produce
 #      byte-identical JSON/output;
 #   6. AddressSanitizer build of the concurrency-heavy tests (test_serve,
-#      test_session, test_obs, test_kernels) in a side build dir.
+#      test_session, test_obs, test_kernels, test_stream, test_executable)
+#      and of test_linalg, whose GEMM core reads vertex operands in place up
+#      to their row ends, in a side build dir.
 #
 # Usage: scripts/check.sh [build-dir]      (default: build)
 set -euo pipefail
@@ -321,11 +323,11 @@ if ! cmp -s "$tmp_dir/demo_cold.log" <(sed 's/^loaded cached/compiled/' \
 fi
 echo "ok: cold and warm runs byte-identical; warm runs served entirely from disk"
 
-echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable) =="
+echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable + test_linalg) =="
 asan_dir="$build_dir-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DREPRO_SANITIZE=address > /dev/null
 cmake --build "$asan_dir" -j --target test_serve test_session test_obs \
-  test_kernels test_stream test_executable
+  test_kernels test_stream test_executable test_linalg
 "$asan_dir/tests/test_serve" > "$tmp_dir/asan_serve.log" \
   || { echo "FAIL: asan test_serve"; tail -40 "$tmp_dir/asan_serve.log"; exit 1; }
 "$asan_dir/tests/test_session" > "$tmp_dir/asan_session.log" \
@@ -338,6 +340,8 @@ cmake --build "$asan_dir" -j --target test_serve test_session test_obs \
   || { echo "FAIL: asan test_stream"; tail -40 "$tmp_dir/asan_stream.log"; exit 1; }
 "$asan_dir/tests/test_executable" > "$tmp_dir/asan_executable.log" \
   || { echo "FAIL: asan test_executable"; tail -40 "$tmp_dir/asan_executable.log"; exit 1; }
+"$asan_dir/tests/test_linalg" > "$tmp_dir/asan_linalg.log" \
+  || { echo "FAIL: asan test_linalg"; tail -40 "$tmp_dir/asan_linalg.log"; exit 1; }
 echo "ok: asan clean"
 
 echo "all checks passed"

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "linalg/gemm.h"
 #include "util/bitops.h"
 
 namespace repro::ipu {
@@ -14,26 +15,40 @@ std::size_t Pad16(std::size_t x) { return CeilDiv(x, 16) * 16; }
 // Cores applied per vertex by the builtins' compute functions. The comments
 // give each formula and its accumulation order; tests/test_kernels.cpp holds
 // every builtin bitwise to an independent host reference written from them.
+// The dense GEMM and pixelfly block products run on the host trainer's
+// register-tiled core (GemmSerial in linalg/gemm.h) on the engine's thread;
+// every other core is a plain loop nest.
+//
+// Shapes and indices come from vertex immediates and state, which a loaded
+// artifact can set to anything: they enter through ToSize and are checked
+// against edge sizes without forming a product that could wrap, so no
+// hostile value can index past an edge.
 
-// Dense block GEMM: out(m x n) (+)= a(m x k) * b(k x n).
+// A shape or index value as a size; it must be a finite, non-negative
+// integer (casting NaN, a negative or a too-large double to size_t is
+// undefined).
+std::size_t ToSize(double x, const char* what) {
+  REPRO_REQUIRE(x >= 0.0 && x < 0x1p64 && x == std::floor(x),
+                "vertex %s = %g is not a size", what, x);
+  return static_cast<std::size_t>(x);
+}
+
+// size == rows * cols, decided without forming the product.
+bool IsProduct(std::size_t size, std::size_t rows, std::size_t cols) {
+  return rows == 0 ? size == 0 : size % rows == 0 && size / rows == cols;
+}
+
+// Dense block GEMM: out(m x n) (+)= a(m x k) * b(k x n), every element
+// summed over k in ascending order, from out when accumulating, else from 0.
 void GemmCore(std::size_t m, std::size_t k, std::size_t n, bool accumulate,
               std::span<const float> a, std::span<const float> b,
               std::span<float> out) {
-  REPRO_REQUIRE(a.size() == m * k && b.size() == k * n && out.size() == m * n,
-                "gemm vertex shape mismatch: a=%zu b=%zu out=%zu (m=%zu k=%zu n=%zu)",
+  REPRO_REQUIRE(IsProduct(a.size(), m, k) && IsProduct(b.size(), k, n) &&
+                    IsProduct(out.size(), m, n),
+                "gemm vertex shape mismatch: a=%zu b=%zu out=%zu "
+                "(m=%zu k=%zu n=%zu)",
                 a.size(), b.size(), out.size(), m, k, n);
-  if (!accumulate) {
-    for (auto& o : out) o = 0.0f;
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    for (std::size_t p = 0; p < k; ++p) {
-      const float av = a[i * k + p];
-      if (av == 0.0f) continue;
-      for (std::size_t j = 0; j < n; ++j) {
-        out[i * n + j] += av * b[p * n + j];
-      }
-    }
-  }
+  GemmSerial(m, k, n, a.data(), b.data(), out.data(), accumulate);
 }
 
 void AxpyCore(float alpha, std::span<const float> x, std::span<float> y) {
@@ -50,7 +65,8 @@ void ReluCore(std::span<const float> x, std::span<float> y) {
 
 void BiasReluCore(std::size_t batch, bool relu, std::span<const float> bias,
                   std::span<const float> x, std::span<float> y) {
-  REPRO_REQUIRE(x.size() == bias.size() * batch && y.size() == x.size(),
+  REPRO_REQUIRE(IsProduct(x.size(), bias.size(), batch) &&
+                    y.size() == x.size(),
                 "BiasRelu shape mismatch");
   for (std::size_t l = 0; l < bias.size(); ++l) {
     const float b = bias[l];
@@ -63,7 +79,7 @@ void BiasReluCore(std::size_t batch, bool relu, std::span<const float> bias,
 
 void DiagMulCore(std::size_t batch, std::span<const float> d,
                  std::span<const float> x, std::span<float> y) {
-  REPRO_REQUIRE(x.size() == d.size() * batch && y.size() == x.size(),
+  REPRO_REQUIRE(IsProduct(x.size(), d.size(), batch) && y.size() == x.size(),
                 "DiagMul shape mismatch");
   for (std::size_t l = 0; l < d.size(); ++l) {
     for (std::size_t j = 0; j < batch; ++j) {
@@ -76,7 +92,7 @@ void ButterflyCore(std::size_t batch, std::span<const float> w,
                    std::span<const float> xt, std::span<const float> xb,
                    std::span<float> yt, std::span<float> yb) {
   const std::size_t pairs = w.size() / 4;
-  REPRO_REQUIRE(xt.size() == pairs * batch && xb.size() == xt.size() &&
+  REPRO_REQUIRE(IsProduct(xt.size(), pairs, batch) && xb.size() == xt.size() &&
                     yt.size() == xt.size() && yb.size() == xt.size(),
                 "Butterfly2x2 shape mismatch");
   for (std::size_t p = 0; p < pairs; ++p) {
@@ -106,19 +122,20 @@ void HadamardCore(std::span<const float> xt, std::span<const float> xb,
 void SparseRowsMacCore(std::size_t m, std::size_t n, bool accumulate,
                        std::span<const float> b, std::span<float> out,
                        std::span<const float> st) {
-  REPRO_REQUIRE(out.size() == m * n, "SparseRowsMac out mismatch");
+  REPRO_REQUIRE(IsProduct(out.size(), m, n), "SparseRowsMac out mismatch");
   if (!accumulate) {
     for (auto& o : out) o = 0.0f;
   }
   std::size_t pos = 0;
   for (std::size_t r = 0; r < m; ++r) {
     REPRO_REQUIRE(pos < st.size(), "SparseRowsMac state underrun");
-    const auto count = static_cast<std::size_t>(st[pos++]);
+    const std::size_t count = ToSize(st[pos++], "SparseRowsMac count");
     for (std::size_t e = 0; e < count; ++e) {
-      const auto col = static_cast<std::size_t>(st[pos]);
+      REPRO_REQUIRE(pos + 1 < st.size(), "SparseRowsMac state underrun");
+      const std::size_t col = ToSize(st[pos], "SparseRowsMac column");
       const float val = st[pos + 1];
       pos += 2;
-      REPRO_REQUIRE(col * n + n <= b.size(),
+      REPRO_REQUIRE(n == 0 || col < b.size() / n,
                     "SparseRowsMac column out of range");
       for (std::size_t j = 0; j < n; ++j) {
         out[r * n + j] += val * b[col * n + j];
@@ -134,10 +151,10 @@ void SparseCooMacCore(std::size_t n, bool accumulate, std::span<const float> b,
   }
   REPRO_REQUIRE(st.size() % 3 == 0, "SparseCooMac ragged state");
   for (std::size_t e = 0; e < st.size(); e += 3) {
-    const auto row = static_cast<std::size_t>(st[e]);
-    const auto col = static_cast<std::size_t>(st[e + 1]);
+    const std::size_t row = ToSize(st[e], "SparseCooMac row");
+    const std::size_t col = ToSize(st[e + 1], "SparseCooMac column");
     const float val = st[e + 2];
-    REPRO_REQUIRE(row * n + n <= out.size() && col * n + n <= b.size(),
+    REPRO_REQUIRE(n == 0 || (row < out.size() / n && col < b.size() / n),
                   "SparseCooMac index out of range");
     for (std::size_t j = 0; j < n; ++j) {
       out[row * n + j] += val * b[col * n + j];
@@ -145,20 +162,16 @@ void SparseCooMacCore(std::size_t n, bool accumulate, std::span<const float> b,
   }
 }
 
-// One pixelfly block product: out(b x batch) += w(b x b) * x(b x batch).
+// One pixelfly block product: out(b x batch) += w(b x b) * x(b x batch),
+// every element summed over p in ascending order. BlockGemmAmp calls it once
+// per block, in connection order.
 void BlockMacCore(std::size_t b, std::size_t batch, std::span<const float> w,
                   std::span<const float> x, std::span<float> out) {
-  REPRO_REQUIRE(w.size() == b * b && x.size() == b * batch,
-                "BlockGemmAmp block shape mismatch");
-  for (std::size_t i = 0; i < b; ++i) {
-    for (std::size_t p = 0; p < b; ++p) {
-      const float wv = w[i * b + p];
-      if (wv == 0.0f) continue;
-      for (std::size_t j = 0; j < batch; ++j) {
-        out[i * batch + j] += wv * x[p * batch + j];
-      }
-    }
-  }
+  REPRO_REQUIRE(IsProduct(w.size(), b, b) && IsProduct(x.size(), b, batch),
+                "BlockGemmAmp block shape mismatch: w=%zu x=%zu "
+                "(b=%zu batch=%zu)",
+                w.size(), x.size(), b, batch);
+  GemmSerial(b, b, batch, w.data(), x.data(), out.data(), /*accumulate=*/true);
 }
 
 // --- dense codelets ---------------------------------------------------------
@@ -170,9 +183,9 @@ void BlockGemmCompute(const ResolvedArgs& g) {
   const int im = g.immSlot("m"), ik = g.immSlot("k"), in = g.immSlot("n");
   const int ia = g.immSlot("accumulate");
   for (std::size_t v = 0; v < g.size(); ++v) {
-    const auto m = static_cast<std::size_t>(g.imm(v, im));
-    const auto k = static_cast<std::size_t>(g.imm(v, ik));
-    const auto n = static_cast<std::size_t>(g.imm(v, in));
+    const std::size_t m = ToSize(g.imm(v, im), "gemm m");
+    const std::size_t k = ToSize(g.imm(v, ik), "gemm k");
+    const std::size_t n = ToSize(g.imm(v, in), "gemm n");
     const bool accumulate = g.imm(v, ia, 0.0) != 0.0;
     GemmCore(m, k, n, accumulate, g.edge(v, fa), g.edge(v, fb),
              g.edge(v, fo));
@@ -330,7 +343,7 @@ void RegisterDense(CodeletRegistry& reg) {
             const int fy = g.fieldSlot("y");
             const int ibt = g.immSlot("batch"), irl = g.immSlot("relu");
             for (std::size_t v = 0; v < g.size(); ++v) {
-              const auto batch = static_cast<std::size_t>(g.imm(v, ibt));
+              const std::size_t batch = ToSize(g.imm(v, ibt), "BiasRelu batch");
               const bool relu = g.imm(v, irl, 1.0) != 0.0;
               BiasReluCore(batch, relu, g.edge(v, fb), g.edge(v, fx),
                            g.edge(v, fy));
@@ -359,7 +372,7 @@ void RegisterDense(CodeletRegistry& reg) {
             const int fy = g.fieldSlot("y");
             const int ibt = g.immSlot("batch");
             for (std::size_t v = 0; v < g.size(); ++v) {
-              const auto batch = static_cast<std::size_t>(g.imm(v, ibt));
+              const std::size_t batch = ToSize(g.imm(v, ibt), "DiagMul batch");
               DiagMulCore(batch, g.edge(v, fd), g.edge(v, fx), g.edge(v, fy));
             }
           },
@@ -396,7 +409,8 @@ void RegisterStructured(CodeletRegistry& reg) {
             const int fyt = g.fieldSlot("y_top"), fyb = g.fieldSlot("y_bot");
             const int ibt = g.immSlot("batch");
             for (std::size_t v = 0; v < g.size(); ++v) {
-              const auto batch = static_cast<std::size_t>(g.imm(v, ibt));
+              const std::size_t batch =
+                  ToSize(g.imm(v, ibt), "Butterfly2x2 batch");
               ButterflyCore(batch, g.edge(v, fw), g.edge(v, fxt),
                             g.edge(v, fxb), g.edge(v, fyt), g.edge(v, fyb));
             }
@@ -458,8 +472,8 @@ void RegisterStructured(CodeletRegistry& reg) {
             const int im = g.immSlot("m"), in = g.immSlot("n");
             const int ia = g.immSlot("accumulate");
             for (std::size_t v = 0; v < g.size(); ++v) {
-              const auto m = static_cast<std::size_t>(g.imm(v, im));
-              const auto n = static_cast<std::size_t>(g.imm(v, in));
+              const std::size_t m = ToSize(g.imm(v, im), "SparseRowsMac m");
+              const std::size_t n = ToSize(g.imm(v, in), "SparseRowsMac n");
               const bool accumulate = g.imm(v, ia, 0.0) != 0.0;
               SparseRowsMacCore(m, n, accumulate, g.edge(v, fb),
                                 g.edge(v, fo), g.state(v));
@@ -491,7 +505,7 @@ void RegisterStructured(CodeletRegistry& reg) {
             const int fb = g.fieldSlot("b"), fo = g.fieldSlot("out");
             const int in = g.immSlot("n"), ia = g.immSlot("accumulate");
             for (std::size_t v = 0; v < g.size(); ++v) {
-              const auto n = static_cast<std::size_t>(g.imm(v, in));
+              const std::size_t n = ToSize(g.imm(v, in), "SparseCooMac n");
               const bool accumulate = g.imm(v, ia, 0.0) != 0.0;
               SparseCooMacCore(n, accumulate, g.edge(v, fb), g.edge(v, fo),
                                g.state(v));
@@ -535,12 +549,15 @@ void RegisterStructured(CodeletRegistry& reg) {
             const int ib = g.immSlot("b"), ibt = g.immSlot("batch");
             const int ia = g.immSlot("accumulate");
             for (std::size_t v = 0; v < g.size(); ++v) {
-              const auto b = static_cast<std::size_t>(g.imm(v, ib));
-              const auto batch = static_cast<std::size_t>(g.imm(v, ibt));
+              const std::size_t b = ToSize(g.imm(v, ib), "BlockGemmAmp b");
+              const std::size_t batch =
+                  ToSize(g.imm(v, ibt), "BlockGemmAmp batch");
               const bool accumulate = g.imm(v, ia, 0.0) != 0.0;
               auto out = g.edge(v, fo);
-              REPRO_REQUIRE(out.size() == b * batch,
-                            "BlockGemmAmp out mismatch");
+              REPRO_REQUIRE(IsProduct(out.size(), b, batch),
+                            "BlockGemmAmp out mismatch: out=%zu "
+                            "(b=%zu batch=%zu)",
+                            out.size(), b, batch);
               if (!accumulate) {
                 for (auto& o : out) o = 0.0f;
               }

@@ -13,14 +13,20 @@ namespace {
 // Rows of C per ParallelFor shard.
 constexpr std::size_t kBlock = 64;
 
-// The core's register tile: kMr rows by kNr columns of C, each row held in
-// kNr / 4 four-float vectors across the whole k loop. 4 x 12 keeps the 12
+// The core's register tile: kMr rows by up to kNr columns of C, each row held
+// in four-float vectors across the whole k loop. 4 x 12 keeps the 12
 // accumulators, the B vectors and one broadcast A value in the 16 SSE
 // registers of baseline x86-64.
 constexpr std::size_t kMr = 4;
 constexpr std::size_t kNr = 12;
 constexpr std::size_t kLanes = 4;
 constexpr std::size_t kVecs = kNr / kLanes;
+
+// B rows up to this many floats are read in place when they are contiguous
+// and made of whole vectors; every other B is packed into kNr-wide panels.
+// Short rows are what IPU vertex operands look like (k x batch); longer
+// rows read in place lose more to strided loads than packing costs.
+constexpr std::size_t kInPlaceMaxN = 64;
 
 typedef float Vec __attribute__((vector_size(16)));
 
@@ -34,7 +40,8 @@ void Store(float* p, Vec v) { std::memcpy(p, &v, sizeof v); }
 
 // Where each C element's running sum starts, and how it is written back:
 //   kZero      from 0, C = sum      (every layout without accumulate)
-//   kFromC     from C, C = sum      (GemmBlocked and GemmTransA accumulate)
+//   kFromC     from C, C = sum      (GemmBlocked, GemmTransA and GemmSerial
+//                                    accumulate)
 //   kAddAfter  from 0, C = C + sum  (GemmTransB accumulate)
 enum class Start { kZero, kFromC, kAddAfter };
 
@@ -50,39 +57,86 @@ struct Operands {
   Start start;
 };
 
-// One kMr x kNr tile of C (leading dimension ldc). Every element adds its k
-// products one at a time in p order, so the result is bitwise that of a
-// scalar loop over p.
-void Tile(const float* const* arow, std::size_t a_col, const float* panel,
-          std::size_t k, float* c, std::size_t ldc, Start start) {
-  Vec acc[kMr][kVecs];
+// One kMr x (kTileVecs * kLanes) tile of C (leading dimension ldc), with B's
+// tile columns at b + p * ldb. Every element adds its k products one at a
+// time in p order, so the result is bitwise that of a scalar loop over p.
+template <std::size_t kTileVecs>
+void Tile(const float* const* arow, std::size_t a_col, const float* b,
+          std::size_t ldb, std::size_t k, float* c, std::size_t ldc,
+          Start start) {
+  Vec acc[kMr][kTileVecs];
   for (std::size_t i = 0; i < kMr; ++i) {
-    for (std::size_t v = 0; v < kVecs; ++v) {
+    for (std::size_t v = 0; v < kTileVecs; ++v) {
       acc[i][v] = start == Start::kFromC ? Load(c + i * ldc + v * kLanes)
                                          : Vec{};
     }
   }
   for (std::size_t p = 0; p < k; ++p) {
-    Vec bv[kVecs];
-    for (std::size_t v = 0; v < kVecs; ++v) {
-      bv[v] = Load(panel + p * kNr + v * kLanes);
+    Vec bv[kTileVecs];
+    for (std::size_t v = 0; v < kTileVecs; ++v) {
+      bv[v] = Load(b + p * ldb + v * kLanes);
     }
     for (std::size_t i = 0; i < kMr; ++i) {
       const float av = arow[i][p * a_col];
-      for (std::size_t v = 0; v < kVecs; ++v) acc[i][v] += av * bv[v];
+      for (std::size_t v = 0; v < kTileVecs; ++v) acc[i][v] += av * bv[v];
     }
   }
   for (std::size_t i = 0; i < kMr; ++i) {
-    for (std::size_t v = 0; v < kVecs; ++v) {
+    for (std::size_t v = 0; v < kTileVecs; ++v) {
       float* dst = c + i * ldc + v * kLanes;
       Store(dst, start == Start::kAddAfter ? Load(dst) + acc[i][v] : acc[i][v]);
     }
   }
 }
 
-// Rows [r0, r1) of C: B is packed once per kNr-wide column panel (k x kNr,
-// zero-padded past n) and every row tile of the range reuses it.
+// C rows [i0, i0 + rows) by columns [j0, j0 + cols), rows <= kMr and
+// cols <= the tile width, with B's tile columns at b + p * ldb. A partial
+// tile runs on a copy of C on the stack.
+template <std::size_t kTileVecs>
+void RowTile(const Operands& op, std::size_t i0, std::size_t rows,
+             std::size_t j0, std::size_t cols, const float* b,
+             std::size_t ldb) {
+  constexpr std::size_t kWidth = kTileVecs * kLanes;
+  // Rows past m repeat the last valid row; their results are dropped.
+  const float* arow[kMr];
+  for (std::size_t i = 0; i < kMr; ++i) {
+    arow[i] = op.a + (i0 + std::min(i, rows - 1)) * op.a_row;
+  }
+  float* c = op.c + i0 * op.n + j0;
+  if (rows == kMr && cols == kWidth) {
+    Tile<kTileVecs>(arow, op.a_col, b, ldb, op.k, c, op.n, op.start);
+    return;
+  }
+  float edge[kMr * kWidth] = {};
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::copy_n(c + i * op.n, cols, edge + i * kWidth);
+  }
+  Tile<kTileVecs>(arow, op.a_col, b, ldb, op.k, edge, kWidth, op.start);
+  for (std::size_t i = 0; i < rows; ++i) {
+    std::copy_n(edge + i * kWidth, cols, c + i * op.n);
+  }
+}
+
+// Rows [r0, r1) of C. Short contiguous B rows of whole vectors are read in
+// place, allocating nothing: kNr-wide tiles, then one 8- or 4-wide tile for
+// the rest of the row. Any other B is packed once per kNr-wide column panel
+// (k x kNr, zero-padded past n) that every row tile of the range reuses.
 void GemmRows(const Operands& op, std::size_t r0, std::size_t r1) {
+  if (op.b_col == 1 && op.n % kLanes == 0 && op.n <= kInPlaceMaxN) {
+    for (std::size_t i0 = r0; i0 < r1; i0 += kMr) {
+      const std::size_t rows = std::min(kMr, r1 - i0);
+      std::size_t j0 = 0;
+      for (; j0 + kNr <= op.n; j0 += kNr) {
+        RowTile<kVecs>(op, i0, rows, j0, kNr, op.b + j0, op.b_row);
+      }
+      if (op.n - j0 == 2 * kLanes) {
+        RowTile<2>(op, i0, rows, j0, 2 * kLanes, op.b + j0, op.b_row);
+      } else if (op.n - j0 == kLanes) {
+        RowTile<1>(op, i0, rows, j0, kLanes, op.b + j0, op.b_row);
+      }
+    }
+    return;
+  }
   std::vector<float> panel(op.k * kNr);
   for (std::size_t j0 = 0; j0 < op.n; j0 += kNr) {
     const std::size_t cols = std::min(kNr, op.n - j0);
@@ -93,25 +147,8 @@ void GemmRows(const Operands& op, std::size_t r0, std::size_t r1) {
       }
     }
     for (std::size_t i0 = r0; i0 < r1; i0 += kMr) {
-      const std::size_t rows = std::min(kMr, r1 - i0);
-      // Rows past m repeat the last valid row; their results are dropped.
-      const float* arow[kMr];
-      for (std::size_t i = 0; i < kMr; ++i) {
-        arow[i] = op.a + (i0 + std::min(i, rows - 1)) * op.a_row;
-      }
-      float* c = op.c + i0 * op.n + j0;
-      if (rows == kMr && cols == kNr) {
-        Tile(arow, op.a_col, panel.data(), op.k, c, op.n, op.start);
-        continue;
-      }
-      float edge[kMr * kNr] = {};
-      for (std::size_t i = 0; i < rows; ++i) {
-        std::copy_n(c + i * op.n, cols, edge + i * kNr);
-      }
-      Tile(arow, op.a_col, panel.data(), op.k, edge, kNr, op.start);
-      for (std::size_t i = 0; i < rows; ++i) {
-        std::copy_n(edge + i * kNr, cols, c + i * op.n);
-      }
+      RowTile<kVecs>(op, i0, std::min(kMr, r1 - i0), j0, cols, panel.data(),
+                     kNr);
     }
   }
 }
@@ -171,6 +208,13 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
                 "GemmTransB shape mismatch");
   Gemm({a.data(), k, 1, b.data(), 1, k, c.data(), m, k, n,
         accumulate ? Start::kAddAfter : Start::kZero});
+}
+
+void GemmSerial(std::size_t m, std::size_t k, std::size_t n, const float* a,
+                const float* b, float* c, bool accumulate) {
+  GemmRows({a, k, 1, b, n, 1, c, m, k, n,
+            accumulate ? Start::kFromC : Start::kZero},
+           0, m);
 }
 
 Matrix MatMul(const Matrix& a, const Matrix& b) {

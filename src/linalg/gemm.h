@@ -3,9 +3,11 @@
 // GemmNaive is the reference. GemmBlocked, GemmTransA and GemmTransB are the
 // three layouts the host NN trainer multiplies in (Table 4 training runs on
 // them); all three are wrappers over one register-tiled core that shards row
-// blocks of C over the host thread pool. Every C element adds its k products
-// one at a time in p order, starting from the value named on each wrapper,
-// so results are bitwise independent of tiling and thread count.
+// blocks of C over the host thread pool. GemmSerial runs the same core on
+// the calling thread for the IPU simulator's GEMM vertices. Every C element
+// adds its k products one at a time in p order, starting from the value
+// named on each wrapper, so results are bitwise independent of tiling and
+// thread count.
 #pragma once
 
 #include "linalg/matrix.h"
@@ -30,6 +32,14 @@ void GemmTransA(const Matrix& a, const Matrix& b, Matrix& c,
 // then, when accumulating, is added to C.
 void GemmTransB(const Matrix& a, const Matrix& b, Matrix& c,
                 bool accumulate = false);
+
+// C(m x n) (+)= A(m x k) * B(k x n) on raw row-major arrays, on the calling
+// thread only: callers that already shard their work (the IPU engine's
+// vertex groups, one serving replica per host worker) must not nest the
+// thread pool. Each element starts from C when accumulating, else from 0.
+// The caller guarantees the array extents; the function checks nothing.
+void GemmSerial(std::size_t m, std::size_t k, std::size_t n, const float* a,
+                const float* b, float* c, bool accumulate);
 
 // Convenience allocating form of GemmBlocked.
 Matrix MatMul(const Matrix& a, const Matrix& b);

@@ -4,13 +4,16 @@
 // -- bitwise, at 1 and 4 host threads, with identical RunReports at both.
 // Also covers the KernelPlan section of the ipu::Executable wire format:
 // round trip, version-mismatch and truncation rejection, and referential
-// validation of damaged and hostile plans.
+// validation of damaged and hostile plans; and the run-time rejection of
+// artifacts whose shape immediates or sparse state would index past an edge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -31,6 +34,8 @@ namespace {
 struct BuiltCase {
   Program prog;
   std::vector<Tensor> outs;
+  // Variables drawn with every third element exactly zero.
+  std::vector<VarId> zeroed;
 };
 
 using BuilderFn = std::function<BuiltCase(Graph&, Rng&)>;
@@ -251,6 +256,9 @@ CaseRun RunCase(const BuilderFn& build, std::uint64_t seed,
     const std::size_t numel = g.variables()[vi].numel;
     mem[vi].resize(numel);
     data_rng.FillNormal(mem[vi].data(), numel, 1.0f);
+    if (std::find(bc.zeroed.begin(), bc.zeroed.end(), vi) != bc.zeroed.end()) {
+      for (std::size_t i = 0; i < numel; i += 3) mem[vi][i] = 0.0f;
+    }
     session.writeTensor(Tensor{static_cast<VarId>(vi), 0, numel, 1, numel},
                         mem[vi]);
   }
@@ -455,14 +463,33 @@ BuiltCase BuildHadamard(Graph& g, Rng& rng) {
   return bc;
 }
 
+struct GemmShape {
+  std::size_t m, k, n;
+  bool accumulate;
+};
+
+// The serving vertices (16-row weight blocks times a k x 32 activation
+// chunk, alone or accumulating), then ragged shapes on both sides of the
+// GEMM core's choice between reading B in place (rows of at most 64 floats,
+// a multiple of 4) and packing it: partial row tiles, 8- and 4-wide column
+// tails, n = 1, k = 1, and n just past the in-place bound.
+constexpr GemmShape kGemmShapes[] = {
+    {16, 256, 32, false}, {16, 96, 32, true}, {5, 9, 13, true},
+    {5, 1, 8, false},     {6, 7, 1, true},    {9, 6, 4, false},
+    {8, 10, 68, true},    {7, 3, 64, false},  {4, 5, 12, true}};
+
 BuiltCase BuildGemm(Graph& g, Rng& rng, const char* codelet) {
   BuiltCase bc;
   ComputeSetId cs = g.addComputeSet("cs");
+  std::vector<GemmShape> shapes;
   for (std::size_t i = 0; i < 4; ++i) {
+    shapes.push_back({RandSize(rng, 1, 8), RandSize(rng, 1, 8),
+                      RandSize(rng, 1, 8), i % 2 == 1});
+  }
+  shapes.insert(shapes.end(), std::begin(kGemmShapes), std::end(kGemmShapes));
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const auto [m, k, n, accumulate] = shapes[i];
     const std::size_t tile = i % 2;
-    const std::size_t m = RandSize(rng, 1, 8);
-    const std::size_t k = RandSize(rng, 1, 8);
-    const std::size_t n = RandSize(rng, 1, 8);
     const std::string s = std::to_string(i);
     Tensor a = Var(g, "a" + s, m * k, tile);
     Tensor b = Var(g, "b" + s, k * n, tile);
@@ -474,7 +501,8 @@ BuiltCase BuildGemm(Graph& g, Rng& rng, const char* codelet) {
     g.setInitialValue(v, "m", static_cast<double>(m));
     g.setInitialValue(v, "k", static_cast<double>(k));
     g.setInitialValue(v, "n", static_cast<double>(n));
-    if (i % 2 == 1) g.setInitialValue(v, "accumulate", 1.0);
+    if (accumulate) g.setInitialValue(v, "accumulate", 1.0);
+    bc.zeroed.push_back(a.var);
     bc.outs.push_back(out);
   }
   bc.prog = Program::Execute(cs);
@@ -546,14 +574,28 @@ BuiltCase BuildSparseCoo(Graph& g, Rng& rng) {
   return bc;
 }
 
+struct BlockShape {
+  std::size_t b, batch, nblocks;
+  bool accumulate;
+};
+
+// Pixelfly's serving vertex (16 x 16 blocks, batch 32), accumulating and
+// not, plus ragged blocks read in place and packed.
+constexpr BlockShape kBlockShapes[] = {
+    {16, 32, 2, false}, {16, 32, 2, true}, {5, 13, 2, true}, {1, 8, 3, false}};
+
 BuiltCase BuildBlockGemmAmp(Graph& g, Rng& rng) {
   BuiltCase bc;
   ComputeSetId cs = g.addComputeSet("cs");
+  std::vector<BlockShape> shapes;
   for (std::size_t i = 0; i < 4; ++i) {
+    shapes.push_back({2 * RandSize(rng, 1, 2), RandSize(rng, 1, 8),
+                      RandSize(rng, 1, 3), i % 2 == 1});
+  }
+  shapes.insert(shapes.end(), std::begin(kBlockShapes), std::end(kBlockShapes));
+  for (std::size_t i = 0; i < shapes.size(); ++i) {
+    const auto [b, batch, nblocks, accumulate] = shapes[i];
     const std::size_t tile = i % 2;
-    const std::size_t b = 2 * RandSize(rng, 1, 2);  // 2 or 4
-    const std::size_t batch = RandSize(rng, 1, 8);
-    const std::size_t nblocks = RandSize(rng, 1, 3);
     const std::string s = std::to_string(i);
     Tensor w = Var(g, "w" + s, nblocks * b * b, tile);
     Tensor x = Var(g, "x" + s, nblocks * b * batch, tile);
@@ -566,7 +608,8 @@ BuiltCase BuildBlockGemmAmp(Graph& g, Rng& rng) {
     g.connect(v, "out", out, true);
     g.setInitialValue(v, "b", static_cast<double>(b));
     g.setInitialValue(v, "batch", static_cast<double>(batch));
-    if (i % 2 == 1) g.setInitialValue(v, "accumulate", 1.0);
+    if (accumulate) g.setInitialValue(v, "accumulate", 1.0);
+    bc.zeroed.push_back(w.var);
     bc.outs.push_back(out);
   }
   bc.prog = Program::Execute(cs);
@@ -728,6 +771,165 @@ TEST(KernelPlanSerialization, ReferentialCorruptionRejected) {
     EXPECT_FALSE(back.ok()) << name;
     EXPECT_EQ(back.status().code(), ErrorCode::kInvalidArgument) << name;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Hostile immediates and state in a loaded artifact.
+
+// One vertex on tile 0, each field connected to a fresh variable of the
+// given number of elements.
+struct OneVertex {
+  const char* codelet;
+  std::vector<std::pair<const char*, std::size_t>> ins, outs;
+  std::vector<std::pair<const char*, double>> imms;
+  std::vector<float> state;
+};
+
+Executable Compile(const OneVertex& spec) {
+  Session session(Gc200());
+  Graph& g = session.graph();
+  ComputeSetId cs = g.addComputeSet("cs");
+  VertexId v = g.addVertex(cs, spec.codelet, 0);
+  for (const auto& [field, numel] : spec.ins) {
+    g.connect(v, field, Var(g, field, numel, 0));
+  }
+  for (const auto& [field, numel] : spec.outs) {
+    g.connect(v, field, Var(g, field, numel, 0), true);
+  }
+  for (const auto& [name, value] : spec.imms) g.setInitialValue(v, name, value);
+  if (!spec.state.empty()) g.setVertexState(v, spec.state);
+  EXPECT_TRUE(session.compile(Program::Execute(cs)).ok());
+  return session.executable();
+}
+
+// Round-trips `exe` through its wire format (the checksum is recomputed over
+// whatever the caller changed, so Deserialize accepts it) and runs it.
+void RoundTripAndRun(const Executable& exe) {
+  StatusOr<Executable> back = Executable::Deserialize(exe.Serialize());
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  Session replay(Gc200());
+  ASSERT_TRUE(
+      replay.instantiate(std::make_shared<const Executable>(back.take())).ok());
+  replay.run();
+}
+
+// Runs `exe` with immediate `name` of its single vertex set to `value`.
+void RunWithImmediate(Executable exe, const std::string& name, double value) {
+  KernelGroup& group = exe.kernel_plan.groups.at(0);
+  const auto& imms = exe.kernel_plan.codelets.at(group.codelet).imms;
+  const auto slot = std::find(imms.begin(), imms.end(), name) - imms.begin();
+  ASSERT_LT(static_cast<std::size_t>(slot), imms.size()) << name;
+  group.imm_values.at(static_cast<std::size_t>(slot) * group.vertices.size()) =
+      value;
+  RoundTripAndRun(exe);
+}
+
+// Runs `exe` with the baked state of its single vertex replaced by `state`.
+void RunWithState(Executable exe, std::vector<float> state) {
+  auto graph = std::make_shared<Graph>(*exe.graph);
+  graph->setVertexState(0, std::move(state));
+  exe.graph = std::move(graph);
+  RoundTripAndRun(exe);
+}
+
+// Vertices over two rows of 2048 elements: AmpGemm with m = n = 2 and
+// k = 2048, and BlockGemmAmp with one b = 2 block of batch 2048.
+const OneVertex kWideGemm{codelets::kAmpGemm,
+                          {{"a", 4096}, {"b", 4096}},
+                          {{"out", 4}},
+                          {{"m", 2.0}, {"k", 2048.0}, {"n", 2.0}}};
+const OneVertex kWideBlock{codelets::kBlockGemmAmp,
+                           {{"w", 4}, {"x", 4096}},
+                           {{"out", 4096}},
+                           {{"b", 2.0}, {"batch", 2048.0}}};
+
+// The engine's host thread pool does not survive fork(), so each death
+// statement runs in a freshly exec'ed copy of this binary.
+class KernelHostileArtifactDeathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  }
+};
+
+TEST_F(KernelHostileArtifactDeathTest, WrappingShapeIsRejected) {
+  // Every vertex reads two rows of 2048 elements. 2^63 + 2048 times 2 wraps
+  // to the real edge size 4096, so a check that multiplies passes and the
+  // loop then reads past the edge.
+  struct Case {
+    OneVertex vertex;
+    const char* imm;
+    const char* message;
+  };
+  const Case cases[] = {
+      {kWideGemm, "k", "gemm vertex shape mismatch"},
+      {kWideBlock, "batch", "BlockGemmAmp out mismatch"},
+      {{codelets::kBiasRelu,
+        {{"bias", 2}, {"x", 4096}},
+        {{"y", 4096}},
+        {{"batch", 2048.0}}},
+       "batch",
+       "BiasRelu shape mismatch"},
+      {{codelets::kDiagMul,
+        {{"d", 2}, {"x", 4096}},
+        {{"y", 4096}},
+        {{"batch", 2048.0}}},
+       "batch",
+       "DiagMul shape mismatch"},
+      {{codelets::kButterfly2x2,
+        {{"w", 8}, {"x_top", 4096}, {"x_bot", 4096}},
+        {{"y_top", 4096}, {"y_bot", 4096}},
+        {{"batch", 2048.0}}},
+       "batch",
+       "Butterfly2x2 shape mismatch"},
+  };
+  for (const Case& c : cases) {
+    const Executable exe = Compile(c.vertex);
+    RunWithImmediate(exe, c.imm, 2048.0);  // the untampered artifact runs
+    EXPECT_DEATH(RunWithImmediate(exe, c.imm, 0x1p63 + 2048.0), c.message)
+        << c.vertex.codelet;
+  }
+}
+
+TEST_F(KernelHostileArtifactDeathTest, NonSizeImmediateIsRejected) {
+  const Executable gemm = Compile(kWideGemm);
+  EXPECT_DEATH(RunWithImmediate(gemm, "m", std::nan("")),
+               "vertex gemm m = nan is not a size");
+  EXPECT_DEATH(RunWithImmediate(gemm, "n", -2.0),
+               "vertex gemm n = -2 is not a size");
+  EXPECT_DEATH(RunWithImmediate(gemm, "k", 2048.5),
+               "vertex gemm k = 2048.5 is not a size");
+  EXPECT_DEATH(RunWithImmediate(Compile(kWideBlock), "b", 0x1p64),
+               "vertex BlockGemmAmp b = 1.84467e\\+19 is not a size");
+}
+
+TEST_F(KernelHostileArtifactDeathTest, HostileSparseStateIsRejected) {
+  // A 2 x 2 sparse matrix times a 2 x 2 block. The replacement states are
+  // as long as the compiled ones, so only their values are hostile. A
+  // column of 2^63 times n = 2 wraps to 0, so a check that multiplies
+  // passes and the vertex then reads the wrong row of b.
+  const auto sparse = [](const char* codelet, std::vector<float> state) {
+    return Compile({codelet,
+                    {{"b", 4}},
+                    {{"out", 4}},
+                    {{"m", 2.0}, {"n", 2.0}},
+                    std::move(state)});
+  };
+  const Executable coo = sparse(codelets::kSparseCooMac, {0.0f, 1.0f, 0.5f});
+  RunWithState(coo, {1.0f, 0.0f, 0.5f});
+  EXPECT_DEATH(RunWithState(coo, {std::nanf(""), 1.0f, 0.5f}),
+               "vertex SparseCooMac row = nan is not a size");
+  EXPECT_DEATH(RunWithState(coo, {0.0f, 0x1p63f, 0.5f}),
+               "SparseCooMac index out of range");
+  // CSR rows of [count, (col, val) * count]: a count past the end of the
+  // state must not read beyond it.
+  const Executable rows =
+      sparse(codelets::kSparseRowsMac, {1.0f, 1.0f, 0.5f, 0.0f});
+  RunWithState(rows, {0.0f, 1.0f, 1.0f, 0.5f});
+  EXPECT_DEATH(RunWithState(rows, {1.0f, 1.0f, 0.5f, 2.0f}),
+               "SparseRowsMac state underrun");
+  EXPECT_DEATH(RunWithState(rows, {-1.0f, 1.0f, 0.5f, 0.0f}),
+               "vertex SparseRowsMac count = -1 is not a size");
 }
 
 }  // namespace

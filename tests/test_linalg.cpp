@@ -158,6 +158,10 @@ TEST_P(GemmSizes, TransBMatchesReference) {
 
 // The ragged shapes hit every edge tile: partial row tiles, partial column
 // panels and both at once, down to 1 x 1, plus the SHL classifier shape.
+// The core reads B in place when its rows are contiguous and n is a
+// multiple of 4 up to 64, and packs it otherwise; the last four shapes sit
+// on both sides of that bound. TransB's B rows are contiguous only at
+// k = 1, so {5, 1, 4} is its in-place case.
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmSizes,
     ::testing::Values(std::tuple{1, 1, 1}, std::tuple{3, 5, 7},
@@ -165,7 +169,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{64, 128, 32}, std::tuple{100, 1, 100},
                       std::tuple{1, 200, 1}, std::tuple{70, 70, 70},
                       std::tuple{5, 3, 9}, std::tuple{4, 50, 8},
-                      std::tuple{65, 7, 33}, std::tuple{50, 1024, 10}));
+                      std::tuple{65, 7, 33}, std::tuple{50, 1024, 10},
+                      std::tuple{9, 33, 64}, std::tuple{9, 33, 68},
+                      std::tuple{6, 20, 62}, std::tuple{5, 1, 4}));
 
 TEST(Gemm, AccumulateMode) {
   Rng rng(5);

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -281,28 +282,41 @@ core::ShlShape SmallShape(std::size_t n) {
   return shape;
 }
 
-// Builds + exports an (untrained but randomly initialised) SHL model and
-// checks RunBatch against the host Forward on the same inputs.
-void CheckParity(Method method, std::size_t rows) {
-  const std::size_t n = 64;
-  const std::size_t max_batch = 8;
+constexpr std::size_t kParityN = 64;
+
+// An untrained but randomly initialised SHL model at n = kParityN.
+nn::Sequential ParityModel(Method method) {
   Rng rng(41);
-  nn::Sequential model = nn::BuildShl(method, SmallShape(n), rng);
-  nn::ForwardSpec spec = nn::ExportForward(model);
+  return nn::BuildShl(method, SmallShape(kParityN), rng);
+}
 
-  auto plan = ModelPlan::Build(spec, ipu::Gc200(),
-                               PlanOptions{.max_batch = max_batch});
-  ASSERT_TRUE(plan.ok()) << plan.status().message();
-
-  Matrix x(rows, n);
+// `rows` uniform input rows for ParityModel.
+Matrix ParityInputs(std::size_t rows) {
+  Matrix x(rows, kParityN);
   Rng data_rng(7);
   for (std::size_t i = 0; i < rows; ++i)
-    for (std::size_t j = 0; j < n; ++j)
+    for (std::size_t j = 0; j < kParityN; ++j)
       x(i, j) = float(data_rng.Uniform(-1.0, 1.0));
+  return x;
+}
 
-  const Matrix& host = model.Forward(x, /*train=*/false);
+// Exports `model` into an executing plan of `max_batch` and serves `x` on
+// one replica.
+Matrix ServedLogits(nn::Sequential& model, std::size_t max_batch,
+                    const Matrix& x) {
+  auto plan = ModelPlan::Build(nn::ExportForward(model), ipu::Gc200(),
+                               PlanOptions{.max_batch = max_batch});
+  REPRO_REQUIRE(plan.ok(), "%s", plan.status().message().c_str());
   std::unique_ptr<ipu::Engine> engine = plan.value()->MakeReplica();
-  Matrix device = plan.value()->RunBatch(*engine, x);
+  return plan.value()->RunBatch(*engine, x);
+}
+
+// Checks RunBatch against the host Forward on the same inputs.
+void CheckParity(Method method, std::size_t rows) {
+  nn::Sequential model = ParityModel(method);
+  const Matrix x = ParityInputs(rows);
+  Matrix device = ServedLogits(model, /*max_batch=*/8, x);
+  const Matrix& host = model.Forward(x, /*train=*/false);
 
   ASSERT_EQ(device.rows(), rows);
   ASSERT_EQ(device.cols(), 10u);
@@ -327,6 +341,41 @@ TEST(ModelPlanTest, PixelflyMatchesHostForward) {
 TEST(ModelPlanTest, PartialBatchIsZeroPaddedCorrectly) {
   // rows < max_batch exercises the padding path end to end.
   CheckParity(Method::kButterfly, 3);
+}
+
+// FNV-1a (64-bit) over the bytes of a matrix.
+std::uint64_t Fnv1a(const Matrix& m) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
+  for (std::size_t i = 0; i < m.size() * sizeof(float); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(ModelPlanTest, ServedLogitsArePinnedBitwise) {
+  // ParityModel's logits on a full batch, at CheckParity's max_batch and at
+  // the serving benches' 32. The digests were captured while the GEMM
+  // vertices still ran scalar loop nests; a change to any vertex's
+  // arithmetic or accumulation order moves them.
+  struct Pin {
+    Method method;
+    std::size_t max_batch;
+    std::uint64_t digest;
+  };
+  for (const Pin& pin : {Pin{Method::kBaseline, 8, 0x11413c23016267d5ull},
+                         Pin{Method::kButterfly, 8, 0x5788e5d420b89a1aull},
+                         Pin{Method::kPixelfly, 8, 0xbbb420ed8cf3b0c6ull},
+                         Pin{Method::kBaseline, 32, 0xc5ae4a3475a151e5ull},
+                         Pin{Method::kButterfly, 32, 0xaae43a2bddcaf856ull},
+                         Pin{Method::kPixelfly, 32, 0xd8c3d09211bfe460ull}}) {
+    nn::Sequential model = ParityModel(pin.method);
+    const Matrix logits =
+        ServedLogits(model, pin.max_batch, ParityInputs(pin.max_batch));
+    EXPECT_EQ(Fnv1a(logits), pin.digest)
+        << MethodName(pin.method) << " at max_batch " << pin.max_batch
+        << ": 0x" << std::hex << Fnv1a(logits);
+  }
 }
 
 TEST(ModelPlanTest, TooSmallTileSliceIsInvalid) {
