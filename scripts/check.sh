@@ -20,7 +20,8 @@
 #      --require-crossover gates the cost-model placer (dense -> gpu,
 #      butterfly/pixelfly -> ipu at n >= 1024, heterogeneous breakdown in
 #      JSON and per-substrate chip tracks in the trace); bench_cluster
-#      repeats the bitwise gate for its cluster metrics and trace, and
+#      repeats the bitwise gate for its cluster metrics and trace, holds
+#      the 1-thread metrics to scripts/golden/bench_cluster_fast.json, and
 #      --require-efficiency 0.75 gates 4-chip scaling >= 3x;
 #      bench_serving --require-stream-win 1.01 then gates the streaming
 #      host-I/O claim: the double-buffered ingress must beat the host-copy
@@ -30,9 +31,11 @@
 #      must load every ipu::Executable from disk (0 compiles) and produce
 #      byte-identical JSON/output;
 #   6. AddressSanitizer build of the concurrency-heavy tests (test_serve,
-#      test_session, test_obs, test_kernels, test_stream, test_executable)
-#      and of test_linalg, whose GEMM core reads vertex operands in place up
-#      to their row ends, in a side build dir.
+#      test_session, test_obs, test_kernels, test_stream, test_executable),
+#      of test_linalg, whose GEMM core reads vertex operands in place up to
+#      their row ends, and of test_cluster and test_backend, which drive the
+#      serving event loop's numerics replay through routed and
+#      heterogeneous slots, in a side build dir.
 #
 # Usage: scripts/check.sh [build-dir]      (default: build)
 set -euo pipefail
@@ -236,12 +239,13 @@ if ! grep -o '"overlapped_s": [^,}]*' "$t1" \
 fi
 echo "ok: streaming beats copy >= 1.01x on every method, overlap visible in trace"
 
-echo "== cluster fabric: thread-count byte-identity + scaling sanity =="
-# The cluster DES shares the tracer contract: metrics JSON and trace bytes
-# derive only from the single-threaded event loop, so REPRO_THREADS and
-# --host-threads must not change a byte. The same run gates the scaling
-# claim: butterfly QPS at 4 chips must reach >= 3x a single chip
-# (--require-efficiency 0.75 makes the bench itself exit nonzero below it).
+echo "== cluster fabric: thread-count byte-identity + golden + scaling sanity =="
+# The router runs the serving event loop, so it shares the tracer contract:
+# metrics JSON and trace bytes derive only from the single-threaded loop,
+# and REPRO_THREADS and --host-threads must not change a byte. The same run
+# gates the scaling claim: butterfly QPS at 4 chips must reach >= 3x a
+# single chip (--require-efficiency 0.75 makes the bench itself exit nonzero
+# below it; chips share nothing, so this checks the scheduler).
 c1="$tmp_dir/cluster_t1.json"
 c2="$tmp_dir/cluster_t2.json"
 ct1="$tmp_dir/cluster_trace_t1.json"
@@ -261,8 +265,15 @@ if ! cmp -s "$ct1" "$ct2"; then
   echo "FAIL: bench_cluster trace differs across host thread counts"
   exit 1
 fi
+# Thread-count identity alone would let the routed bytes drift across
+# commits; the golden pins them (captured with bench_cluster --fast --json).
+if ! cmp -s "$c1" "$repo_root/scripts/golden/bench_cluster_fast.json"; then
+  echo "FAIL: bench_cluster --json differs from its golden"
+  diff "$c1" "$repo_root/scripts/golden/bench_cluster_fast.json" | head -10
+  exit 1
+fi
 grep 'scaling efficiency' "$tmp_dir/cluster_t1.log" || true
-echo "ok: cluster metrics/trace bitwise-identical; 4-chip scaling >= 3x"
+echo "ok: cluster metrics/trace bitwise-identical and equal to the golden; 4-chip scaling >= 3x"
 
 echo "== executable artifact cache: cold vs warm byte-identity =="
 # The cold run compiles every plan and saves each ipu::Executable into
@@ -323,11 +334,12 @@ if ! cmp -s "$tmp_dir/demo_cold.log" <(sed 's/^loaded cached/compiled/' \
 fi
 echo "ok: cold and warm runs byte-identical; warm runs served entirely from disk"
 
-echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable + test_linalg) =="
+echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable + test_linalg + test_cluster + test_backend) =="
 asan_dir="$build_dir-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DREPRO_SANITIZE=address > /dev/null
 cmake --build "$asan_dir" -j --target test_serve test_session test_obs \
-  test_kernels test_stream test_executable test_linalg
+  test_kernels test_stream test_executable test_linalg test_cluster \
+  test_backend
 "$asan_dir/tests/test_serve" > "$tmp_dir/asan_serve.log" \
   || { echo "FAIL: asan test_serve"; tail -40 "$tmp_dir/asan_serve.log"; exit 1; }
 "$asan_dir/tests/test_session" > "$tmp_dir/asan_session.log" \
@@ -342,6 +354,10 @@ cmake --build "$asan_dir" -j --target test_serve test_session test_obs \
   || { echo "FAIL: asan test_executable"; tail -40 "$tmp_dir/asan_executable.log"; exit 1; }
 "$asan_dir/tests/test_linalg" > "$tmp_dir/asan_linalg.log" \
   || { echo "FAIL: asan test_linalg"; tail -40 "$tmp_dir/asan_linalg.log"; exit 1; }
+"$asan_dir/tests/test_cluster" > "$tmp_dir/asan_cluster.log" \
+  || { echo "FAIL: asan test_cluster"; tail -40 "$tmp_dir/asan_cluster.log"; exit 1; }
+"$asan_dir/tests/test_backend" > "$tmp_dir/asan_backend.log" \
+  || { echo "FAIL: asan test_backend"; tail -40 "$tmp_dir/asan_backend.log"; exit 1; }
 echo "ok: asan clean"
 
 echo "all checks passed"

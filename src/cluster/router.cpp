@@ -1,17 +1,10 @@
 #include "cluster/router.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <queue>
-#include <set>
 #include <utility>
 
 #include "obs/trace.h"
-#include "serve/batcher.h"
-#include "serve/request_queue.h"
-#include "util/parallel.h"
-#include "util/rng.h"
 
 namespace repro::cluster {
 namespace {
@@ -112,69 +105,26 @@ std::string ClusterMetrics::ToJson() const {
 
 namespace {
 
+using serve::BatchRun;
 using serve::Request;
 
-struct Event {
-  enum Kind { kArrival, kChipArrival, kDeadline, kDone, kScaleEval };
-  double time = 0.0;
-  std::uint64_t seq = 0;  // creation order: the deterministic tie-break
-  Kind kind = kArrival;
-  Request req;              // kArrival / kChipArrival
-  std::size_t chip = 0;     // kChipArrival / kDeadline / kDone
-  std::size_t replica = 0;  // kDone
-};
-
-struct EventLater {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-};
-
-// The cluster discrete-event scheduler: the per-chip queue/batcher/pool
-// machinery of serve::Server, replicated per chip, behind one router.
-// Single-threaded over virtual time; the only multithreaded phase is the
-// numerics replay at the end, which cannot touch any recorded time.
-class ClusterSim {
+// The cluster's front door: places each request on a chip (least loaded or
+// hash ring), runs the autoscaler on the loop's ticks, and keeps the
+// routing view of ClusterMetrics. Its trace vocabulary is one router lane
+// (request lifecycles, routing and scaling decisions, batch formation) plus
+// a track per chip slot carrying that chip's device runs.
+class RoutedDoor final : public serve::FrontDoor {
  public:
-  ClusterSim(std::vector<serve::ExecutionBackend*>& backends,
-             const RouterConfig& cfg, std::size_t total_requests,
-             const Matrix* inputs)
+  RoutedDoor(const std::vector<serve::ExecutionBackend*>& backends,
+             const RouterConfig& cfg, ClusterMetrics& metrics)
       : backends_(backends),
         cfg_(cfg),
-        metrics_(cfg.batch.max_batch, backends.size()),
-        inputs_(inputs),
-        total_(total_requests) {
-    const std::size_t C = backends_.size();
-    for (std::size_t c = 0; c < C; ++c) {
-      queues_.push_back(
-          std::make_unique<serve::BoundedMpmcQueue<Request>>(
-              cfg.queue_capacity));
-      batchers_.emplace_back(cfg.batch);
-      service_s_.push_back(backends_[c]->batchSeconds());
-      // Per-backend occupancy attribution: chips sharing a substrate label
-      // share one breakdown row in the metrics JSON.
-      backend_row_.push_back(
-          metrics_.aggregate().RegisterBackend(backends_[c]->name()));
-      const nn::ForwardSpec& spec = backends_[c]->spec();
-      req_hop_s_.push_back(
-          cfg.fabric != nullptr
-              ? cfg.fabric->PointToPointSeconds(spec.input * sizeof(float))
-              : 0.0);
-      resp_hop_s_.push_back(
-          cfg.fabric != nullptr
-              ? cfg.fabric->PointToPointSeconds(spec.classes * sizeof(float))
-              : 0.0);
-      inflight_.emplace_back(backends_[c]->replicas());
-      schedule_.emplace_back(backends_[c]->replicas());
-      free_.emplace_back();
-      for (std::size_t r = 0; r < backends_[c]->replicas(); ++r) {
-        free_[c].insert(r);
-      }
-      pending_deadlines_.push_back(0);
-      outstanding_.push_back(0);
-    }
+        metrics_(metrics),
+        outstanding_(backends.size(), 0),
+        active_(backends.size(), false),
+        ring_(cfg.vnodes) {
     // Active set: everything, or the autoscaler's starting width.
+    const std::size_t C = backends.size();
     std::size_t initial = C;
     if (cfg.autoscale.enabled) {
       const std::size_t floor_chips =
@@ -185,8 +135,6 @@ class ClusterSim {
       initial = std::min({initial, cfg.autoscale.max_chips, C});
       initial = std::max<std::size_t>(initial, 1);
     }
-    active_.assign(C, false);
-    ring_ = HashRing(cfg.vnodes);
     for (std::size_t c = 0; c < initial; ++c) {
       active_[c] = true;
       ring_.AddChip(c);
@@ -201,75 +149,104 @@ class ClusterSim {
         // router -> chip dispatch spans read as routing decisions.
         chip_tracks_.push_back(&cfg.tracer->track(
             cfg.trace_pid, 1 + c, pname,
-            "chip " + std::to_string(c) + " [" + backends_[c]->name() + "]"));
+            "chip " + std::to_string(c) + " [" + backends[c]->name() + "]"));
       }
-    }
-    if (cfg.autoscale.enabled) {
-      Push(Event{cfg.autoscale.eval_interval_s, seq_++, Event::kScaleEval,
-                 Request{}, 0, 0});
     }
   }
 
-  void AddArrival(double t) {
-    Request req;
-    req.id = issued_++;
-    req.arrival_s = t;
-    req.row = inputs_ != nullptr && inputs_->rows() > 0
-                  ? static_cast<std::uint32_t>(req.id % inputs_->rows())
-                  : 0;
-    Push(Event{t, seq_++, Event::kArrival, req, 0, 0});
+  std::size_t activeChips() const { return ring_.chips(); }
+
+  std::size_t Route(const Request& req, double now) override {
+    const std::size_t chip = PickChip(req);
+    REPRO_REQUIRE(chip < backends_.size(), "router has no active chip");
+    ++outstanding_[chip];
+    metrics_.RecordRouted(chip);
+    if (router_ != nullptr) {
+      // The request lifecycle span opens at the router and closes when the
+      // response hop lands back; the routing decision is an instant.
+      router_->AsyncBegin("request", "request", now * 1e6, req.id);
+      router_->Instant("route", "cluster", now * 1e6,
+                       {obs::Arg("request", req.id),
+                        obs::Arg("chip", static_cast<std::uint64_t>(chip))});
+      cfg_.tracer->Count("cluster.routed");
+    }
+    return chip;
   }
 
-  ClusterResult Run(bool closed_loop, double think_s) {
-    closed_loop_ = closed_loop;
-    think_s_ = think_s;
-    while (!events_.empty()) {
-      Event e = events_.top();
-      events_.pop();
-      const double now = e.time;
-      switch (e.kind) {
-        case Event::kArrival:
-          RouteRequest(e.req, now);
-          break;
-        case Event::kChipArrival:
-          AdmitAtChip(e.req, e.chip, now);
-          PumpChip(e.chip, now);
-          ScheduleDeadline(e.chip, now);
-          break;
-        case Event::kDeadline:
-          --pending_deadlines_[e.chip];
-          PumpChip(e.chip, now);
-          ScheduleDeadline(e.chip, now);
-          break;
-        case Event::kDone:
-          CompleteBatch(e.chip, e.replica, now);
-          PumpChip(e.chip, now);
-          ScheduleDeadline(e.chip, now);
-          break;
-        case Event::kScaleEval:
-          EvaluateScale(now);
-          break;
-      }
+  void Admitted(std::size_t, const Request&, double) override {
+    if (router_ != nullptr) cfg_.tracer->Count("cluster.admitted");
+  }
+
+  // Per-shard admission control: the chip's bounded queue load-sheds.
+  void Rejected(std::size_t chip, const Request& req, double now) override {
+    metrics_.RecordChipRejection(chip);
+    --outstanding_[chip];
+    if (router_ == nullptr) return;
+    router_->Instant("reject", "cluster", now * 1e6,
+                     {obs::Arg("request", req.id),
+                      obs::Arg("chip", static_cast<std::uint64_t>(chip))});
+    router_->AsyncEnd("request", "request", now * 1e6, req.id);
+    cfg_.tracer->Count("cluster.rejected");
+  }
+
+  void Dispatched(const BatchRun& run) override {
+    if (router_ == nullptr) return;
+    serve::TraceDispatch(
+        *cfg_.tracer, *router_, *chip_tracks_[run.slot],
+        backends_[run.slot]->streamProfile(), run, "cluster",
+        "cluster.batches",
+        {obs::Arg("chip", static_cast<std::uint64_t>(run.slot))},
+        {obs::Arg("replica", static_cast<std::uint64_t>(run.replica))});
+  }
+
+  void Completed(const BatchRun& run, double now, double done_s) override {
+    for (std::size_t i = 0; i < run.requests.size(); ++i) {
+      metrics_.RecordChipCompletion(run.slot);
     }
-    metrics_.aggregate().Finalize(last_completion_s_);
-    std::size_t active = 0;
-    for (bool a : active_) active += a ? 1 : 0;
-    metrics_.SetFinalActiveChips(active);
-    ClusterResult result{std::move(metrics_), Matrix()};
-    ReplayNumerics(result);
-    return result;
+    outstanding_[run.slot] -= run.requests.size();
+    if (router_ == nullptr) return;
+    serve::TraceAnswers(*cfg_.tracer, *router_, *chip_tracks_[run.slot],
+                        "cluster.completed", run, now, done_s);
+  }
+
+  // The autoscaler: compares mean outstanding requests per active chip
+  // against the policy thresholds and activates the lowest idle chip or
+  // drains the highest active one (it stops receiving traffic; its queued
+  // and in-flight work completes normally).
+  void Tick(double now) override {
+    const AutoscalePolicy& p = cfg_.autoscale;
+    const std::size_t C = backends_.size();
+    const std::size_t active = ring_.chips();
+    std::size_t outstanding = 0;
+    for (std::size_t c = 0; c < C; ++c) {
+      if (active_[c]) outstanding += outstanding_[c];
+    }
+    const double per =
+        static_cast<double>(outstanding) / static_cast<double>(active);
+    std::size_t chip = 0;
+    if (per > p.up_outstanding_per_chip && active < std::min(p.max_chips, C)) {
+      while (active_[chip]) ++chip;
+      ring_.AddChip(chip);
+      metrics_.RecordScaleUp();
+    } else if (per < p.down_outstanding_per_chip &&
+               active > std::max<std::size_t>(p.min_chips, 1)) {
+      chip = C - 1;
+      while (!active_[chip]) --chip;
+      ring_.RemoveChip(chip);
+      metrics_.RecordScaleDown();
+    } else {
+      return;
+    }
+    active_[chip] = !active_[chip];
+    if (router_ == nullptr) return;
+    const std::string event = active_[chip] ? "scale_up" : "scale_down";
+    router_->Instant(event, "cluster", now * 1e6,
+                     {obs::Arg("chip", static_cast<std::uint64_t>(chip)),
+                      obs::Arg("outstanding_per_chip", per)});
+    cfg_.tracer->Count("cluster." + event + "s");
   }
 
  private:
-  struct InFlight {
-    double dispatch_s = 0.0;
-    std::vector<Request> batch;
-  };
-
-  void Push(Event e) { events_.push(std::move(e)); }
-
-  bool WorkRemains() const { return terminal_ < issued_ || issued_ < total_; }
-
   std::size_t PickChip(const Request& req) const {
     if (cfg_.placement == Placement::kConsistentHash) {
       return ring_.Route(req.id);
@@ -289,230 +266,12 @@ class ClusterSim {
     return best;
   }
 
-  void RouteRequest(const Request& req, double now) {
-    const std::size_t chip = PickChip(req);
-    REPRO_REQUIRE(chip < backends_.size(), "router has no active chip");
-    ++outstanding_[chip];
-    metrics_.RecordRouted(chip);
-    if (router_ != nullptr) {
-      // The request lifecycle span opens at the router and closes when the
-      // response hop lands back; the routing decision is an instant.
-      router_->AsyncBegin("request", "request", now * 1e6, req.id);
-      router_->Instant("route", "cluster", now * 1e6,
-                       {obs::Arg("request", req.id),
-                        obs::Arg("chip", static_cast<std::uint64_t>(chip))});
-      cfg_.tracer->Count("cluster.routed");
-    }
-    Push(Event{now + req_hop_s_[chip], seq_++, Event::kChipArrival, req, chip,
-               0});
-  }
-
-  void AdmitAtChip(const Request& req, std::size_t chip, double now) {
-    if (queues_[chip]->TryPush(req)) {
-      metrics_.aggregate().RecordAdmitted();
-      if (router_ != nullptr) cfg_.tracer->Count("cluster.admitted");
-      return;
-    }
-    // Per-shard admission control: the chip's bounded queue load-sheds.
-    metrics_.aggregate().RecordRejected();
-    metrics_.RecordChipRejection(chip);
-    --outstanding_[chip];
-    ++terminal_;
-    if (router_ != nullptr) {
-      router_->Instant("reject", "cluster", now * 1e6,
-                       {obs::Arg("request", req.id),
-                        obs::Arg("chip", static_cast<std::uint64_t>(chip))});
-      router_->AsyncEnd("request", "request", now * 1e6, req.id);
-      cfg_.tracer->Count("cluster.rejected");
-    }
-    if (closed_loop_ && issued_ < total_) AddArrival(now + think_s_);
-  }
-
-  // serve::Server's Pump, per chip: drain the chip queue into the forming
-  // batch, dispatch ready batches to free replicas.
-  void PumpChip(std::size_t c, double now) {
-    for (;;) {
-      batchers_[c].Drain(*queues_[c]);
-      if (free_[c].empty() || !batchers_[c].Ready(now)) return;
-      std::vector<Request> batch = batchers_[c].Pop();
-      const std::size_t r = *free_[c].begin();
-      free_[c].erase(free_[c].begin());
-      metrics_.aggregate().RecordBatchFor(backend_row_[c], batch.size(), now);
-      if (router_ != nullptr) {
-        const std::uint64_t bid = batch_seq_++;
-        router_->AsyncBegin("batch_form", "batch",
-                            batch.front().arrival_s * 1e6, bid,
-                            {obs::Arg("occupancy", batch.size()),
-                             obs::Arg("chip", static_cast<std::uint64_t>(c))});
-        router_->AsyncEnd("batch_form", "batch", now * 1e6, bid);
-        chip_tracks_[c]->Complete(
-            "device_run", "cluster", now * 1e6, service_s_[c] * 1e6,
-            {obs::Arg("batch", bid), obs::Arg("occupancy", batch.size()),
-             obs::Arg("replica", static_cast<std::uint64_t>(r))});
-        cfg_.tracer->Count("cluster.batches");
-      }
-      schedule_[c][r].push_back(batch);
-      inflight_[c][r] = InFlight{now, std::move(batch)};
-      Push(Event{now + service_s_[c], seq_++, Event::kDone, Request{}, c, r});
-    }
-  }
-
-  void ScheduleDeadline(std::size_t c, double now) {
-    if (batchers_[c].empty() || free_[c].empty() ||
-        pending_deadlines_[c] > 0) {
-      return;
-    }
-    const double d = batchers_[c].Deadline();
-    if (!std::isfinite(d)) return;
-    Push(Event{std::max(d, now), seq_++, Event::kDeadline, Request{}, c, 0});
-    ++pending_deadlines_[c];
-  }
-
-  void CompleteBatch(std::size_t c, std::size_t r, double now) {
-    InFlight done = std::move(inflight_[c][r]);
-    inflight_[c][r].batch.clear();
-    free_[c].insert(r);
-    const double done_s = now + resp_hop_s_[c];  // response hop to the router
-    last_completion_s_ = std::max(last_completion_s_, done_s);
-    for (const Request& req : done.batch) {
-      metrics_.aggregate().RecordCompletion(done_s - req.arrival_s,
-                                            done.dispatch_s - req.arrival_s);
-      metrics_.RecordChipCompletion(c);
-      --outstanding_[c];
-      ++terminal_;
-      if (router_ != nullptr) {
-        const double disp_us = done.dispatch_s * 1e6;
-        router_->AsyncBegin("queue", "request", req.arrival_s * 1e6, req.id);
-        router_->AsyncEnd("queue", "request", disp_us, req.id);
-        obs::TraceTrack* ct = chip_tracks_[c];
-        ct->AsyncBegin("device", "device", disp_us, req.id);
-        ct->AsyncEnd("device", "device", now * 1e6, req.id,
-                     {obs::Arg("latency_s", done_s - req.arrival_s),
-                      obs::Arg("queue_delay_s",
-                               done.dispatch_s - req.arrival_s)});
-        router_->AsyncEnd("request", "request", done_s * 1e6, req.id);
-        cfg_.tracer->Count("cluster.completed");
-      }
-      if (closed_loop_ && issued_ < total_) AddArrival(done_s + think_s_);
-    }
-  }
-
-  void EvaluateScale(double now) {
-    if (!WorkRemains()) return;  // run is draining; stop rescheduling
-    const AutoscalePolicy& p = cfg_.autoscale;
-    std::size_t active = 0;
-    std::size_t outstanding = 0;
-    for (std::size_t c = 0; c < backends_.size(); ++c) {
-      if (!active_[c]) continue;
-      ++active;
-      outstanding += outstanding_[c];
-    }
-    const double per =
-        static_cast<double>(outstanding) / static_cast<double>(active);
-    const std::size_t ceil_chips = std::min(p.max_chips, backends_.size());
-    const std::size_t floor_chips = std::max<std::size_t>(p.min_chips, 1);
-    if (per > p.up_outstanding_per_chip && active < ceil_chips) {
-      for (std::size_t c = 0; c < backends_.size(); ++c) {
-        if (active_[c]) continue;
-        active_[c] = true;
-        ring_.AddChip(c);
-        metrics_.RecordScaleUp();
-        if (router_ != nullptr) {
-          router_->Instant(
-              "scale_up", "cluster", now * 1e6,
-              {obs::Arg("chip", static_cast<std::uint64_t>(c)),
-               obs::Arg("outstanding_per_chip", per)});
-          cfg_.tracer->Count("cluster.scale_ups");
-        }
-        break;
-      }
-    } else if (per < p.down_outstanding_per_chip && active > floor_chips) {
-      // Drain the highest active chip: it stops receiving traffic, its
-      // queued and in-flight work completes normally.
-      for (std::size_t c = backends_.size(); c-- > 0;) {
-        if (!active_[c]) continue;
-        active_[c] = false;
-        ring_.RemoveChip(c);
-        metrics_.RecordScaleDown();
-        if (router_ != nullptr) {
-          router_->Instant(
-              "scale_down", "cluster", now * 1e6,
-              {obs::Arg("chip", static_cast<std::uint64_t>(c)),
-               obs::Arg("outstanding_per_chip", per)});
-          cfg_.tracer->Count("cluster.scale_downs");
-        }
-        break;
-      }
-    }
-    Push(Event{now + p.eval_interval_s, seq_++, Event::kScaleEval, Request{},
-               0, 0});
-  }
-
-  // Replays the recorded per-(chip, replica) dispatch schedules through the
-  // replica engines to produce logits. Parallel across engines, sequential
-  // within one; batch composition is fixed by the DES, so results are
-  // independent of host_threads.
-  void ReplayNumerics(ClusterResult& result) {
-    if (inputs_ == nullptr) return;
-    for (serve::ExecutionBackend* backend : backends_) {
-      if (!backend->canExecute()) return;
-    }
-    const nn::ForwardSpec& spec = backends_[0]->spec();
-    result.logits = Matrix(total_, spec.classes);
-    std::vector<std::pair<std::size_t, std::size_t>> units;
-    for (std::size_t c = 0; c < backends_.size(); ++c) {
-      for (std::size_t r = 0; r < backends_[c]->replicas(); ++r) {
-        units.emplace_back(c, r);
-      }
-    }
-    ParallelForWith(
-        cfg_.host_threads, 0, units.size(),
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t u = begin; u < end; ++u) {
-            const auto [c, r] = units[u];
-            for (const std::vector<Request>& batch : schedule_[c][r]) {
-              Matrix in(batch.size(), spec.input);
-              for (std::size_t i = 0; i < batch.size(); ++i) {
-                auto src = inputs_->row(batch[i].row);
-                std::copy(src.begin(), src.end(), in.row(i).begin());
-              }
-              Matrix out = backends_[c]->ExecuteBatch(r, in);
-              for (std::size_t i = 0; i < batch.size(); ++i) {
-                auto dst = result.logits.row(batch[i].id);
-                std::copy(out.row(i).begin(), out.row(i).end(), dst.begin());
-              }
-            }
-          }
-        },
-        /*min_grain=*/1);
-  }
-
-  std::vector<serve::ExecutionBackend*>& backends_;
+  const std::vector<serve::ExecutionBackend*>& backends_;
   const RouterConfig& cfg_;
-  ClusterMetrics metrics_;
-  const Matrix* inputs_;
-  const std::size_t total_;
-
-  std::vector<std::unique_ptr<serve::BoundedMpmcQueue<Request>>> queues_;
-  std::vector<serve::MicroBatcher> batchers_;
-  std::vector<double> service_s_, req_hop_s_, resp_hop_s_;
-  std::vector<std::size_t> backend_row_;  // chip -> metrics breakdown row
-  std::vector<std::vector<InFlight>> inflight_;           // [chip][replica]
-  std::vector<std::vector<std::vector<std::vector<Request>>>> schedule_;
-  std::vector<std::set<std::size_t>> free_;               // per chip
-  std::vector<std::size_t> pending_deadlines_;
-  std::vector<std::size_t> outstanding_;  // routed, not yet terminal
+  ClusterMetrics& metrics_;
+  std::vector<std::size_t> outstanding_;  // routed, not yet answered
   std::vector<bool> active_;
-  HashRing ring_{1};
-
-  std::priority_queue<Event, std::vector<Event>, EventLater> events_;
-  std::uint64_t seq_ = 0;
-  std::uint64_t issued_ = 0;
-  std::uint64_t terminal_ = 0;  // completed + rejected
-  std::uint64_t batch_seq_ = 0;
-  bool closed_loop_ = false;
-  double think_s_ = 0.0;
-  double last_completion_s_ = 0.0;
+  HashRing ring_;
   obs::TraceTrack* router_ = nullptr;  // null = tracing off
   std::vector<obs::TraceTrack*> chip_tracks_;
 };
@@ -527,7 +286,6 @@ Router::Router(std::vector<serve::ExecutionBackend*> backends,
     REPRO_REQUIRE(backend != nullptr && backend->replicas() > 0,
                   "router chips need live execution backends");
   }
-  REPRO_REQUIRE(config_.queue_capacity > 0, "queue capacity must be positive");
 }
 
 Router::Router(std::vector<serve::ReplicaPool*> pools, RouterConfig config)
@@ -540,33 +298,45 @@ Router::Router(std::vector<serve::ReplicaPool*> pools, RouterConfig config)
         std::make_unique<serve::IpuBackend>(pool->plan(), pool));
     backends_.push_back(owned_.back().get());
   }
-  REPRO_REQUIRE(config_.queue_capacity > 0, "queue capacity must be positive");
+}
+
+template <typename Load>
+ClusterResult Router::Run(const Load& load, const Matrix* inputs) {
+  ClusterResult res{ClusterMetrics(config_.batch.max_batch, backends_.size()),
+                    Matrix()};
+  serve::EventLoop loop{
+      .slots = {},
+      .batch = config_.batch,
+      .queue_capacity = config_.queue_capacity,
+      .host_threads = config_.host_threads,
+      .tick_interval_s = config_.autoscale.enabled
+                             ? config_.autoscale.eval_interval_s
+                             : std::numeric_limits<double>::infinity()};
+  // One fabric hop each way, sized by the request's features and the
+  // answer's logits. Chips of one substrate share a breakdown row.
+  auto hop = [&](std::size_t floats) {
+    return config_.fabric == nullptr
+               ? 0.0
+               : config_.fabric->PointToPointSeconds(floats * sizeof(float));
+  };
+  for (serve::ExecutionBackend* b : backends_) {
+    loop.slots.push_back({b, hop(b->spec().input), hop(b->spec().classes),
+                          res.metrics.aggregate().RegisterBackend(b->name())});
+  }
+  RoutedDoor door(backends_, config_, res.metrics);
+  res.logits = loop.Run(load, inputs, door, res.metrics.aggregate());
+  res.metrics.SetFinalActiveChips(door.activeChips());
+  return res;
 }
 
 ClusterResult Router::RunOpenLoop(const serve::OpenLoopLoad& load,
                                   const Matrix* inputs) {
-  REPRO_REQUIRE(load.qps > 0.0, "open-loop rate must be positive");
-  ClusterSim sim(backends_, config_, load.requests, inputs);
-  Rng rng(load.seed);
-  double t = 0.0;
-  for (std::size_t i = 0; i < load.requests; ++i) {
-    t += -std::log(1.0 - rng.Uniform()) / load.qps;  // Exp(qps) gaps
-    sim.AddArrival(t);
-  }
-  return sim.Run(/*closed_loop=*/false, /*think_s=*/0.0);
+  return Run(load, inputs);
 }
 
 ClusterResult Router::RunClosedLoop(const serve::ClosedLoopLoad& load,
                                     const Matrix* inputs) {
-  REPRO_REQUIRE(load.clients > 0, "closed loop needs at least one client");
-  REPRO_REQUIRE(load.clients <= config_.queue_capacity,
-                "closed-loop clients (%zu) exceed the per-chip queue bound "
-                "(%zu): the backpressure contract caps outstanding work",
-                load.clients, config_.queue_capacity);
-  ClusterSim sim(backends_, config_, load.requests, inputs);
-  const std::size_t initial = std::min(load.clients, load.requests);
-  for (std::size_t c = 0; c < initial; ++c) sim.AddArrival(0.0);
-  return sim.Run(/*closed_loop=*/true, load.think_s);
+  return Run(load, inputs);
 }
 
 }  // namespace repro::cluster

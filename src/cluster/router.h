@@ -1,28 +1,22 @@
 // cluster::Router: the serving front door of a multi-chip IPU cluster.
 //
-// Each chip slot runs its own serve::ExecutionBackend (an IPU replica pool
-// or the GPU roofline backend) behind a bounded ingress queue and
-// micro-batcher (the per-shard admission-control contract: a full chip
-// queue load-sheds, it never grows). The router sits in front and places
-// every request on a chip:
+// The router runs the serving event loop (serve/server.h) with one slot
+// per chip: each chip's serve::ExecutionBackend (an IPU replica pool or the
+// GPU roofline backend) sits behind its own bounded queue and micro-batcher
+// (per-shard admission control: a full chip queue load-sheds), and the
+// LinkFabric prices the router -> chip request hop and the response hop.
+// The router itself only routes. It places every request on a chip:
 //
 //  * kLeastLoaded  -- fewest outstanding routed requests, ties broken by
 //                     lowest chip id (deterministic),
 //  * kConsistentHash -- a 64-bit hash ring with virtual nodes, so sticky
 //                     keys survive chip add/remove with minimal remapping
-//                     (only keys owned by the departing chip move).
+//                     (only keys owned by the departing chip move),
 //
-// The whole cluster runs as one deterministic discrete-event simulation on
-// the simulated clock (the same virtual time domain as the BSP engine), with
-// router -> chip dispatch and response hops costed through the LinkFabric.
-// An optional autoscaler evaluates outstanding load every interval and
-// activates / drains chips between policy bounds; scale events update the
-// hash ring, so both placements see the same active set.
-//
-// Determinism contract: metrics and trace events derive only from the
-// single-threaded DES; host threads replay the recorded batch schedules for
-// logits and can never perturb a recorded time. ClusterMetrics::ToJson() is
-// bitwise identical across REPRO_THREADS.
+// and an optional autoscaler, ticked by the loop every interval, activates /
+// drains chips between policy bounds and updates the hash ring, so both
+// placements see the same active set. ClusterMetrics::ToJson() inherits the
+// loop's determinism contract: bitwise identical across REPRO_THREADS.
 #pragma once
 
 #include <cstdint>
@@ -151,9 +145,7 @@ class ClusterMetrics {
 
 struct ClusterResult {
   ClusterMetrics metrics;
-  // Per-request logits (row = request id; rejected requests stay zero).
-  // Filled only for execute plans given a non-empty input matrix.
-  Matrix logits;
+  Matrix logits;  // serve::EventLoop::Run's replayed logits
 };
 
 class Router {
@@ -173,15 +165,16 @@ class Router {
     return *backends_[chip];
   }
 
-  // Same load shapes as the single-chip serve::Server. `inputs` supplies
-  // request features (request i runs row i % inputs.rows()); nullptr = no
-  // numerics replay (timing-only sweeps).
+  // Same loads and `inputs` as the single-chip serve::Server.
   ClusterResult RunOpenLoop(const serve::OpenLoopLoad& load,
                             const Matrix* inputs = nullptr);
   ClusterResult RunClosedLoop(const serve::ClosedLoopLoad& load,
                               const Matrix* inputs = nullptr);
 
  private:
+  template <typename Load>
+  ClusterResult Run(const Load& load, const Matrix* inputs);
+
   std::vector<std::unique_ptr<serve::IpuBackend>> owned_;  // pool ctor only
   std::vector<serve::ExecutionBackend*> backends_;
   RouterConfig config_;

@@ -13,16 +13,6 @@ MicroBatcher::MicroBatcher(BatchPolicy policy) : policy_(policy) {
   REPRO_REQUIRE(policy.max_delay_s >= 0.0, "negative batching delay");
 }
 
-std::size_t MicroBatcher::Drain(BoundedMpmcQueue<Request>& queue) {
-  std::size_t taken = 0;
-  Request r;
-  while (pending_.size() < policy_.max_batch && queue.TryPop(r)) {
-    pending_.push_back(std::move(r));
-    ++taken;
-  }
-  return taken;
-}
-
 bool MicroBatcher::Ready(double now) const {
   if (pending_.empty()) return false;
   if (pending_.size() >= policy_.max_batch) return true;

@@ -8,9 +8,10 @@
 // max_delay (latency bound). Partial batches pay their padding visibly in
 // the occupancy histogram (metrics.h).
 //
-// The batcher itself is a passive policy object driven by the scheduler's
-// virtual clock; it never blocks and holds no lock -- concurrency lives in
-// the ingress BoundedMpmcQueue it drains.
+// The batcher holds a slot's waiting requests in arrival order, the
+// forming batch first. It is a passive policy object driven by the event
+// loop's virtual clock (serve/server.h), which bounds how many requests may
+// wait behind the forming batch (the admission bound).
 #pragma once
 
 #include <deque>
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "serve/request.h"
-#include "serve/request_queue.h"
 
 namespace repro::serve {
 
@@ -33,12 +33,6 @@ class MicroBatcher {
 
   const BatchPolicy& policy() const { return policy_; }
 
-  // Tops the forming batch up from the queue (FIFO) without ever holding
-  // more than max_batch pending; returns how many were taken. Backlog past
-  // the forming batch stays in the bounded queue -- that is where the
-  // admission bound applies, so the batcher never becomes an unbounded
-  // buffer behind it.
-  std::size_t Drain(BoundedMpmcQueue<Request>& queue);
   void Add(Request r) { pending_.push_back(std::move(r)); }
 
   std::size_t pending() const { return pending_.size(); }

@@ -37,6 +37,7 @@ std::size_t ServeMetrics::RegisterBackend(const std::string& label) {
 
 bool ServeMetrics::RecordBatchFor(std::size_t backend, std::size_t occupancy,
                                   double now_s) {
+  if (backend == kNoBackend) return RecordBatch(occupancy, now_s);
   REPRO_REQUIRE(backend < backends_.size(),
                 "backend index %zu not registered (%zu known)", backend,
                 backends_.size());

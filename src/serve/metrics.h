@@ -55,7 +55,8 @@ class ServeMetrics {
   bool RecordBatch(std::size_t occupancy, double now_s = 0.0);
   // RecordBatch plus per-backend attribution: the batch lands in both the
   // aggregate accounting and the `backend` row (an index from
-  // RegisterBackend).
+  // RegisterBackend, or kNoBackend for the aggregate alone).
+  static constexpr std::size_t kNoBackend = static_cast<std::size_t>(-1);
   bool RecordBatchFor(std::size_t backend, std::size_t occupancy,
                       double now_s = 0.0);
   // One completed request: end-to-end latency and its queue-wait component.

@@ -7,22 +7,25 @@
 #include <set>
 #include <utility>
 
-#include "obs/trace.h"
-#include "serve/request_queue.h"
+#include "util/error.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 
 namespace repro::serve {
 namespace {
 
+// 56 bytes: the heap moves events on every push and pop.
 struct Event {
-  enum Kind { kArrival, kDeadline, kDone };
+  enum Kind : std::uint32_t { kArrival, kSlotArrival, kDeadline, kDone, kTick };
   double time = 0.0;
   std::uint64_t seq = 0;  // creation order: the deterministic tie-break
+  Request req;                // kArrival / kSlotArrival
+  std::uint32_t slot = 0;     // kSlotArrival / kDeadline / kDone
+  std::uint32_t replica = 0;  // kDone
   Kind kind = kArrival;
-  Request req;             // kArrival
-  std::size_t replica = 0; // kDone
 };
+
+static_assert(sizeof(Event) <= 56);
 
 struct EventLater {
   bool operator()(const Event& a, const Event& b) const {
@@ -31,38 +34,43 @@ struct EventLater {
   }
 };
 
-// The discrete-event scheduler. Single-threaded over virtual time; the only
+// One run of the loop: single-threaded over virtual time. The only
 // multithreaded phase is the numerics replay at the end, which cannot touch
 // any recorded time.
 class Simulation {
  public:
-  Simulation(ExecutionBackend& backend, const ServerConfig& cfg,
+  Simulation(const EventLoop& loop, FrontDoor& door, ServeMetrics& metrics,
              std::size_t total_requests, const Matrix* inputs)
-      : backend_(backend),
-        cfg_(cfg),
-        queue_(cfg.queue_capacity),
-        batcher_(cfg.batch),
-        metrics_(cfg.batch.max_batch),
-        profile_(backend.streamProfile()),
-        depth_(profile_.enabled ? 2 : 1),
-        inputs_(inputs),
-        total_(total_requests),
-        replicas_(backend.replicas()),
-        schedule_(backend.replicas()) {
-    for (std::size_t r = 0; r < backend.replicas(); ++r) free_.insert(r);
-    if (cfg.tracer != nullptr) {
-      // One ingress lane (admissions, queue waits, batch formation) plus a
-      // track per replica (device runs, per-request device spans). All
-      // emission happens from this single-threaded event loop.
-      const std::string pname =
-          cfg.trace_label.empty() ? "serve" : cfg.trace_label;
-      ingress_ = &cfg.tracer->track(cfg.trace_pid, 0, pname, "ingress");
-      replica_tracks_.reserve(backend.replicas());
-      for (std::size_t r = 0; r < backend.replicas(); ++r) {
-        replica_tracks_.push_back(&cfg.tracer->track(
-            cfg.trace_pid, 1 + r, pname, "replica " + std::to_string(r)));
-      }
-      metrics_.AttachTracer(cfg.tracer, ingress_);
+      : loop_(loop),
+        door_(door),
+        metrics_(metrics),
+        inputs_(inputs != nullptr && inputs->rows() > 0 ? inputs : nullptr),
+        total_(total_requests) {
+    REPRO_REQUIRE(!loop.slots.empty(), "event loop needs at least one slot");
+    REPRO_REQUIRE(loop.queue_capacity > 0, "queue capacity must be positive");
+    REPRO_REQUIRE(loop.tick_interval_s > 0.0, "tick interval must be positive");
+    replay_ = inputs_ != nullptr;
+    for (std::size_t s = 0; s < loop.slots.size(); ++s) {
+      const ExecutionBackend* backend = loop.slots[s].backend;
+      REPRO_REQUIRE(backend != nullptr && backend->replicas() > 0,
+                    "slot %zu has no replicas to dispatch to", s);
+      slots_.emplace_back(*backend, loop.batch);
+      if (inputs_ == nullptr) continue;
+      // The replay copies input rows into each slot's batches and its
+      // logits into one matrix: both widths must agree before any copy.
+      const nn::ForwardSpec& spec = backend->spec();
+      REPRO_REQUIRE(inputs_->cols() == spec.input,
+                    "replay inputs have %zu features but slot %zu's model "
+                    "takes %zu",
+                    inputs_->cols(), s, spec.input);
+      REPRO_REQUIRE(spec.classes == loop.slots[0].backend->spec().classes,
+                    "slots disagree on the logits width: slot %zu has %zu "
+                    "classes, slot 0 has %zu",
+                    s, spec.classes, loop.slots[0].backend->spec().classes);
+      replay_ = replay_ && backend->canExecute();
+    }
+    if (std::isfinite(loop.tick_interval_s)) {
+      Push(loop.tick_interval_s, Event::kTick);
     }
   }
 
@@ -70,260 +78,355 @@ class Simulation {
     Request req;
     req.id = issued_++;
     req.arrival_s = t;
-    req.row = inputs_ != nullptr && inputs_->rows() > 0
+    req.row = inputs_ != nullptr
                   ? static_cast<std::uint32_t>(req.id % inputs_->rows())
                   : 0;
-    Push(Event{t, seq_++, Event::kArrival, req, 0});
+    Push(t, Event::kArrival, 0, 0, req);
   }
 
-  std::size_t issued() const { return issued_; }
-
-  ServeResult Run(bool closed_loop, double think_s) {
+  Matrix Run(bool closed_loop, double think_s) {
+    closed_loop_ = closed_loop;
+    think_s_ = think_s;
     while (!events_.empty()) {
-      Event e = events_.top();
+      const Event e = events_.top();
       events_.pop();
       const double now = e.time;
       switch (e.kind) {
-        case Event::kArrival:
-          if (queue_.TryPush(e.req)) {
-            metrics_.RecordAdmitted();
-            if (ingress_ != nullptr) {
-              // The request lifecycle span opens at admission and closes at
-              // completion (async-nestable: queued requests overlap freely).
-              ingress_->AsyncBegin("request", "request", now * 1e6, e.req.id);
-              cfg_.tracer->Count("serve.admitted");
-            }
+        case Event::kArrival: {
+          const std::size_t s = door_.Route(e.req, now);
+          REPRO_REQUIRE(s < slots_.size(), "front door chose slot %zu of %zu",
+                        s, slots_.size());
+          const double hop = loop_.slots[s].request_hop_s;
+          if (hop > 0.0) {
+            Push(now + hop, Event::kSlotArrival, s, 0, e.req);
           } else {
-            metrics_.RecordRejected();
-            if (ingress_ != nullptr) {
-              ingress_->Instant("reject", "serve", now * 1e6,
-                                {obs::Arg("request", e.req.id)});
-              cfg_.tracer->Count("serve.rejected");
-            }
-          }
-          break;
-        case Event::kDeadline:
-          --pending_deadlines_;
-          break;
-        case Event::kDone: {
-          // Per-replica completions are FIFO: out_free advances
-          // monotonically at dispatch, so the front of the pipeline is
-          // always the batch this event announces.
-          ReplicaState& rs = replicas_[e.replica];
-          InFlight done = std::move(rs.fifo.front());
-          rs.fifo.pop_front();
-          if (rs.fifo.size() < depth_) free_.insert(e.replica);
-          last_completion_s_ = std::max(last_completion_s_, now);
-          for (const Request& req : done.batch) {
-            metrics_.RecordCompletion(now - req.arrival_s,
-                                      done.dispatch_s - req.arrival_s);
-            if (ingress_ != nullptr) {
-              // Queue wait on the ingress lane, device time on the replica's
-              // track; the end event carries the exact latency components
-              // the metrics recorded (same doubles, same arithmetic).
-              const double arr_us = req.arrival_s * 1e6;
-              const double disp_us = done.dispatch_s * 1e6;
-              ingress_->AsyncBegin("queue", "request", arr_us, req.id);
-              ingress_->AsyncEnd("queue", "request", disp_us, req.id);
-              obs::TraceTrack* rt = replica_tracks_[e.replica];
-              rt->AsyncBegin("device", "device", disp_us, req.id);
-              rt->AsyncEnd(
-                  "device", "device", now * 1e6, req.id,
-                  {obs::Arg("latency_s", now - req.arrival_s),
-                   obs::Arg("queue_delay_s", done.dispatch_s - req.arrival_s)});
-              ingress_->AsyncEnd("request", "request", now * 1e6, req.id);
-              cfg_.tracer->Count("serve.completed");
-            }
-            if (closed_loop && issued_ < total_) {
-              AddArrival(now + think_s);
-            }
+            Admit(s, e.req, now);
           }
           break;
         }
+        case Event::kSlotArrival:
+          Admit(e.slot, e.req, now);
+          break;
+        case Event::kDeadline:
+          --slots_[e.slot].pending_deadlines;
+          Pump(e.slot, now);
+          break;
+        case Event::kDone:
+          Complete(e.slot, e.replica, now);
+          Pump(e.slot, now);
+          break;
+        case Event::kTick:
+          if (answered_ < issued_ || issued_ < total_) {
+            door_.Tick(now);
+            Push(now + loop_.tick_interval_s, Event::kTick);
+          }
+          break;
       }
-      Pump(now);
-      ScheduleDeadline(now);
     }
     metrics_.Finalize(last_completion_s_);
-    ServeResult result{std::move(metrics_), Matrix()};
-    ReplayNumerics(result);
-    return result;
+    return Replay();
   }
 
  private:
-  struct InFlight {
-    double dispatch_s = 0.0;
-    std::vector<Request> batch;
+  // One replica's pipeline: the absolute sim times each phase resource
+  // frees, plus the in-flight batches in dispatch (= completion) order and,
+  // for the replay, the answered ones.
+  struct Replica {
+    double in_free = 0.0;
+    double comp_free = 0.0;
+    double out_free = 0.0;
+    std::deque<BatchRun> fifo;
+    std::vector<std::vector<Request>> answered;
   };
 
-  void Push(Event e) { events_.push(std::move(e)); }
+  struct SlotState {
+    SlotState(const ExecutionBackend& backend, const BatchPolicy& batch)
+        : batcher(batch),
+          profile(backend.streamProfile()),
+          depth(profile.enabled ? 2 : 1),
+          replicas(backend.replicas()) {
+      for (std::size_t r = 0; r < replicas.size(); ++r) free.insert(r);
+    }
 
-  // Alternates draining the bounded queue into the forming batch and
-  // dispatching ready batches to free replicas until neither makes progress.
-  // The batcher holds at most one forming batch, so backlog accumulates in
-  // the queue where TryPush enforces the admission bound.
+    MicroBatcher batcher;  // every admitted, undispatched request
+    const StreamProfile profile;
+    const std::size_t depth;  // in-flight batches per replica (2 = streaming)
+    std::vector<Replica> replicas;
+    // Replicas with pipeline headroom; dispatch picks the least-loaded,
+    // lowest id on ties.
+    std::set<std::size_t> free;
+    std::size_t pending_deadlines = 0;
+  };
+
+  void Push(double t, Event::Kind kind, std::size_t slot = 0,
+            std::size_t replica = 0, const Request& req = Request{}) {
+    events_.push(Event{t, seq_++, req, static_cast<std::uint32_t>(slot),
+                       static_cast<std::uint32_t>(replica), kind});
+  }
+
+  // Admission control: up to queue_capacity requests may wait behind the
+  // forming batch; past that the slot sheds instead of growing.
+  void Admit(std::size_t s, const Request& req, double now) {
+    MicroBatcher& batcher = slots_[s].batcher;
+    if (batcher.pending() < loop_.batch.max_batch + loop_.queue_capacity) {
+      batcher.Add(req);
+      metrics_.RecordAdmitted();
+      door_.Admitted(s, req, now);
+    } else {
+      metrics_.RecordRejected();
+      ++answered_;
+      door_.Rejected(s, req, now);
+    }
+    Pump(s, now);
+  }
+
+  // Dispatches the slot's ready batches to free replicas until none is
+  // ready or no replica has room, then arms the flush deadline.
   //
   // Dispatch pipelines three phases per replica -- input link, compute,
-  // output link -- each a monotonic resource. On a streaming plan a replica
-  // admits a second batch while the first computes (depth 2), so the
-  // admitted batch's input transfer runs behind the in-flight compute; the
-  // hidden portion is the overlap metric. A copy plan has in_s = out_s = 0
-  // and depth 1, which makes these formulas reproduce the unpipelined event
-  // times exactly.
-  void Pump(double now) {
-    for (;;) {
-      batcher_.Drain(queue_);
-      if (free_.empty() || !batcher_.Ready(now)) return;
-      std::vector<Request> batch = batcher_.Pop();
-      // Least-loaded free replica, lowest id on ties (set iterates
-      // ascending): spread across idle replicas first, pipeline under load.
-      std::size_t r = *free_.begin();
-      for (std::size_t cand : free_) {
-        if (replicas_[cand].fifo.size() < replicas_[r].fifo.size()) r = cand;
-      }
-      ReplicaState& rs = replicas_[r];
-      const double in_start = std::max(now, rs.in_free);
-      const double in_done = in_start + profile_.in_s;
-      const double comp_start = std::max(in_done, rs.comp_free);
-      const double comp_done = comp_start + profile_.compute_s;
-      const double out_start = std::max(comp_done, rs.out_free);
-      const double out_done = out_start + profile_.out_s;
-      // Input-link time spent while the replica was still computing the
-      // previous batch: transfer hidden behind compute.
-      const double overlapped =
-          std::max(0.0, std::min(in_done, rs.comp_free) - in_start);
-      rs.in_free = in_done;
-      rs.comp_free = comp_done;
-      rs.out_free = out_done;
-      metrics_.RecordBatch(batch.size(), now);
-      metrics_.RecordOverlap(overlapped);
-      if (ingress_ != nullptr) {
-        // Batch formation spans the oldest member's arrival to dispatch.
-        const std::uint64_t bid = batch_seq_++;
-        ingress_->AsyncBegin("batch_form", "batch",
-                             batch.front().arrival_s * 1e6, bid,
-                             {obs::Arg("occupancy", batch.size())});
-        ingress_->AsyncEnd("batch_form", "batch", now * 1e6, bid);
-        if (profile_.enabled) {
-          replica_tracks_[r]->Complete("stream_in", "host", in_start * 1e6,
-                                       profile_.in_s * 1e6,
-                                       {obs::Arg("batch", bid),
-                                        obs::Arg("overlapped_s", overlapped)});
+  // output link -- each a monotonic resource. On a streaming backend a
+  // replica admits a second batch while the first computes (depth 2), so
+  // the admitted batch's input transfer runs behind the in-flight compute.
+  // A copy backend has in_s = out_s = 0 and depth 1, which makes these
+  // formulas reproduce the unpipelined event times exactly.
+  void Pump(std::size_t s, double now) {
+    SlotState& st = slots_[s];
+    const StreamProfile& p = st.profile;
+    while (!st.free.empty() && st.batcher.Ready(now)) {
+      BatchRun run;
+      run.requests = st.batcher.Pop();
+      std::size_t r = *st.free.begin();
+      for (std::size_t cand : st.free) {
+        if (st.replicas[cand].fifo.size() < st.replicas[r].fifo.size()) {
+          r = cand;
         }
-        replica_tracks_[r]->Complete("device_run", "serve", comp_start * 1e6,
-                                     profile_.compute_s * 1e6,
-                                     {obs::Arg("batch", bid),
-                                      obs::Arg("occupancy", batch.size())});
-        if (profile_.enabled) {
-          replica_tracks_[r]->Complete("stream_out", "host", out_start * 1e6,
-                                       profile_.out_s * 1e6,
-                                       {obs::Arg("batch", bid)});
-        }
-        cfg_.tracer->Count("serve.batches");
       }
-      schedule_[r].push_back(batch);
-      rs.fifo.push_back(InFlight{now, std::move(batch)});
-      if (rs.fifo.size() >= depth_) free_.erase(r);
-      Push(Event{out_done, seq_++, Event::kDone, Request{}, r});
+      Replica& rep = st.replicas[r];
+      run.slot = s;
+      run.replica = r;
+      run.id = dispatched_++;
+      run.dispatch_s = now;
+      run.in_start_s = std::max(now, rep.in_free);
+      const double in_done = run.in_start_s + p.in_s;
+      run.comp_start_s = std::max(in_done, rep.comp_free);
+      const double comp_done = run.comp_start_s + p.compute_s;
+      run.out_start_s = std::max(comp_done, rep.out_free);
+      const double out_done = run.out_start_s + p.out_s;
+      run.overlapped_s =
+          std::max(0.0, std::min(in_done, rep.comp_free) - run.in_start_s);
+      rep.in_free = in_done;
+      rep.comp_free = comp_done;
+      rep.out_free = out_done;
+      metrics_.RecordBatchFor(loop_.slots[s].metrics_row, run.requests.size(),
+                              now);
+      metrics_.RecordOverlap(run.overlapped_s);
+      door_.Dispatched(run);
+      rep.fifo.push_back(std::move(run));
+      if (rep.fifo.size() >= st.depth) st.free.erase(r);
+      Push(out_done, Event::kDone, s, r);
     }
-  }
-
-  // A partial batch left waiting needs a future wake-up at its flush
-  // deadline -- but only when a replica is free (otherwise the next kDone
-  // re-evaluates) and no earlier deadline event is already pending (front
-  // arrivals are FIFO, so pending deadline times never exceed the current
-  // one).
-  void ScheduleDeadline(double now) {
-    if (batcher_.empty() || free_.empty() || pending_deadlines_ > 0) return;
-    const double d = batcher_.Deadline();
+    // A partial batch left waiting needs a future wake-up at its flush
+    // deadline -- but only when a replica is free (otherwise the next kDone
+    // re-evaluates) and no earlier deadline event is already pending (front
+    // arrivals are FIFO, so pending deadline times never exceed the current
+    // one).
+    if (st.batcher.empty() || st.free.empty() || st.pending_deadlines > 0) {
+      return;
+    }
+    const double d = st.batcher.Deadline();
     if (!std::isfinite(d)) return;
-    Push(Event{std::max(d, now), seq_++, Event::kDeadline, Request{}, 0});
-    ++pending_deadlines_;
+    Push(std::max(d, now), Event::kDeadline, s);
+    ++st.pending_deadlines;
   }
 
-  // Replays the recorded dispatch schedule through the replica engines to
-  // produce logits. Parallel across replicas, sequential within one; batch
-  // composition is fixed by the DES, so results are independent of
-  // host_threads.
-  void ReplayNumerics(ServeResult& result) {
-    if (inputs_ == nullptr || !backend_.canExecute()) return;
-    const nn::ForwardSpec& spec = backend_.spec();
-    result.logits = Matrix(total_, spec.classes);
+  // Per-replica completions are FIFO: out_free advances monotonically at
+  // dispatch, so the front of the pipeline is always the batch this event
+  // announces.
+  void Complete(std::size_t s, std::size_t r, double now) {
+    SlotState& st = slots_[s];
+    Replica& rep = st.replicas[r];
+    BatchRun done = std::move(rep.fifo.front());
+    rep.fifo.pop_front();
+    if (rep.fifo.size() < st.depth) st.free.insert(r);
+    const double done_s = now + loop_.slots[s].response_hop_s;
+    last_completion_s_ = std::max(last_completion_s_, done_s);
+    for (const Request& req : done.requests) {
+      metrics_.RecordCompletion(done_s - req.arrival_s,
+                                done.dispatch_s - req.arrival_s);
+      if (closed_loop_ && issued_ < total_) AddArrival(done_s + think_s_);
+    }
+    answered_ += done.requests.size();
+    door_.Completed(done, now, done_s);
+    if (replay_) rep.answered.push_back(std::move(done.requests));
+  }
+
+  // Replays each replica's answered batches through its engine to produce
+  // logits: parallel across every (slot, replica) pair, sequential within
+  // one. Batch composition is fixed by the loop, so results are independent
+  // of host_threads.
+  Matrix Replay() {
+    if (!replay_) return Matrix();
+    Matrix logits(total_, loop_.slots[0].backend->spec().classes);
+    std::vector<std::pair<std::size_t, std::size_t>> units;
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+      for (std::size_t r = 0; r < slots_[s].replicas.size(); ++r) {
+        units.emplace_back(s, r);
+      }
+    }
     ParallelForWith(
-        cfg_.host_threads, 0, backend_.replicas(),
+        loop_.host_threads, 0, units.size(),
         [&](std::size_t begin, std::size_t end) {
-          for (std::size_t r = begin; r < end; ++r) {
-            for (const std::vector<Request>& batch : schedule_[r]) {
-              Matrix in(batch.size(), spec.input);
+          for (std::size_t u = begin; u < end; ++u) {
+            const auto [s, r] = units[u];
+            for (const auto& batch : slots_[s].replicas[r].answered) {
+              Matrix in(batch.size(), inputs_->cols());
               for (std::size_t i = 0; i < batch.size(); ++i) {
                 auto src = inputs_->row(batch[i].row);
                 std::copy(src.begin(), src.end(), in.row(i).begin());
               }
-              Matrix out = backend_.ExecuteBatch(r, in);
+              const Matrix out = loop_.slots[s].backend->ExecuteBatch(r, in);
               for (std::size_t i = 0; i < batch.size(); ++i) {
-                auto dst = result.logits.row(batch[i].id);
+                auto dst = logits.row(batch[i].id);
                 std::copy(out.row(i).begin(), out.row(i).end(), dst.begin());
               }
             }
           }
         },
         /*min_grain=*/1);
+    return logits;
   }
 
-  // One replica's pipeline: absolute sim times each phase resource frees,
-  // plus the in-flight batches in dispatch (= completion) order.
-  struct ReplicaState {
-    double in_free = 0.0;
-    double comp_free = 0.0;
-    double out_free = 0.0;
-    std::deque<InFlight> fifo;
-  };
-
-  ExecutionBackend& backend_;
-  const ServerConfig& cfg_;
-  BoundedMpmcQueue<Request> queue_;
-  MicroBatcher batcher_;
-  ServeMetrics metrics_;
-  const StreamProfile profile_;
-  const std::size_t depth_;  // in-flight batches per replica (2 = streaming)
-  const Matrix* inputs_;
+  const EventLoop& loop_;
+  FrontDoor& door_;
+  ServeMetrics& metrics_;
+  const Matrix* inputs_;  // null = no features (or a 0-row matrix)
   const std::size_t total_;
+  bool replay_ = false;
+  bool closed_loop_ = false;
+  double think_s_ = 0.0;
 
+  std::vector<SlotState> slots_;
   std::priority_queue<Event, std::vector<Event>, EventLater> events_;
   std::uint64_t seq_ = 0;
   std::uint64_t issued_ = 0;
-  // Replicas with pipeline headroom; dispatch picks the least-loaded,
-  // lowest id on ties.
-  std::set<std::size_t> free_;
-  std::vector<ReplicaState> replicas_;
-  std::vector<std::vector<std::vector<Request>>> schedule_;  // per replica
-  std::size_t pending_deadlines_ = 0;
+  std::uint64_t answered_ = 0;  // completed + rejected
+  std::uint64_t dispatched_ = 0;
   double last_completion_s_ = 0.0;
+};
+
+// The single-chip front door: every request goes to slot 0. Its trace
+// vocabulary is one ingress lane (admissions, queue waits, batch
+// formation) plus a track per replica (device runs, per-request device
+// spans).
+class DirectDoor final : public FrontDoor {
+ public:
+  DirectDoor(const ServerConfig& cfg, const ExecutionBackend& backend,
+             ServeMetrics& metrics)
+      : tracer_(cfg.tracer), profile_(backend.streamProfile()) {
+    if (tracer_ == nullptr) return;
+    const std::string pname =
+        cfg.trace_label.empty() ? "serve" : cfg.trace_label;
+    ingress_ = &tracer_->track(cfg.trace_pid, 0, pname, "ingress");
+    replica_tracks_.reserve(backend.replicas());
+    for (std::size_t r = 0; r < backend.replicas(); ++r) {
+      replica_tracks_.push_back(&tracer_->track(
+          cfg.trace_pid, 1 + r, pname, "replica " + std::to_string(r)));
+    }
+    metrics.AttachTracer(tracer_, ingress_);
+  }
+
+  std::size_t Route(const Request&, double) override { return 0; }
+
+  void Admitted(std::size_t, const Request& req, double now) override {
+    if (ingress_ == nullptr) return;
+    // The request lifecycle span opens at admission and closes at
+    // completion (async-nestable: queued requests overlap freely).
+    ingress_->AsyncBegin("request", "request", now * 1e6, req.id);
+    tracer_->Count("serve.admitted");
+  }
+
+  void Rejected(std::size_t, const Request& req, double now) override {
+    if (ingress_ == nullptr) return;
+    ingress_->Instant("reject", "serve", now * 1e6,
+                      {obs::Arg("request", req.id)});
+    tracer_->Count("serve.rejected");
+  }
+
+  void Dispatched(const BatchRun& run) override {
+    if (ingress_ == nullptr) return;
+    TraceDispatch(*tracer_, *ingress_, *replica_tracks_[run.replica],
+                  profile_, run, "serve", "serve.batches");
+  }
+
+  void Completed(const BatchRun& run, double now, double done_s) override {
+    if (ingress_ == nullptr) return;
+    TraceAnswers(*tracer_, *ingress_, *replica_tracks_[run.replica],
+                 "serve.completed", run, now, done_s);
+  }
+
+ private:
+  obs::Tracer* tracer_;
+  const StreamProfile& profile_;
   obs::TraceTrack* ingress_ = nullptr;  // null = tracing off
   std::vector<obs::TraceTrack*> replica_tracks_;
-  std::uint64_t batch_seq_ = 0;
 };
 
 }  // namespace
 
-Server::Server(ExecutionBackend& backend, ServerConfig config)
-    : backend_(&backend), config_(config) {
-  REPRO_REQUIRE(config.queue_capacity > 0, "queue capacity must be positive");
-  REPRO_REQUIRE(backend.replicas() > 0,
-                "serving backend has no replicas to dispatch to");
+void TraceDispatch(obs::Tracer& tracer, obs::TraceTrack& lane,
+                   obs::TraceTrack& device, const StreamProfile& profile,
+                   const BatchRun& run, const char* cat, const char* counter,
+                   const std::vector<obs::TraceArg>& lane_args,
+                   const std::vector<obs::TraceArg>& device_args) {
+  auto args = [](std::vector<obs::TraceArg> own,
+                 const std::vector<obs::TraceArg>& extra) {
+    own.insert(own.end(), extra.begin(), extra.end());
+    return own;
+  };
+  const std::size_t occupancy = run.requests.size();
+  lane.AsyncBegin("batch_form", "batch", run.requests.front().arrival_s * 1e6,
+                  run.id, args({obs::Arg("occupancy", occupancy)}, lane_args));
+  lane.AsyncEnd("batch_form", "batch", run.dispatch_s * 1e6, run.id);
+  if (profile.enabled) {
+    device.Complete("stream_in", "host", run.in_start_s * 1e6,
+                    profile.in_s * 1e6,
+                    args({obs::Arg("batch", run.id),
+                          obs::Arg("overlapped_s", run.overlapped_s)},
+                         device_args));
+  }
+  device.Complete("device_run", cat, run.comp_start_s * 1e6,
+                  profile.compute_s * 1e6,
+                  args({obs::Arg("batch", run.id),
+                        obs::Arg("occupancy", occupancy)},
+                       device_args));
+  if (profile.enabled) {
+    device.Complete("stream_out", "host", run.out_start_s * 1e6,
+                    profile.out_s * 1e6,
+                    args({obs::Arg("batch", run.id)}, device_args));
+  }
+  tracer.Count(counter);
 }
 
-Server::Server(ReplicaPool& pool, ServerConfig config)
-    : owned_(std::make_unique<IpuBackend>(pool.plan(), &pool)),
-      backend_(owned_.get()),
-      config_(config) {
-  REPRO_REQUIRE(config.queue_capacity > 0, "queue capacity must be positive");
+void TraceAnswers(obs::Tracer& tracer, obs::TraceTrack& lane,
+                  obs::TraceTrack& device, const char* counter,
+                  const BatchRun& run, double now, double done_s) {
+  const double disp_us = run.dispatch_s * 1e6;
+  for (const Request& req : run.requests) {
+    lane.AsyncBegin("queue", "request", req.arrival_s * 1e6, req.id);
+    lane.AsyncEnd("queue", "request", disp_us, req.id);
+    device.AsyncBegin("device", "device", disp_us, req.id);
+    device.AsyncEnd("device", "device", now * 1e6, req.id,
+                    {obs::Arg("latency_s", done_s - req.arrival_s),
+                     obs::Arg("queue_delay_s", run.dispatch_s - req.arrival_s)});
+    lane.AsyncEnd("request", "request", done_s * 1e6, req.id);
+    tracer.Count(counter);
+  }
 }
 
-ServeResult Server::RunOpenLoop(const OpenLoopLoad& load,
-                                const Matrix* inputs) {
+Matrix EventLoop::Run(const OpenLoopLoad& load, const Matrix* inputs,
+                      FrontDoor& door, ServeMetrics& metrics) const {
   REPRO_REQUIRE(load.qps > 0.0, "open-loop rate must be positive");
-  Simulation sim(*backend_, config_, load.requests, inputs);
+  Simulation sim(*this, door, metrics, load.requests, inputs);
   Rng rng(load.seed);
   double t = 0.0;
   for (std::size_t i = 0; i < load.requests; ++i) {
@@ -333,17 +436,47 @@ ServeResult Server::RunOpenLoop(const OpenLoopLoad& load,
   return sim.Run(/*closed_loop=*/false, /*think_s=*/0.0);
 }
 
-ServeResult Server::RunClosedLoop(const ClosedLoopLoad& load,
-                                  const Matrix* inputs) {
+Matrix EventLoop::Run(const ClosedLoopLoad& load, const Matrix* inputs,
+                      FrontDoor& door, ServeMetrics& metrics) const {
   REPRO_REQUIRE(load.clients > 0, "closed loop needs at least one client");
-  REPRO_REQUIRE(load.clients <= config_.queue_capacity,
+  REPRO_REQUIRE(load.clients <= queue_capacity,
                 "closed-loop clients (%zu) exceed the queue bound (%zu): the "
                 "backpressure contract caps outstanding work at the queue",
-                load.clients, config_.queue_capacity);
-  Simulation sim(*backend_, config_, load.requests, inputs);
+                load.clients, queue_capacity);
+  Simulation sim(*this, door, metrics, load.requests, inputs);
   const std::size_t initial = std::min(load.clients, load.requests);
   for (std::size_t c = 0; c < initial; ++c) sim.AddArrival(0.0);
   return sim.Run(/*closed_loop=*/true, load.think_s);
+}
+
+Server::Server(ExecutionBackend& backend, ServerConfig config)
+    : backend_(&backend), config_(config) {}
+
+Server::Server(ReplicaPool& pool, ServerConfig config)
+    : owned_(std::make_unique<IpuBackend>(pool.plan(), &pool)),
+      backend_(owned_.get()),
+      config_(config) {}
+
+template <typename Load>
+ServeResult Server::Run(const Load& load, const Matrix* inputs) {
+  ServeResult res{ServeMetrics(config_.batch.max_batch), Matrix()};
+  DirectDoor door(config_, *backend_, res.metrics);
+  const EventLoop loop{.slots = {Slot{.backend = backend_}},
+                       .batch = config_.batch,
+                       .queue_capacity = config_.queue_capacity,
+                       .host_threads = config_.host_threads};
+  res.logits = loop.Run(load, inputs, door, res.metrics);
+  return res;
+}
+
+ServeResult Server::RunOpenLoop(const OpenLoopLoad& load,
+                                const Matrix* inputs) {
+  return Run(load, inputs);
+}
+
+ServeResult Server::RunClosedLoop(const ClosedLoopLoad& load,
+                                  const Matrix* inputs) {
+  return Run(load, inputs);
 }
 
 }  // namespace repro::serve

@@ -310,6 +310,41 @@ TEST(PlacerTest, DecideFollowsScoreAndTiesGoToIpu) {
   EXPECT_NE(json.find("\"gpu\": {"), std::string::npos);
 }
 
+// The placer scores a streaming IPU plan at its pipelined cadence (the
+// widest stream phase per replica); the routed cluster it places into must
+// deliver that cadence, not the unpipelined batchSeconds().
+TEST(PlacerTest, RoutedClosedLoopDeliversTheScoredCadence) {
+  constexpr std::size_t kBatch = 8;
+  constexpr std::size_t kReplicas = 4;
+  for (Method method :
+       {Method::kBaseline, Method::kButterfly, Method::kPixelfly}) {
+    Rng rng(5);
+    nn::Sequential model = nn::BuildShl(method, SmallShape(64), rng);
+    const nn::ForwardSpec spec = nn::ExportForward(model);
+    auto plan = serve::ModelPlan::Build(
+        spec, ipu::Gc200(),
+        serve::PlanOptions{.max_batch = kBatch, .execute = false});
+    ASSERT_TRUE(plan.ok()) << plan.status().message();
+    ASSERT_TRUE(plan.value()->streamProfile().enabled);
+    serve::ReplicaPool pool(*plan.value(), kReplicas);
+    serve::IpuBackend backend(*plan.value(), &pool, kReplicas);
+    const double predicted =
+        cluster::CostModelPlacer().Score(backend, 1.0).qps_per_device;
+
+    const std::size_t clients = 2 * kReplicas * kBatch;
+    cluster::RouterConfig rc;
+    rc.batch = serve::BatchPolicy{.max_batch = kBatch, .max_delay_s = 200e-6};
+    rc.queue_capacity = clients;
+    cluster::Router router({&backend}, rc);
+    const double qps =
+        router
+            .RunClosedLoop(serve::ClosedLoopLoad{
+                .clients = clients, .requests = 8 * clients, .think_s = 0.0})
+            .metrics.qps();
+    EXPECT_NEAR(qps / predicted, 1.0, 0.01) << core::MethodName(method);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Heterogeneous cluster: per-backend metrics breakdown
 

@@ -1,10 +1,14 @@
 // Tests for the cluster serving fabric (src/cluster): LinkFabric collective
 // algebra, consistent-hash ring stability, router placement determinism and
-// backpressure, sharded-vs-unsharded logit parity, the autoscaler, and the
-// cluster determinism contract (metrics + logits invariant to host threads).
+// backpressure, sharded-vs-unsharded logit parity, the autoscaler, the
+// cluster determinism contract (metrics + logits invariant to host threads),
+// and the one event loop (a 1-chip, zero-fabric Router is the Server).
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -134,11 +138,11 @@ TEST(HashRingTest, EveryChipOwnsKeys) {
 // ---------------------------------------------------------------------------
 // Router (timing-only plans: scheduling without numerics)
 
-core::ShlShape SmallShape(std::size_t n) {
+core::ShlShape SmallShape(std::size_t n, std::size_t classes = 10) {
   core::ShlShape shape;
   shape.input = n;
   shape.hidden = n;
-  shape.classes = 10;
+  shape.classes = classes;
   return shape;
 }
 
@@ -348,6 +352,131 @@ TEST(RouterTest, MetricsAndLogitsBitwiseIdenticalAcrossHostThreads) {
                         a.logits.rows() * a.logits.cols() * sizeof(float)),
             0);
   EXPECT_EQ(a.metrics.completed(), 48u);
+}
+
+// ---------------------------------------------------------------------------
+// One event loop: serve::Server is the 1-chip, zero-fabric Router
+
+std::uint64_t Bits(double v) {
+  std::uint64_t u = 0;
+  std::memcpy(&u, &v, sizeof(u));
+  return u;
+}
+
+void ExpectSameServer(const serve::ServeMetrics& a,
+                      const serve::ServeMetrics& b) {
+  ASSERT_EQ(a.latencies().size(), b.latencies().size());
+  for (std::size_t i = 0; i < a.latencies().size(); ++i) {
+    ASSERT_EQ(Bits(a.latencies()[i]), Bits(b.latencies()[i]))
+        << "completion " << i;
+  }
+  EXPECT_EQ(a.occupancyHist(), b.occupancyHist());
+  EXPECT_EQ(a.batches(), b.batches());
+  EXPECT_EQ(a.admitted(), b.admitted());
+  EXPECT_EQ(a.rejected(), b.rejected());
+  EXPECT_EQ(Bits(a.horizonSeconds()), Bits(b.horizonSeconds()));
+  EXPECT_EQ(Bits(a.meanQueueDelay()), Bits(b.meanQueueDelay()));
+  EXPECT_EQ(Bits(a.overlappedHostSeconds()), Bits(b.overlappedHostSeconds()));
+}
+
+// (streaming plan, closed loop)
+class OneChipRouterTest
+    : public ::testing::TestWithParam<std::tuple<bool, bool>> {};
+
+TEST_P(OneChipRouterTest, IsTheServer) {
+  const auto [streaming, closed_loop] = GetParam();
+  const std::size_t n = 64;
+  const std::size_t max_batch = 8;
+  const std::size_t replicas = 2;
+  Rng rng(41);
+  nn::Sequential model = nn::BuildShl(Method::kButterfly, SmallShape(n), rng);
+  nn::ForwardSpec spec = nn::ExportForward(model);
+  auto plan = serve::ModelPlan::Build(
+      spec, ipu::Gc200(),
+      serve::PlanOptions{.max_batch = max_batch, .streaming = streaming});
+  ASSERT_TRUE(plan.ok()) << plan.status().message();
+  ASSERT_EQ(plan.value()->streamProfile().enabled, streaming);
+  Matrix inputs(16, n);
+  Rng data_rng(7);
+  data_rng.FillUniform(inputs.data(), inputs.rows() * inputs.cols(), -1.0f,
+                       1.0f);
+
+  serve::ReplicaPool pool(*plan.value(), replicas);
+  serve::IpuBackend backend(*plan.value(), &pool);
+  const serve::BatchPolicy batch{.max_batch = max_batch,
+                                 .max_delay_s = 100e-6};
+  const std::size_t queue = 2 * replicas * max_batch;
+  serve::ServerConfig sc;
+  sc.batch = batch;
+  sc.queue_capacity = queue;
+  RouterConfig rc;
+  rc.batch = batch;
+  rc.queue_capacity = queue;
+  serve::Server server(backend, sc);
+  Router router({&backend}, rc);
+
+  const serve::ClosedLoopLoad closed{.clients = queue, .requests = 8 * queue};
+  // Past what the replicas sustain, so the queue bound sheds.
+  const serve::OpenLoopLoad open{
+      .qps = 3.0 * replicas * max_batch / plan.value()->batchSeconds(),
+      .requests = 8 * queue,
+      .seed = 5};
+  const serve::ServeResult s = closed_loop
+                                   ? server.RunClosedLoop(closed, &inputs)
+                                   : server.RunOpenLoop(open, &inputs);
+  const ClusterResult r = closed_loop ? router.RunClosedLoop(closed, &inputs)
+                                      : router.RunOpenLoop(open, &inputs);
+  ExpectSameServer(s.metrics, r.metrics.aggregate());
+  EXPECT_EQ(s.metrics.overlappedHostSeconds() > 0.0, streaming);
+  EXPECT_EQ(r.metrics.completed(), s.metrics.completed());
+  ASSERT_EQ(s.logits.rows(), 8 * queue);
+  ASSERT_EQ(r.logits.rows(), s.logits.rows());
+  ASSERT_EQ(r.logits.cols(), s.logits.cols());
+  EXPECT_EQ(std::memcmp(r.logits.data(), s.logits.data(),
+                        s.logits.rows() * s.logits.cols() * sizeof(float)),
+            0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    CopyAndStreamingPlans, OneChipRouterTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<bool, bool>>& info) {
+      return std::string(std::get<0>(info.param) ? "Streaming" : "Copy") +
+             (std::get<1>(info.param) ? "ClosedLoop" : "OpenLoop");
+    });
+
+// The replay writes every slot's logits into one matrix, so chips serving
+// models with different class counts cannot share a replay.
+TEST(RouterDeathTest, SlotsDisagreeingOnClassCountDie) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::size_t n = 64;
+  const std::size_t max_batch = 8;
+  std::vector<std::unique_ptr<serve::ModelPlan>> plans;
+  for (std::size_t classes : {10, 20}) {
+    Rng rng(41);
+    nn::Sequential model =
+        nn::BuildShl(Method::kButterfly, SmallShape(n, classes), rng);
+    auto plan = serve::ModelPlan::Build(
+        nn::ExportForward(model), ipu::Gc200(),
+        serve::PlanOptions{.max_batch = max_batch});
+    ASSERT_TRUE(plan.ok()) << plan.status().message();
+    plans.push_back(plan.take());
+  }
+  PoolSet pools;
+  for (const auto& plan : plans) {
+    pools.own.push_back(std::make_unique<serve::ReplicaPool>(*plan, 1));
+    pools.ptrs.push_back(pools.own.back().get());
+  }
+  RouterConfig rc;
+  rc.batch = serve::BatchPolicy{.max_batch = max_batch, .max_delay_s = 0.0};
+  Router router(pools.ptrs, rc);
+  const Matrix inputs(max_batch, n);
+  EXPECT_DEATH(router.RunClosedLoop(serve::ClosedLoopLoad{.clients = 16,
+                                                          .requests = 32,
+                                                          .think_s = 0.0},
+                                    &inputs),
+               "slots disagree on the logits width: slot 1 has 20 classes, "
+               "slot 0 has 10");
 }
 
 // ---------------------------------------------------------------------------

@@ -1,13 +1,10 @@
-// Tests for the serving subsystem (src/serve): ingress queue semantics,
-// micro-batcher policy, metrics arithmetic, device-vs-host numerics parity
-// for all three deployed methods, replica sharing, the butterfly > dense
-// capacity ordering, the determinism contract, and backpressure.
-#include <atomic>
-#include <chrono>
+// Tests for the serving subsystem (src/serve): micro-batcher policy,
+// metrics arithmetic, device-vs-host numerics parity for all three deployed
+// methods, replica sharing, the butterfly > dense capacity ordering, the
+// determinism contract, backpressure, and the replay's input checks.
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,7 +19,6 @@
 #include "serve/metrics.h"
 #include "serve/model_plan.h"
 #include "serve/replica_pool.h"
-#include "serve/request_queue.h"
 #include "serve/server.h"
 #include "util/rng.h"
 
@@ -30,108 +26,6 @@ namespace repro::serve {
 namespace {
 
 using core::Method;
-
-// ---------------------------------------------------------------------------
-// BoundedMpmcQueue
-
-TEST(RequestQueueTest, TryPushShedsAtCapacity) {
-  BoundedMpmcQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));  // full: admission control refuses
-  EXPECT_EQ(q.size(), 2u);
-  int v = 0;
-  EXPECT_TRUE(q.TryPop(v));
-  EXPECT_EQ(v, 1);
-  EXPECT_TRUE(q.TryPush(3));  // slot freed
-}
-
-TEST(RequestQueueTest, CloseDrainsThenFails) {
-  BoundedMpmcQueue<int> q(4);
-  ASSERT_TRUE(q.TryPush(7));
-  ASSERT_TRUE(q.TryPush(8));
-  q.Close();
-  q.Close();  // idempotent
-  EXPECT_FALSE(q.TryPush(9));
-  int v = 0;
-  EXPECT_TRUE(q.Pop(v));
-  EXPECT_EQ(v, 7);
-  EXPECT_TRUE(q.Pop(v));
-  EXPECT_EQ(v, 8);
-  EXPECT_FALSE(q.Pop(v));  // closed and drained
-  EXPECT_FALSE(q.TryPop(v));
-}
-
-TEST(RequestQueueTest, CloseWakesProducerBlockedInPush) {
-  BoundedMpmcQueue<int> q(1);
-  ASSERT_TRUE(q.TryPush(1));  // full: the next Push must block
-  std::atomic<bool> pushed{false};
-  std::atomic<bool> result{true};
-  std::thread producer([&] {
-    result = q.Push(2);
-    pushed = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(pushed.load());  // still parked in the full-queue wait
-  q.Close();
-  producer.join();
-  EXPECT_FALSE(result.load());  // closed while blocked -> push refused
-  int v = 0;
-  EXPECT_TRUE(q.Pop(v));  // the pre-close item still drains
-  EXPECT_EQ(v, 1);
-  EXPECT_FALSE(q.Pop(v));
-}
-
-TEST(RequestQueueTest, CloseWakesConsumerBlockedInPop) {
-  BoundedMpmcQueue<int> q(4);
-  std::atomic<bool> popped{false};
-  std::atomic<bool> result{true};
-  std::thread consumer([&] {
-    int v = 0;
-    result = q.Pop(v);
-    popped = true;
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(popped.load());  // still parked in the empty-queue wait
-  q.Close();
-  consumer.join();
-  EXPECT_FALSE(result.load());  // closed and empty -> pop fails
-}
-
-TEST(RequestQueueTest, ConcurrentProducersConsumersLoseNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kConsumers = 3;
-  constexpr int kPerProducer = 500;
-  BoundedMpmcQueue<int> q(16);
-  std::atomic<long long> sum{0};
-  std::atomic<int> popped{0};
-
-  std::vector<std::thread> consumers;
-  for (int c = 0; c < kConsumers; ++c) {
-    consumers.emplace_back([&] {
-      int v;
-      while (q.Pop(v)) {
-        sum.fetch_add(v);
-        popped.fetch_add(1);
-      }
-    });
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.Push(p * kPerProducer + i));  // backpressure, not shed
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  q.Close();
-  for (auto& t : consumers) t.join();
-
-  const long long n = kProducers * kPerProducer;
-  EXPECT_EQ(popped.load(), n);
-  EXPECT_EQ(sum.load(), n * (n - 1) / 2);
-}
 
 // ---------------------------------------------------------------------------
 // MicroBatcher
@@ -512,6 +406,42 @@ TEST(ServerTest, OpenLoopOverloadShedsAndAccounts) {
   EXPECT_EQ(r.logits.rows(), 0u);  // no inputs -> timing only
 }
 
+// The exact shed point: a burst that lands well inside one batch time fills
+// the replica's pipeline (one batch in flight on a copy plan, two on a
+// streaming one), then the forming batch, then queue_capacity waiting
+// requests; every later arrival is shed.
+TEST(ServerTest, BurstShedsPastPipelineFormingBatchAndQueue) {
+  Rng rng(5);
+  nn::Sequential model = nn::BuildShl(Method::kButterfly, SmallShape(64), rng);
+  nn::ForwardSpec spec = nn::ExportForward(model);
+
+  auto run = [&](bool streaming) {
+    auto plan = ModelPlan::Build(spec, ipu::Gc200(),
+                                 PlanOptions{.max_batch = 4,
+                                             .execute = false,
+                                             .streaming = streaming});
+    REPRO_REQUIRE(plan.ok(), "plan: %s", plan.status().message().c_str());
+    ReplicaPool pool(*plan.value(), /*replicas=*/1);
+    ServerConfig cfg;
+    cfg.batch = BatchPolicy{.max_batch = 4, .max_delay_s = 50e-6};
+    cfg.queue_capacity = 4;
+    Server server(pool, cfg);
+    return server.RunOpenLoop(
+        OpenLoopLoad{.qps = 1e6 / plan.value()->batchSeconds(),
+                     .requests = 40,
+                     .seed = 3});
+  };
+
+  const ServeResult copy = run(false);
+  EXPECT_EQ(copy.metrics.admitted(), 12u);  // 4 in flight + 4 forming + 4
+  EXPECT_EQ(copy.metrics.rejected(), 28u);
+  EXPECT_EQ(copy.metrics.completed(), 12u);
+  const ServeResult stream = run(true);
+  EXPECT_EQ(stream.metrics.admitted(), 16u);  // 8 in flight + 4 forming + 4
+  EXPECT_EQ(stream.metrics.rejected(), 24u);
+  EXPECT_EQ(stream.metrics.completed(), 16u);
+}
+
 TEST(ServerTest, ClosedLoopNeverRejects) {
   ServeFixture fx;
   ReplicaPool pool(*fx.plan, /*replicas=*/2);
@@ -527,6 +457,39 @@ TEST(ServerTest, ClosedLoopNeverRejects) {
   EXPECT_GT(r.metrics.meanOccupancy(), 1.0);
   // Every request's logits were replayed.
   ASSERT_EQ(r.logits.rows(), 100u);
+}
+
+// The numerics replay only runs on inputs it can copy: a 0-row feature
+// matrix means no replay at all, and features wider than the model abort
+// before the loop runs instead of writing past each batch's rows.
+TEST(ServerTest, ZeroRowInputsServeEveryRequestWithoutReplay) {
+  ServeFixture fx;
+  ReplicaPool pool(*fx.plan, /*replicas=*/2);
+  ServerConfig cfg;
+  cfg.batch = BatchPolicy{.max_batch = 4, .max_delay_s = 50e-6};
+  cfg.queue_capacity = 8;
+  Server server(pool, cfg);
+  const Matrix no_rows(0, 64);
+  ServeResult r = server.RunClosedLoop(
+      ClosedLoopLoad{.clients = 8, .requests = 40, .think_s = 0.0}, &no_rows);
+  EXPECT_EQ(r.metrics.completed(), 40u);
+  EXPECT_EQ(r.logits.rows(), 0u);
+}
+
+TEST(ServerDeathTest, InputsWiderThanTheModelDie) {
+  testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ServeFixture fx;
+  ReplicaPool pool(*fx.plan, /*replicas=*/2);
+  ServerConfig cfg;
+  cfg.batch = BatchPolicy{.max_batch = 4, .max_delay_s = 50e-6};
+  cfg.queue_capacity = 8;
+  Server server(pool, cfg);
+  const Matrix wide(16, 64 + 16);
+  EXPECT_DEATH(server.RunClosedLoop(ClosedLoopLoad{.clients = 8,
+                                                   .requests = 40,
+                                                   .think_s = 0.0},
+                                    &wide),
+               "replay inputs have 80 features but slot 0's model takes 64");
 }
 
 // ---------------------------------------------------------------------------
