@@ -30,7 +30,13 @@
 #      serve_demo into a --cache-dir, then rerun each in a fresh process that
 #      must load every ipu::Executable from disk (0 compiles) and produce
 #      byte-identical JSON/output;
-#   6. AddressSanitizer build of the concurrency-heavy tests (test_serve,
+#   6. perfbench simulated outputs: python3 perfbench/run.py --determinism
+#      --tiny runs every benchmark workload at 1 and 4 host threads and
+#      requires one sim.digest per workload (a hash of every simulated
+#      output it records); each digest must also equal
+#      scripts/golden/perfbench_tiny_digests.txt, so the simulated outputs
+#      are pinned across commits, not only across thread counts;
+#   7. AddressSanitizer build of the concurrency-heavy tests (test_serve,
 #      test_session, test_obs, test_kernels, test_stream, test_executable),
 #      of test_linalg, whose GEMM core reads vertex operands in place up to
 #      their row ends, and of test_cluster and test_backend, which drive the
@@ -333,6 +339,26 @@ if ! cmp -s "$tmp_dir/demo_cold.log" <(sed 's/^loaded cached/compiled/' \
   exit 1
 fi
 echo "ok: cold and warm runs byte-identical; warm runs served entirely from disk"
+
+echo "== perfbench simulated outputs vs golden digests =="
+# Builds perfbench/ into .bench_build/ on first use (about a minute), then
+# about 15 s of tiny-size runs.
+det_log="$tmp_dir/perfbench_determinism.log"
+if ! python3 "$repo_root/perfbench/run.py" --determinism --tiny \
+    > "$det_log" 2> "$tmp_dir/perfbench_determinism.err"; then
+  echo "FAIL: perfbench --determinism --tiny"
+  cat "$det_log"
+  tail -20 "$tmp_dir/perfbench_determinism.err"
+  exit 1
+fi
+sed -n 's/^\([a-z_]*\): sim\.digest \([0-9]*\) at 1 thread.*/\1 \2/p' \
+  "$det_log" > "$tmp_dir/perfbench_digests.txt"
+if ! diff -u "$repo_root/scripts/golden/perfbench_tiny_digests.txt" \
+    "$tmp_dir/perfbench_digests.txt"; then
+  echo "FAIL: perfbench sim.digest differs from the golden (left: golden)"
+  exit 1
+fi
+echo "ok: perfbench sim.digest identical across threads and equal to the golden"
 
 echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable + test_linalg + test_cluster + test_backend) =="
 asan_dir="$build_dir-asan"

@@ -51,17 +51,15 @@ ExeCache::ExeCache(std::string dir) : dir_(std::move(dir)) {
 
 std::uint64_t ExeCache::KeyOf(const Graph& graph, const Program& program,
                               const CompileOptions& options) {
-  std::vector<std::uint8_t> bytes;
   // Format version first: a layout bump invalidates every on-disk entry.
-  bytes.push_back(static_cast<std::uint8_t>(kExecutableFormatVersion));
-  bytes.push_back(options.allow_oversubscription ? 1 : 0);
-  bytes.push_back(options.fuse_compute_sets ? 1 : 0);
-  bytes.push_back(options.reuse_variable_memory ? 1 : 0);
+  const std::uint8_t head[] = {
+      static_cast<std::uint8_t>(kExecutableFormatVersion),
+      static_cast<std::uint8_t>(options.allow_oversubscription ? 1 : 0),
+      static_cast<std::uint8_t>(options.fuse_compute_sets ? 1 : 0),
+      static_cast<std::uint8_t>(options.reuse_variable_memory ? 1 : 0)};
   // Graph bytes embed the IpuArch fingerprint and all tile mappings (the
   // tile-slice size); trace options are deliberately not hashed.
-  AppendGraphBytes(graph, bytes);
-  AppendProgramBytes(program, bytes);
-  return Fnv1a64(bytes);
+  return Fnv1a64(graph, program, Fnv1a64(head));
 }
 
 std::string ExeCache::PathFor(std::uint64_t key) const {

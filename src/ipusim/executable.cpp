@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -22,24 +23,48 @@ constexpr std::uint64_t kMaxCount = 1ull << 32;
 // --- little-endian primitive writers -------------------------------------
 // Fixed-width little-endian regardless of host order; doubles/floats are
 // emitted as their raw IEEE-754 bits, so a round trip is bit-exact and the
-// encoding is deterministic (the artifact-byte contract).
+// encoding is deterministic (the artifact-byte contract). The writers feed a
+// ByteSink: VectorSink appends to the artifact's bytes, HashSink folds the
+// same bytes into FNV-1a without storing them (the compile cache's key).
 
-void PutU64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+template <typename S>
+concept ByteSink = requires(S sink, std::uint8_t b, const std::string& s) {
+  sink.Put(b);
+  sink.Put(s);
+};
+
+struct VectorSink {
+  std::vector<std::uint8_t>& bytes;
+  void Put(std::uint8_t b) { bytes.push_back(b); }
+  void Put(const std::string& s) {
+    bytes.insert(bytes.end(), s.begin(), s.end());
+  }
+};
+
+struct HashSink {
+  std::uint64_t h;
+  void Put(std::uint8_t b) { h = (h ^ b) * 0x100000001b3ull; }
+  void Put(const std::string& s) {
+    for (char c : s) Put(static_cast<std::uint8_t>(c));
+  }
+};
+
+void PutU64(ByteSink auto& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.Put(static_cast<std::uint8_t>(v >> (8 * i)));
 }
-void PutU32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void PutU32(ByteSink auto& out, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) out.Put(static_cast<std::uint8_t>(v >> (8 * i)));
 }
-void PutU8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
-void PutF64(std::vector<std::uint8_t>& out, double v) {
+void PutU8(ByteSink auto& out, std::uint8_t v) { out.Put(v); }
+void PutF64(ByteSink auto& out, double v) {
   PutU64(out, std::bit_cast<std::uint64_t>(v));
 }
-void PutF32(std::vector<std::uint8_t>& out, float v) {
+void PutF32(ByteSink auto& out, float v) {
   PutU32(out, std::bit_cast<std::uint32_t>(v));
 }
-void PutString(std::vector<std::uint8_t>& out, const std::string& s) {
+void PutString(ByteSink auto& out, const std::string& s) {
   PutU64(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
+  out.Put(s);
 }
 
 // --- bounds-checked reader ----------------------------------------------
@@ -95,7 +120,7 @@ struct Reader {
 
 // --- graph / program encodings ------------------------------------------
 
-void PutArch(std::vector<std::uint8_t>& out, const IpuArch& a) {
+void PutArch(ByteSink auto& out, const IpuArch& a) {
   PutU64(out, a.num_tiles);
   PutU64(out, a.threads_per_tile);
   PutU64(out, a.tile_memory_bytes);
@@ -131,7 +156,7 @@ IpuArch TakeArch(Reader& r) {
   return a;
 }
 
-void PutTensor(std::vector<std::uint8_t>& out, const Tensor& t) {
+void PutTensor(ByteSink auto& out, const Tensor& t) {
   PutU32(out, t.var);
   PutU64(out, t.offset);
   PutU64(out, t.numel);
@@ -149,7 +174,7 @@ Tensor TakeTensor(Reader& r) {
   return t;
 }
 
-void PutProgram(std::vector<std::uint8_t>& out, const Program& p) {
+void PutProgram(ByteSink auto& out, const Program& p) {
   PutU8(out, static_cast<std::uint8_t>(p.kind));
   PutU32(out, p.cs);
   PutTensor(out, p.src);
@@ -266,7 +291,7 @@ StatusOr<Graph> TakeGraph(Reader& r) {
                           std::move(vertices));
 }
 
-void PutStats(std::vector<std::uint8_t>& out, const CompileStats& s) {
+void PutStats(ByteSink auto& out, const CompileStats& s) {
   PutU64(out, s.num_variables);
   PutU64(out, s.num_vertices);
   PutU64(out, s.num_edges);
@@ -314,7 +339,7 @@ CompileStats TakeStats(Reader& r) {
   return s;
 }
 
-void PutKernelPlan(std::vector<std::uint8_t>& out, const KernelPlan& plan) {
+void PutKernelPlan(ByteSink auto& out, const KernelPlan& plan) {
   PutU64(out, plan.codelets.size());
   for (const KernelCodelet& c : plan.codelets) {
     PutString(out, c.name);
@@ -556,7 +581,11 @@ std::string CompileStats::ToJson() const {
   return os.str();
 }
 
-void AppendGraphBytes(const Graph& graph, std::vector<std::uint8_t>& out) {
+namespace {
+
+// The graph's canonical encoding, shared by the artifact and the cache key:
+// every container in index or sorted-key order.
+void PutGraph(ByteSink auto& out, const Graph& graph) {
   PutArch(out, graph.arch());
   PutU64(out, graph.variables().size());
   for (const Variable& v : graph.variables()) {
@@ -595,25 +624,28 @@ void AppendGraphBytes(const Graph& graph, std::vector<std::uint8_t>& out) {
   }
 }
 
-void AppendProgramBytes(const Program& program, std::vector<std::uint8_t>& out) {
-  PutProgram(out, program);
+}  // namespace
+
+std::uint64_t Fnv1a64(std::span<const std::uint8_t> bytes, std::uint64_t h) {
+  HashSink sink{h};
+  for (std::uint8_t b : bytes) sink.Put(b);
+  return sink.h;
 }
 
-std::uint64_t Fnv1a64(std::span<const std::uint8_t> bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 0x100000001b3ull;
-  }
-  return h;
+std::uint64_t Fnv1a64(const Graph& graph, const Program& program,
+                      std::uint64_t h) {
+  HashSink sink{h};
+  PutGraph(sink, graph);
+  PutProgram(sink, program);
+  return sink.h;
 }
 
 std::vector<std::uint8_t> Executable::Serialize() const {
   REPRO_REQUIRE(graph != nullptr, "Serialize on an empty Executable");
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kMagic, kMagic + sizeof(kMagic));
+  std::vector<std::uint8_t> bytes(kMagic, kMagic + sizeof(kMagic));
+  VectorSink out{bytes};
   PutU32(out, kExecutableFormatVersion);
-  AppendGraphBytes(*graph, out);
+  PutGraph(out, *graph);
   PutProgram(out, program);
   PutStats(out, stats);
   PutU64(out, tiles.size());
@@ -641,8 +673,8 @@ std::vector<std::uint8_t> Executable::Serialize() const {
   // Trailing integrity checksum over everything above. The payload is mostly
   // raw IEEE-754 bits, where a flipped byte still parses as a valid float;
   // without this, mid-file corruption would load silently.
-  PutU64(out, Fnv1a64(std::span<const std::uint8_t>(out.data(), out.size())));
-  return out;
+  PutU64(out, Fnv1a64(bytes));
+  return bytes;
 }
 
 StatusOr<Executable> Executable::Deserialize(
@@ -834,7 +866,13 @@ StatusOr<Executable> Executable::Load(const std::string& path) {
     return Status::InvalidArgument("cannot open executable artifact '" + path +
                                    "'");
   }
+  // A directory opens as a stream too, and its tellg() is no file size.
   const std::streamsize size = in.tellg();
+  std::error_code ec;
+  if (size < 0 || !std::filesystem::is_regular_file(path, ec)) {
+    return Status::InvalidArgument("executable artifact '" + path +
+                                   "' is not a regular file of known size");
+  }
   in.seekg(0);
   std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
   in.read(reinterpret_cast<char*>(bytes.data()), size);

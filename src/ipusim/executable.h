@@ -153,13 +153,17 @@ struct Executable {
   static StatusOr<Executable> Load(const std::string& path);
 };
 
-// Canonical byte encodings of the compile inputs, shared by Serialize() and
-// the compile cache's content hash (exe_cache.h). Deterministic: every
-// container is emitted in index or sorted-key order.
-void AppendGraphBytes(const Graph& graph, std::vector<std::uint8_t>& out);
-void AppendProgramBytes(const Program& program, std::vector<std::uint8_t>& out);
+inline constexpr std::uint64_t kFnv1a64Basis = 0xcbf29ce484222325ull;
 
-// FNV-1a 64-bit over a byte string; the compile cache's key hash.
-std::uint64_t Fnv1a64(std::span<const std::uint8_t> bytes);
+// FNV-1a 64-bit over a byte string, continued from hash state `h`.
+std::uint64_t Fnv1a64(std::span<const std::uint8_t> bytes,
+                      std::uint64_t h = kFnv1a64Basis);
+
+// Fnv1a64 continued from `h` over the canonical encodings of `graph` and
+// then `program`: the bytes Serialize() writes for them, hashed as they are
+// encoded instead of materialised. The compile cache's content hash
+// (exe_cache.h).
+std::uint64_t Fnv1a64(const Graph& graph, const Program& program,
+                      std::uint64_t h);
 
 }  // namespace repro::ipu

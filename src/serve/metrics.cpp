@@ -20,6 +20,14 @@ std::string Num(double v) {
 
 std::string Num(std::size_t v) { return std::to_string(v); }
 
+// Zero-based nearest-rank index of percentile p in (0, 100] among n > 0
+// values.
+std::size_t RankIndex(double p, std::size_t n) {
+  const std::size_t rank = static_cast<std::size_t>(
+      std::ceil(p / 100.0 * static_cast<double>(n)));
+  return std::max<std::size_t>(rank, 1) - 1;
+}
+
 }  // namespace
 
 ServeMetrics::ServeMetrics(std::size_t max_batch)
@@ -85,11 +93,10 @@ double ServeMetrics::qps() const {
 double ServeMetrics::LatencyPercentile(double p) const {
   if (latencies_.empty()) return 0.0;
   REPRO_REQUIRE(p > 0.0 && p <= 100.0, "percentile %g outside (0, 100]", p);
-  std::vector<double> sorted = latencies_;
-  std::sort(sorted.begin(), sorted.end());
-  const std::size_t rank = static_cast<std::size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
-  return sorted[std::max<std::size_t>(rank, 1) - 1];
+  std::vector<double> values = latencies_;
+  const auto nth = values.begin() + RankIndex(p, values.size());
+  std::nth_element(values.begin(), nth, values.end());
+  return *nth;
 }
 
 double ServeMetrics::meanLatency() const {
@@ -128,17 +135,21 @@ std::string ServeMetrics::ToJson() const {
     s += "\": ";
     s += value;
   };
-  // One sort serves all three percentiles (LatencyPercentile would copy and
-  // sort the full vector per call). Same nearest-rank math, byte-identical
-  // output -- the regression test byte-compares against the per-call path.
-  std::vector<double> sorted = latencies_;
-  std::sort(sorted.begin(), sorted.end());
-  auto pct = [&sorted](double p) {
-    if (sorted.empty()) return 0.0;
-    const std::size_t rank = static_cast<std::size_t>(
-        std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
-    return sorted[std::max<std::size_t>(rank, 1) - 1];
-  };
+  // One copy serves all three percentiles (LatencyPercentile copies per
+  // call), selected from the top rank down: after the p99 selection every
+  // value below it is no larger, so p95 and then p50 select within that
+  // shrinking prefix. Selection returns exactly the sorted copy's value at
+  // each rank, so the bytes match a full sort's.
+  constexpr double kPercentiles[3] = {50.0, 95.0, 99.0};
+  double pct[3] = {0.0, 0.0, 0.0};
+  std::vector<double> values = latencies_;
+  auto end = values.end();
+  for (int i = 2; i >= 0 && !values.empty(); --i) {
+    const auto nth = values.begin() + RankIndex(kPercentiles[i], values.size());
+    std::nth_element(values.begin(), nth, end);
+    pct[i] = *nth;
+    end = nth;
+  }
   field("max_batch", Num(max_batch_), true);
   field("admitted", Num(admitted_));
   field("rejected", Num(rejected_));
@@ -147,9 +158,9 @@ std::string ServeMetrics::ToJson() const {
   field("batches", Num(batches_));
   field("horizon_s", Num(horizon_s_));
   field("qps", Num(qps()));
-  field("latency_p50_us", Num(pct(50.0) * 1e6));
-  field("latency_p95_us", Num(pct(95.0) * 1e6));
-  field("latency_p99_us", Num(pct(99.0) * 1e6));
+  field("latency_p50_us", Num(pct[0] * 1e6));
+  field("latency_p95_us", Num(pct[1] * 1e6));
+  field("latency_p99_us", Num(pct[2] * 1e6));
   field("latency_mean_us", Num(meanLatency() * 1e6));
   field("latency_max_us", Num(maxLatency() * 1e6));
   field("queue_delay_mean_us", Num(meanQueueDelay() * 1e6));

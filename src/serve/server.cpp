@@ -19,9 +19,14 @@ struct Event {
   enum Kind : std::uint32_t { kArrival, kSlotArrival, kDeadline, kDone, kTick };
   double time = 0.0;
   std::uint64_t seq = 0;  // creation order: the deterministic tie-break
-  Request req;                // kArrival / kSlotArrival
+  // kSlotArrival: the request. kArrival: `count` requests with consecutive
+  // ids from req.id, all arriving at `time` -- the clients one answered
+  // closed-loop batch re-issues. Their one seq stands for the consecutive
+  // seqs one event per request would take: nothing can come between them.
+  Request req;
   std::uint32_t slot = 0;     // kSlotArrival / kDeadline / kDone
   std::uint32_t replica = 0;  // kDone
+  std::uint32_t count = 0;    // kArrival
   Kind kind = kArrival;
 };
 
@@ -37,15 +42,25 @@ struct EventLater {
 // One run of the loop: single-threaded over virtual time. The only
 // multithreaded phase is the numerics replay at the end, which cannot touch
 // any recorded time.
+//
+// The load's up-front arrivals (open-loop Poisson times, closed-loop
+// initial clients) never enter the heap: they wait in time order in a
+// vector beside it, and the loop merges the two by (time, seq). The heap
+// holds only what the run creates as it goes -- hops, deadlines,
+// completions, ticks and one event per re-issued closed-loop batch -- so it
+// stays as small as the work in flight.
 class Simulation {
  public:
+  // Request i of the load arrives at arrivals[i] (non-decreasing).
   Simulation(const EventLoop& loop, FrontDoor& door, ServeMetrics& metrics,
-             std::size_t total_requests, const Matrix* inputs)
+             std::size_t total_requests, std::vector<double> arrivals,
+             const Matrix* inputs)
       : loop_(loop),
         door_(door),
         metrics_(metrics),
         inputs_(inputs != nullptr && inputs->rows() > 0 ? inputs : nullptr),
-        total_(total_requests) {
+        total_(total_requests),
+        arrivals_(std::move(arrivals)) {
     REPRO_REQUIRE(!loop.slots.empty(), "event loop needs at least one slot");
     REPRO_REQUIRE(loop.queue_capacity > 0, "queue capacity must be positive");
     REPRO_REQUIRE(loop.tick_interval_s > 0.0, "tick interval must be positive");
@@ -72,38 +87,29 @@ class Simulation {
     if (std::isfinite(loop.tick_interval_s)) {
       Push(loop.tick_interval_s, Event::kTick);
     }
-  }
-
-  void AddArrival(double t) {
-    Request req;
-    req.id = issued_++;
-    req.arrival_s = t;
-    req.row = inputs_ != nullptr
-                  ? static_cast<std::uint32_t>(req.id % inputs_->rows())
-                  : 0;
-    Push(t, Event::kArrival, 0, 0, req);
+    // The seqs one heap event per arrival would have taken.
+    arrival_seq0_ = seq_;
+    seq_ += arrivals_.size();
+    issued_ = arrivals_.size();
   }
 
   Matrix Run(bool closed_loop, double think_s) {
     closed_loop_ = closed_loop;
     think_s_ = think_s;
-    while (!events_.empty()) {
+    for (;;) {
+      if (NextIsUpFrontArrival()) {
+        const double now = arrivals_[next_arrival_];
+        Arrive(next_arrival_++, 1, now);
+        continue;
+      }
+      if (events_.empty()) break;
       const Event e = events_.top();
       events_.pop();
       const double now = e.time;
       switch (e.kind) {
-        case Event::kArrival: {
-          const std::size_t s = door_.Route(e.req, now);
-          REPRO_REQUIRE(s < slots_.size(), "front door chose slot %zu of %zu",
-                        s, slots_.size());
-          const double hop = loop_.slots[s].request_hop_s;
-          if (hop > 0.0) {
-            Push(now + hop, Event::kSlotArrival, s, 0, e.req);
-          } else {
-            Admit(s, e.req, now);
-          }
+        case Event::kArrival:
+          Arrive(e.req.id, e.count, now);
           break;
-        }
         case Event::kSlotArrival:
           Admit(e.slot, e.req, now);
           break;
@@ -145,23 +151,58 @@ class Simulation {
           profile(backend.streamProfile()),
           depth(profile.enabled ? 2 : 1),
           replicas(backend.replicas()) {
-      for (std::size_t r = 0; r < replicas.size(); ++r) free.insert(r);
+      for (std::size_t r = 0; r < replicas.size(); ++r) free.emplace(0, r);
     }
 
     MicroBatcher batcher;  // every admitted, undispatched request
     const StreamProfile profile;
     const std::size_t depth;  // in-flight batches per replica (2 = streaming)
     std::vector<Replica> replicas;
-    // Replicas with pipeline headroom; dispatch picks the least-loaded,
-    // lowest id on ties.
-    std::set<std::size_t> free;
+    // Replicas with pipeline headroom as (batches in flight, replica id):
+    // the first is dispatch's pick, the least loaded with the lowest id.
+    std::set<std::pair<std::size_t, std::size_t>> free;
     std::size_t pending_deadlines = 0;
   };
 
   void Push(double t, Event::Kind kind, std::size_t slot = 0,
-            std::size_t replica = 0, const Request& req = Request{}) {
+            std::size_t replica = 0, const Request& req = Request{},
+            std::size_t count = 0) {
     events_.push(Event{t, seq_++, req, static_cast<std::uint32_t>(slot),
-                       static_cast<std::uint32_t>(replica), kind});
+                       static_cast<std::uint32_t>(replica),
+                       static_cast<std::uint32_t>(count), kind});
+  }
+
+  // Whether the next event in (time, seq) order is the next up-front
+  // arrival rather than the heap's top.
+  bool NextIsUpFrontArrival() const {
+    if (next_arrival_ == arrivals_.size()) return false;
+    if (events_.empty()) return true;
+    const Event& top = events_.top();
+    const double t = arrivals_[next_arrival_];
+    return t < top.time ||
+           (t == top.time && arrival_seq0_ + next_arrival_ < top.seq);
+  }
+
+  // Requests first .. first + count - 1 arrive at the front door at `now`,
+  // in id order, each routed and then admitted or sent over its hop.
+  void Arrive(std::uint64_t first, std::size_t count, double now) {
+    for (std::uint64_t id = first; id < first + count; ++id) {
+      Request req;
+      req.id = id;
+      req.arrival_s = now;
+      req.row = inputs_ != nullptr
+                    ? static_cast<std::uint32_t>(id % inputs_->rows())
+                    : 0;
+      const std::size_t s = door_.Route(req, now);
+      REPRO_REQUIRE(s < slots_.size(), "front door chose slot %zu of %zu", s,
+                    slots_.size());
+      const double hop = loop_.slots[s].request_hop_s;
+      if (hop > 0.0) {
+        Push(now + hop, Event::kSlotArrival, s, 0, req);
+      } else {
+        Admit(s, req, now);
+      }
+    }
   }
 
   // Admission control: up to queue_capacity requests may wait behind the
@@ -195,12 +236,9 @@ class Simulation {
     while (!st.free.empty() && st.batcher.Ready(now)) {
       BatchRun run;
       run.requests = st.batcher.Pop();
-      std::size_t r = *st.free.begin();
-      for (std::size_t cand : st.free) {
-        if (st.replicas[cand].fifo.size() < st.replicas[r].fifo.size()) {
-          r = cand;
-        }
-      }
+      const auto [in_flight, r] = *st.free.begin();
+      st.free.erase(st.free.begin());
+      if (in_flight + 1 < st.depth) st.free.emplace(in_flight + 1, r);
       Replica& rep = st.replicas[r];
       run.slot = s;
       run.replica = r;
@@ -222,7 +260,6 @@ class Simulation {
       metrics_.RecordOverlap(run.overlapped_s);
       door_.Dispatched(run);
       rep.fifo.push_back(std::move(run));
-      if (rep.fifo.size() >= st.depth) st.free.erase(r);
       Push(out_done, Event::kDone, s, r);
     }
     // A partial batch left waiting needs a future wake-up at its flush
@@ -245,15 +282,27 @@ class Simulation {
   void Complete(std::size_t s, std::size_t r, double now) {
     SlotState& st = slots_[s];
     Replica& rep = st.replicas[r];
+    // One batch fewer in flight: the replica has headroom under a new key.
+    const std::size_t in_flight = rep.fifo.size();
+    if (in_flight < st.depth) st.free.erase({in_flight, r});
+    st.free.emplace(in_flight - 1, r);
     BatchRun done = std::move(rep.fifo.front());
     rep.fifo.pop_front();
-    if (rep.fifo.size() < st.depth) st.free.insert(r);
     const double done_s = now + loop_.slots[s].response_hop_s;
     last_completion_s_ = std::max(last_completion_s_, done_s);
     for (const Request& req : done.requests) {
       metrics_.RecordCompletion(done_s - req.arrival_s,
                                 done.dispatch_s - req.arrival_s);
-      if (closed_loop_ && issued_ < total_) AddArrival(done_s + think_s_);
+    }
+    // Each answered client re-issues after its think time, while requests
+    // remain: one event for the whole batch's worth.
+    if (closed_loop_ && issued_ < total_) {
+      const std::uint64_t count =
+          std::min<std::uint64_t>(done.requests.size(), total_ - issued_);
+      Request first;
+      first.id = issued_;
+      Push(done_s + think_s_, Event::kArrival, 0, 0, first, count);
+      issued_ += count;
     }
     answered_ += done.requests.size();
     door_.Completed(done, now, done_s);
@@ -307,6 +356,11 @@ class Simulation {
 
   std::vector<SlotState> slots_;
   std::priority_queue<Event, std::vector<Event>, EventLater> events_;
+  // Up-front arrivals: request i arrives at arrivals_[i] with seq
+  // arrival_seq0_ + i; the ones before next_arrival_ have arrived.
+  const std::vector<double> arrivals_;
+  std::size_t next_arrival_ = 0;
+  std::uint64_t arrival_seq0_ = 0;
   std::uint64_t seq_ = 0;
   std::uint64_t issued_ = 0;
   std::uint64_t answered_ = 0;  // completed + rejected
@@ -426,13 +480,15 @@ void TraceAnswers(obs::Tracer& tracer, obs::TraceTrack& lane,
 Matrix EventLoop::Run(const OpenLoopLoad& load, const Matrix* inputs,
                       FrontDoor& door, ServeMetrics& metrics) const {
   REPRO_REQUIRE(load.qps > 0.0, "open-loop rate must be positive");
-  Simulation sim(*this, door, metrics, load.requests, inputs);
+  std::vector<double> arrivals(load.requests);
   Rng rng(load.seed);
   double t = 0.0;
-  for (std::size_t i = 0; i < load.requests; ++i) {
+  for (double& arrival : arrivals) {
     t += -std::log(1.0 - rng.Uniform()) / load.qps;  // Exp(qps) gaps
-    sim.AddArrival(t);
+    arrival = t;
   }
+  Simulation sim(*this, door, metrics, load.requests, std::move(arrivals),
+                 inputs);
   return sim.Run(/*closed_loop=*/false, /*think_s=*/0.0);
 }
 
@@ -443,9 +499,9 @@ Matrix EventLoop::Run(const ClosedLoopLoad& load, const Matrix* inputs,
                 "closed-loop clients (%zu) exceed the queue bound (%zu): the "
                 "backpressure contract caps outstanding work at the queue",
                 load.clients, queue_capacity);
-  Simulation sim(*this, door, metrics, load.requests, inputs);
-  const std::size_t initial = std::min(load.clients, load.requests);
-  for (std::size_t c = 0; c < initial; ++c) sim.AddArrival(0.0);
+  Simulation sim(*this, door, metrics, load.requests,
+                 std::vector<double>(std::min(load.clients, load.requests)),
+                 inputs);
   return sim.Run(/*closed_loop=*/true, load.think_s);
 }
 

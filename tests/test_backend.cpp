@@ -8,10 +8,16 @@
 //  * cluster::CostModelPlacer scores throughput per dollar and breaks ties
 //    toward the IPU,
 //  * a heterogeneous Router attributes batches to both substrates in the
-//    metrics breakdown, which is omitted entirely when never registered.
+//    metrics breakdown, which is omitted entirely when never registered,
+//  * the event loop breaks equal-time ties exactly as pinned reference
+//    schedules did, for the Server and for an autoscaling Router.
+#include <bit>
+#include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -343,6 +349,128 @@ TEST(PlacerTest, RoutedClosedLoopDeliversTheScoredCadence) {
             .metrics.qps();
     EXPECT_NEAR(qps / predicted, 1.0, 0.01) << core::MethodName(method);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Event loop: the equal-time tie order
+//
+// FakeBackend phases set to exact binary fractions make completions, flush
+// deadlines, re-issued arrivals and autoscaler ticks land on bit-equal
+// times, so the loop's tie-break (event time, then creation order) decides
+// every schedule below. The reference digests were captured from the loop
+// that kept one heap event per request; letting any equal-time event jump
+// the queue moves them.
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+// FNV-1a of `v`'s eight little-endian bytes, continued from `h`.
+std::uint64_t Fold(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// One run's schedule: every latency's bits in completion order, then the
+// batch count and the occupancy histogram.
+std::uint64_t FoldSchedule(std::uint64_t h, const serve::ServeMetrics& m) {
+  for (double latency : m.latencies()) {
+    h = Fold(h, std::bit_cast<std::uint64_t>(latency));
+  }
+  h = Fold(h, m.batches());
+  for (std::size_t count : m.occupancyHist()) h = Fold(h, count);
+  return h;
+}
+
+// Copy ingress computes for 1 s; streaming adds 0.25 s links on each side.
+void SetTiePhases(FakeBackend& backend, bool streaming) {
+  serve::StreamProfile& p = backend.profile();
+  p.enabled = streaming;
+  p.in_s = streaming ? 0.25 : 0.0;
+  p.compute_s = 1.0;
+  p.out_s = streaming ? 0.25 : 0.0;
+}
+
+constexpr double kTieThink[] = {0.0, 0.25, 0.5, 1.0, 1.5, 2.0};
+
+TEST(EventLoopTieTest, ServerClosedLoopsKeepTheReferenceSchedules) {
+  // One digest per (ingress, think_s), each over 36 runs: max_delay x
+  // replicas x clients.
+  constexpr std::uint64_t kWant[2][std::size(kTieThink)] = {
+      {0xa919aa54e0090fdcull, 0xc50ac2b76919e7d1ull,
+       0xf780cc3c1e54a29bull, 0xda27c4a000e79507ull,
+       0x48aff261a341b6f3ull, 0xd82d0416a4733153ull},
+      {0xfc8e863fcc140decull, 0x88eb972e1d9d8a5aull,
+       0x1533df7e05f32f34ull, 0x0379bc015e5d6696ull,
+       0xc585aa8de6987057ull, 0xf62dc1338b3001c3ull}};
+  for (int streaming = 0; streaming < 2; ++streaming) {
+    for (std::size_t t = 0; t < std::size(kTieThink); ++t) {
+      std::uint64_t h = kFnvBasis;
+      for (double delay : {0.0, 0.25, 0.5, 0.75}) {
+        for (std::size_t replicas : {1, 2, 3}) {
+          for (std::size_t clients : {5, 7, 12}) {
+            FakeBackend backend("ipu", 1.0, replicas, /*max_batch=*/4);
+            SetTiePhases(backend, streaming == 1);
+            serve::ServerConfig cfg;
+            cfg.batch = serve::BatchPolicy{.max_batch = 4,
+                                           .max_delay_s = delay};
+            cfg.queue_capacity = clients;
+            serve::Server server(backend, cfg);
+            const serve::ServeMetrics m =
+                server
+                    .RunClosedLoop(serve::ClosedLoopLoad{
+                        .clients = clients,
+                        .requests = 200,
+                        .think_s = kTieThink[t]})
+                    .metrics;
+            ASSERT_EQ(m.completed(), 200u);
+            h = FoldSchedule(h, m);
+          }
+        }
+      }
+      EXPECT_EQ(h, kWant[streaming][t])
+          << (streaming == 1 ? "streaming" : "copy") << ", think_s "
+          << kTieThink[t];
+    }
+  }
+}
+
+TEST(EventLoopTieTest, AutoscalingRouterKeepsTheReferenceSchedule) {
+  // Two streaming chips; the autoscaler ticks every 0.5 s, on the same
+  // binary grid as every phase, so ticks tie with completions and arrivals.
+  FakeBackend chip0("ipu", 1.0, 2, /*max_batch=*/4);
+  FakeBackend chip1("ipu", 1.0, 2, /*max_batch=*/4);
+  SetTiePhases(chip0, true);
+  SetTiePhases(chip1, true);
+  cluster::RouterConfig rc;
+  rc.batch = serve::BatchPolicy{.max_batch = 4, .max_delay_s = 0.25};
+  rc.queue_capacity = 12;
+  rc.autoscale = cluster::AutoscalePolicy{.enabled = true,
+                                          .min_chips = 1,
+                                          .max_chips = 2,
+                                          .initial_chips = 1,
+                                          .eval_interval_s = 0.5,
+                                          .up_outstanding_per_chip = 8.0,
+                                          .down_outstanding_per_chip = 4.0};
+  cluster::Router router(
+      std::vector<serve::ExecutionBackend*>{&chip0, &chip1}, rc);
+  std::uint64_t h = kFnvBasis;
+  std::size_t ups = 0, downs = 0;
+  for (double think : kTieThink) {
+    const cluster::ClusterResult r = router.RunClosedLoop(
+        serve::ClosedLoopLoad{.clients = 12, .requests = 200, .think_s = think});
+    ASSERT_EQ(r.metrics.completed(), 200u);
+    h = FoldSchedule(h, r.metrics.aggregate());
+    for (std::size_t c : r.metrics.routedPerChip()) h = Fold(h, c);
+    h = Fold(h, r.metrics.scaleUps());
+    h = Fold(h, r.metrics.scaleDowns());
+    ups += r.metrics.scaleUps();
+    downs += r.metrics.scaleDowns();
+  }
+  EXPECT_GT(ups, 0u);
+  EXPECT_GT(downs, 0u);
+  EXPECT_EQ(h, 0xe4876e504c61ab65ull);
 }
 
 // ---------------------------------------------------------------------------

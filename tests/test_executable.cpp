@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -240,6 +242,17 @@ TEST(ExecutableRejects, MissingShortAndCorruptFilesReturnCleanStatus) {
   EXPECT_FALSE(Executable::Load(path).ok());
 }
 
+TEST(ExecutableRejects, DirectoryPathReturnsCleanStatus) {
+  // An ifstream opens a directory, and its tellg() is no file size.
+  const std::string dir = TempPath("artifact_is_a_dir.ipuexe");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  StatusOr<Executable> r = Executable::Load(dir);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), ErrorCode::kInvalidArgument);
+  std::filesystem::remove_all(dir);
+}
+
 TEST(ExecutableRejects, VersionMismatchNamesBothVersions) {
   CompiledMatMul c = MakeMatMul();
   std::vector<std::uint8_t> bytes = c.session->executable().Serialize();
@@ -261,6 +274,9 @@ TEST(ExeCacheTest, KeyDependsOnGraphProgramAndFlags) {
 
   const CompileOptions base;
   const std::uint64_t k1 = ExeCache::KeyOf(g1, Program::Copy(a, b), base);
+  // The key names on-disk artifacts, so its value is part of the cache's
+  // contract: a different hash of the same inputs orphans every cache dir.
+  EXPECT_EQ(k1, 0x47db4bc668009efeull);
   EXPECT_EQ(k1, ExeCache::KeyOf(g1, Program::Copy(a, b), base));
   EXPECT_NE(k1, ExeCache::KeyOf(g1, Program::Copy(b, a), base));
 
@@ -281,6 +297,65 @@ TEST(ExeCacheTest, KeyDependsOnGraphProgramAndFlags) {
   g2.setTileMapping(a2, 0);
   g2.setTileMapping(b2, 4);
   EXPECT_NE(k1, ExeCache::KeyOf(g2, Program::Copy(a2, b2), base));
+}
+
+TEST(ExeCacheTest, TimingPlanArtifactNamesArePinned) {
+  // The capacity probe's timing plans, built through an on-disk cache: the
+  // artifact file names are the keys, pinned to the values a warm cache dir
+  // written by earlier builds holds.
+  const std::string dir = TempPath("exe_cache_plan_names");
+  std::filesystem::remove_all(dir);
+  ExeCache cache(dir);
+  for (core::Method method : {core::Method::kBaseline, core::Method::kButterfly,
+                              core::Method::kPixelfly}) {
+    core::ShlShape shape;
+    shape.input = 64;
+    shape.hidden = 64;
+    shape.pixelfly = core::ScaledPixelflyConfig(64);
+    Rng rng(7);
+    nn::Sequential model = nn::BuildShl(method, shape, rng);
+    const nn::ForwardSpec spec = nn::ExportForward(model);
+    serve::PlanOptions opts;
+    opts.max_batch = 4;
+    opts.execute = false;
+    opts.cache = &cache;
+    auto plan = serve::ModelPlan::Build(spec, Gc200(), opts);
+    ASSERT_TRUE(plan.ok()) << plan.status().message();
+  }
+  std::set<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  EXPECT_EQ(names, (std::set<std::string>{"65fb60ec5ed068b7.ipuexe",
+                                          "897a8519f4b69c45.ipuexe",
+                                          "a0253f289582d27a.ipuexe"}));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ExeCacheTest, DirectoryAtTheKeyPathIsAMiss) {
+  // Something that is not an artifact file squats on the key's path: the
+  // cache compiles, fails the store (logged), and still serves the artifact.
+  Graph g(Gc200());
+  Tensor a = g.addVariable("a", 64);
+  Tensor b = g.addVariable("b", 64);
+  g.setTileMapping(a, 0);
+  g.setTileMapping(b, 3);
+  const Program prog = Program::Copy(a, b);
+  const std::string dir = TempPath("exe_cache_dir_squat");
+  std::filesystem::remove_all(dir);
+  char name[32];
+  std::snprintf(name, sizeof name, "%016llx.ipuexe",
+                static_cast<unsigned long long>(
+                    ExeCache::KeyOf(g, prog, CompileOptions{})));
+  std::filesystem::create_directories(dir + "/" + name);
+  ExeCache cache(dir);
+  auto exe = cache.GetOrCompile(g, prog, CompileOptions{});
+  ASSERT_TRUE(exe.ok()) << exe.status().message();
+  EXPECT_NE(exe.value(), nullptr);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().disk_hits, 0u);
+  EXPECT_EQ(cache.stats().disk_stores, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ExeCacheTest, SessionsShareOneCompileThroughTheCache) {

@@ -2,6 +2,7 @@
 // metrics arithmetic, device-vs-host numerics parity for all three deployed
 // methods, replica sharing, the butterfly > dense capacity ordering, the
 // determinism contract, backpressure, and the replay's input checks.
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -129,27 +130,42 @@ TEST(ServeMetricsTest, PercentileEdgeCases) {
 }
 
 TEST(ServeMetricsTest, ToJsonPercentilesMatchPerCallPathByteForByte) {
-  // Regression for the sort-once ToJson: its inlined nearest-rank math must
-  // produce byte-identical percentile fields to LatencyPercentile on a
-  // large shuffled latency set.
-  ServeMetrics m(8);
-  Rng rng(99);
-  for (int i = 0; i < 5000; ++i)
-    m.RecordCompletion(rng.Uniform(1e-5, 5e-2), rng.Uniform(0.0, 1e-3));
-  m.RecordBatch(8);
-  m.Finalize(1.0);
-  const std::string json = m.ToJson();
-  auto pct_field = [&](const char* key, double p) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "\"%s\": %.17g", key,
-                  m.LatencyPercentile(p) * 1e6);
-    EXPECT_NE(json.find(buf), std::string::npos) << buf << " not in " << json;
-  };
-  pct_field("latency_p50_us", 50.0);
-  pct_field("latency_p95_us", 95.0);
-  pct_field("latency_p99_us", 99.0);
-  // And the whole serialization is stable call to call.
-  EXPECT_EQ(json, m.ToJson());
+  // ToJson and LatencyPercentile select their ranks without a full sort;
+  // both must print the nearest-rank value of a sorted copy made here, on
+  // a large shuffled set (a continuous one and one where most latencies
+  // repeat, as the closed loop's batch-synchronous completions do).
+  for (const bool repeated : {false, true}) {
+    ServeMetrics m(8);
+    Rng rng(99);
+    std::vector<double> sorted;
+    for (int i = 0; i < 5000; ++i) {
+      const double latency =
+          repeated ? 1e-4 * std::floor(rng.Uniform(1.0, 41.0))
+                   : rng.Uniform(1e-5, 5e-2);
+      m.RecordCompletion(latency, rng.Uniform(0.0, 1e-3));
+      sorted.push_back(latency);
+    }
+    std::sort(sorted.begin(), sorted.end());
+    m.RecordBatch(8);
+    m.Finalize(1.0);
+    const std::string json = m.ToJson();
+    auto pct_field = [&](const char* key, double p) {
+      const std::size_t rank = static_cast<std::size_t>(
+          std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
+      const double want = sorted[rank - 1];
+      EXPECT_EQ(m.LatencyPercentile(p), want) << key;
+      char buf[64];
+      std::snprintf(buf, sizeof buf, "\"%s\": %.17g", key, want * 1e6);
+      EXPECT_NE(json.find(buf), std::string::npos) << buf << " not in " << json;
+    };
+    pct_field("latency_p50_us", 50.0);
+    pct_field("latency_p95_us", 95.0);
+    pct_field("latency_p99_us", 99.0);
+    EXPECT_EQ(m.LatencyPercentile(100.0), sorted.back());
+    EXPECT_EQ(m.LatencyPercentile(1e-3), sorted.front());
+    // And the whole serialization is stable call to call.
+    EXPECT_EQ(json, m.ToJson());
+  }
 }
 
 TEST(ServeMetricsTest, OutOfRangeBatchIsCountedNotFatal) {
