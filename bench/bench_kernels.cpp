@@ -12,8 +12,9 @@
 // per dispatch in the --json records.
 //
 // JSON values here are wall-clock measurements and intentionally vary run
-// to run; scripts/check.sh holds only the key schema stable
-// (scripts/bench_schemas/bench_kernels.keys).
+// to run, and each host-kernel record names the GEMM core's vector width
+// (gemm_isa), which the CPU picks; scripts/check.sh holds only the key
+// schema stable (scripts/bench_schemas/bench_kernels.keys).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -55,11 +56,12 @@ void TimeKernel(BenchJsonWriter& json, Table& table, const std::string& name,
   const double ns_per_iter = s / static_cast<double>(iters) * 1e9;
   const double items_per_s =
       s > 0.0 ? static_cast<double>(items_per_iter * iters) / s : 0.0;
-  char rec[256];
+  char rec[320];
   std::snprintf(rec, sizeof rec,
                 "{\"kernel\": \"%s\", \"n\": %zu, \"iters\": %zu, "
-                "\"ns_per_iter\": %.17g, \"items_per_s\": %.17g}",
-                name.c_str(), n, iters, ns_per_iter, items_per_s);
+                "\"ns_per_iter\": %.17g, \"items_per_s\": %.17g, "
+                "\"gemm_isa\": \"%s\"}",
+                name.c_str(), n, iters, ns_per_iter, items_per_s, GemmIsa());
   json.Add(rec);
   table.AddRow({name, Table::Int(static_cast<long long>(n)),
                 Table::Int(static_cast<long long>(iters)),
@@ -68,6 +70,8 @@ void TimeKernel(BenchJsonWriter& json, Table& table, const std::string& name,
 
 void RunHostKernels(BenchJsonWriter& json, bool fast) {
   PrintBanner("Host kernels: training-side numeric substrate");
+  // The GEMM rows depend on it; the widest the CPU offers (linalg/gemm.h).
+  std::printf("GEMM core vector width: %s\n", GemmIsa());
   Table t({"kernel", "n", "iters", "us/iter", "Gitems/s"});
   const std::size_t scale = fast ? 1 : 4;
 

@@ -99,9 +99,14 @@ int main(int argc, char** argv) {
         core::TrainStepSeconds(Device::kIpu, row.method, shape, &cache).seconds *
         steps;
 
+    // The final loss at full precision pins every training bit: the
+    // accuracies are too coarse to show a reordered sum.
+    char loss[32];
+    std::snprintf(loss, sizeof loss, "%.17g", res.final_train_loss);
     io.Add(std::string("{\"method\": \"") + core::MethodName(row.method) +
              "\", \"n_params\": " + std::to_string(res.n_params) +
              ", \"accuracy\": " + std::to_string(res.test_accuracy) +
+             ", \"final_train_loss\": " + loss +
              ", \"t_gpu_tc_seconds\": " + std::to_string(t_tc) +
              ", \"t_gpu_seconds\": " + std::to_string(t_gpu) +
              ", \"t_ipu_seconds\": " + std::to_string(t_ipu) + "}");

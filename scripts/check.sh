@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus bench JSON schema checks:
 #   1. configure + build + ctest (the tier-1 gate from ROADMAP.md);
-#   2. run every --json bench in --fast mode;
-#   3. compare the set of JSON keys each bench emits against the checked-in
+#   2. on x86-64 hosts, no fused multiply-add (vfmadd, vfmsub, vfnmadd,
+#      vfnmsub) in `objdump -d` of any built src/ library: host numerics
+#      keep their bits only while -ffp-contract=off holds (DESIGN.md "Host
+#      training kernels"), and the GEMM core's AVX-512F kernel is compiled
+#      on every host, whatever ISA it runs;
+#   3. run every --json bench in --fast mode;
+#   4. compare the set of JSON keys each bench emits against the checked-in
 #      schema in scripts/bench_schemas/<bench>.keys. A missing or renamed key
 #      fails the run; a new key fails too, so schema growth is an explicit,
 #      reviewed change (update the .keys file in the same commit); the
@@ -11,7 +16,7 @@
 #      training numerics are bit-exact, see DESIGN.md "Host training
 #      kernels"), and the bench_fig7_computesets and bench_multi_ipu runs
 #      must match their scripts/golden/*_fast.json byte for byte;
-#   4. trace determinism: two bench_serving --trace runs at different host
+#   5. trace determinism: two bench_serving --trace runs at different host
 #      thread counts must produce bitwise-identical Chrome trace JSON (and
 #      bitwise-identical metrics JSON), and the trace's key set must match
 #      scripts/bench_schemas/trace_events.keys; the same run's metrics and
@@ -26,17 +31,17 @@
 #      bench_serving --require-stream-win 1.01 then gates the streaming
 #      host-I/O claim: the double-buffered ingress must beat the host-copy
 #      baseline on every method, with overlap visible in the trace;
-#   5. executable artifact cache: cold-compile bench_serving / fig7 /
+#   6. executable artifact cache: cold-compile bench_serving / fig7 /
 #      serve_demo into a --cache-dir, then rerun each in a fresh process that
 #      must load every ipu::Executable from disk (0 compiles) and produce
 #      byte-identical JSON/output;
-#   6. perfbench simulated outputs: python3 perfbench/run.py --determinism
+#   7. perfbench simulated outputs: python3 perfbench/run.py --determinism
 #      --tiny runs every benchmark workload at 1 and 4 host threads and
 #      requires one sim.digest per workload (a hash of every simulated
 #      output it records); each digest must also equal
 #      scripts/golden/perfbench_tiny_digests.txt, so the simulated outputs
 #      are pinned across commits, not only across thread counts;
-#   7. AddressSanitizer build of the concurrency-heavy tests (test_serve,
+#   8. AddressSanitizer build of the concurrency-heavy tests (test_serve,
 #      test_session, test_obs, test_kernels, test_stream, test_executable),
 #      of test_linalg, whose GEMM core reads vertex operands in place up to
 #      their row ends, and of test_cluster and test_backend, which drive the
@@ -56,6 +61,20 @@ cmake --build "$build_dir" -j
 
 echo "== tier-1 tests =="
 ctest --test-dir "$build_dir" --output-on-failure -j
+
+echo "== no fused multiply-add in the src/ libraries =="
+if [[ "$(uname -m)" == x86_64 ]]; then
+  libs=("$build_dir"/src/*/librepro_*.a)
+  fma="$(objdump -d "${libs[@]}" | grep -E '\bvfn?m(add|sub)' || true)"
+  if [[ -n "$fma" ]]; then
+    echo "FAIL: fused multiply-add in the src/ libraries (-ffp-contract=off lost?)"
+    echo "$fma" | head -5
+    exit 1
+  fi
+  echo "ok: no vfmadd/vfmsub/vfnmadd/vfnmsub in ${#libs[@]} libraries"
+else
+  echo "skipped: not an x86-64 host"
+fi
 
 echo "== bench --json schemas =="
 json_benches=(
@@ -97,11 +116,12 @@ if [[ "$failed" -ne 0 ]]; then
 fi
 
 echo "== Table 4 training bytes vs golden =="
-# The accuracies in this JSON come from host training, but they are coarse
-# (400 test samples), so this gate fails only when a kernel change moves an
-# accuracy; the bitwise kernel tests under tests/ pin every training bit.
-# The golden was captured before the register-tiled GEMM core and the
-# parameter-gradients-only backward; the schema run above is the default
+# The accuracies in this JSON come from host training but are coarse (400
+# test samples); each record's final training loss, printed at %.17g, is
+# what makes this gate fail when any training bit moves. The golden's
+# accuracies and times date from before the register-tiled GEMM core and
+# the parameter-gradients-only backward; the loss key was added once, on
+# the numerics of the SSE-only core. The schema run above is the default
 # thread count.
 t4_golden="$repo_root/scripts/golden/bench_table4_shl_fast.json"
 REPRO_THREADS=1 "$build_dir/bench/bench_table4_shl" --fast \

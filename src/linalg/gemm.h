@@ -8,7 +8,14 @@
 // adds its k products one at a time in p order, starting from the value
 // named on each wrapper, so results are bitwise independent of tiling and
 // thread count.
+//
+// The core runs at the widest vectors the CPU offers, picked once on first
+// use: 4 floats (SSE2, baseline x86-64), 8 (AVX2) or 16 (AVX-512F). Every
+// width gives the same bits.
 #pragma once
+
+#include <functional>
+#include <string_view>
 
 #include "linalg/matrix.h"
 
@@ -40,6 +47,14 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix& c,
 // The caller guarantees the array extents; the function checks nothing.
 void GemmSerial(std::size_t m, std::size_t k, std::size_t n, const float* a,
                 const float* b, float* c, bool accumulate);
+
+// The vector width every entry above runs at: "sse2", "avx2" or "avx512".
+const char* GemmIsa();
+
+// Test-only: runs `fn` with every entry above at the named width instead of
+// GemmIsa()'s, and returns true; returns false without running `fn` when
+// this CPU cannot run that width. No other thread may run a GEMM meanwhile.
+bool RunAtGemmIsa(std::string_view isa, const std::function<void()>& fn);
 
 // Convenience allocating form of GemmBlocked.
 Matrix MatMul(const Matrix& a, const Matrix& b);

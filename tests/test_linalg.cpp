@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "linalg/gemm.h"
 #include "linalg/matrix.h"
@@ -172,6 +175,108 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{65, 7, 33}, std::tuple{50, 1024, 10},
                       std::tuple{9, 33, 64}, std::tuple{9, 33, 68},
                       std::tuple{6, 20, 62}, std::tuple{5, 1, 4}));
+
+// The core's vector widths, narrowest first. GemmIsa() is the widest this
+// CPU runs; RunAtGemmIsa runs any other it supports.
+constexpr const char* kGemmIsas[] = {"sse2", "avx2", "avx512"};
+
+TEST(GemmIsa, NamesTheWidestWidthThisCpuRuns) {
+  const std::string widest = GemmIsa();
+  bool past_widest = false;
+  for (const char* isa : kGemmIsas) {
+    const bool runs = RunAtGemmIsa(isa, [] {});
+    EXPECT_EQ(runs, !past_widest) << isa;
+    past_widest = past_widest || isa == widest;
+  }
+  EXPECT_TRUE(past_widest) << widest;
+  EXPECT_FALSE(RunAtGemmIsa("avx1024", [] { FAIL(); }));
+}
+
+// Every layout at every width this CPU runs, overwriting and accumulating,
+// must give the bits of the 4-lane width and of the reference loop nest.
+// n runs over every width from 1 to 68, so each lane boundary is met both
+// read in place (Blocked, TransA and Serial with n a multiple of 4 up to
+// 64) and packed (TransB, whose B rows are strided, and every other n);
+// k = 1 also reads TransB in place. m = 7 and 70 leave ragged row tiles,
+// and 70 spans two row blocks.
+TEST(GemmWidths, EveryWidthMatchesTheFourLaneWidthAndTheReference) {
+  using Run = std::function<void(const Matrix&, const Matrix&, Matrix&, bool)>;
+  const auto serial = [](const Matrix& a, const Matrix& b, Matrix& c,
+                         bool accumulate) {
+    GemmSerial(a.rows(), a.cols(), b.cols(), a.data(), b.data(), c.data(),
+               accumulate);
+  };
+  for (const std::size_t m : {7, 70}) {
+    for (const std::size_t k : {1, 19}) {
+      for (std::size_t n = 1; n <= 68; ++n) {
+        Rng rng(m * 10000 + k * 100 + n);
+        const Matrix a = Matrix::RandomNormal(m, k, rng);
+        const Matrix b = Matrix::RandomNormal(k, n, rng);
+        const Matrix at = a.Transposed(), bt = b.Transposed();
+        const Matrix c0 = Matrix::RandomNormal(m, n, rng);
+        const struct {
+          const char* name;
+          Run run, ref;
+          const Matrix &a, &b;
+        } layouts[] = {{"blocked", GemmBlocked, RefBlocked, a, b},
+                       {"transa", GemmTransA, RefTransA, at, b},
+                       {"transb", GemmTransB, RefTransB, a, bt},
+                       {"serial", serial, RefBlocked, a, b}};
+        for (const auto& l : layouts) {
+          for (const bool accumulate : {false, true}) {
+            Matrix want = c0;
+            l.ref(l.a, l.b, want, accumulate);
+            Matrix four_lane = c0;
+            ASSERT_TRUE(RunAtGemmIsa(
+                "sse2", [&] { l.run(l.a, l.b, four_lane, accumulate); }));
+            for (const char* isa : kGemmIsas) {
+              Matrix got = c0;
+              if (!RunAtGemmIsa(isa,
+                                [&] { l.run(l.a, l.b, got, accumulate); })) {
+                continue;
+              }
+              const std::size_t bytes = want.size() * sizeof(float);
+              EXPECT_EQ(std::memcmp(got.data(), want.data(), bytes), 0)
+                  << isa << " " << l.name << " m=" << m << " k=" << k
+                  << " n=" << n << " accumulate=" << accumulate
+                  << " max diff " << MaxAbsDiff(got, want);
+              EXPECT_EQ(std::memcmp(got.data(), four_lane.data(), bytes), 0)
+                  << isa << " vs sse2 " << l.name << " m=" << m
+                  << " k=" << k << " n=" << n;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// a * b + c with the product rounded first must not become one fused
+// multiply-add at any width, whatever ISA the kernel is compiled for. With
+// a = b = 1 + 2^-12 the exact product 1 + 2^-11 + 2^-24 rounds to
+// 1 + 2^-11, so with c = -(1 + 2^-11) the sum is 0, where fma gives 2^-24.
+// n = 1, 4, 8, 16 and 48 put the accumulate in every tile width.
+TEST(GemmWidths, NoFusedMultiplyAdd) {
+  const float a = 1.0f + std::ldexp(1.0f, -12);
+  const float c = -(1.0f + std::ldexp(1.0f, -11));
+  ASSERT_NE(std::fma(a, a, c), 0.0f);
+  volatile float product = a * a;  // rounded on its own
+  ASSERT_EQ(product + c, 0.0f);
+  for (const char* isa : kGemmIsas) {
+    for (const std::size_t n : {1, 4, 8, 16, 48}) {
+      const std::vector<float> b(n, a);
+      std::vector<float> out(n, c);
+      if (!RunAtGemmIsa(isa, [&] {
+            GemmSerial(1, 1, n, &a, b.data(), out.data(), /*accumulate=*/true);
+          })) {
+        continue;
+      }
+      for (std::size_t j = 0; j < n; ++j) {
+        EXPECT_EQ(out[j], 0.0f) << isa << " n=" << n << " j=" << j;
+      }
+    }
+  }
+}
 
 TEST(Gemm, AccumulateMode) {
   Rng rng(5);
