@@ -1,10 +1,12 @@
 // Host-kernel and vertex-dispatch microbenchmarks.
 //
 // Part 1 (host kernels): the numeric substrate the training experiments run
-// on -- GEMM, SpMM, butterfly/pixelfly forwards, FWHT, FFT, circular
-// convolution -- timed with a plain steady_clock loop. Useful for validating
-// that the Table 4 runs are not bottlenecked by an accidentally slow host
-// kernel.
+// on -- GEMM, SpMM, butterfly/pixelfly forwards, pixelfly's parameter
+// gradients, FWHT, FFT, circular convolution, a circulant training step --
+// timed with a plain steady_clock loop. Each row runs at least its call
+// count and until 50 ms (--fast) or 200 ms have passed, so rows of short
+// calls still time many of them. Useful for validating that the Table 4
+// runs are not bottlenecked by an accidentally slow host kernel.
 //
 // Part 2 (vertex dispatch): one compute set of many tiny vertices run
 // through the engine's KernelPlan dispatch -- fused per-(tile, codelet)
@@ -31,6 +33,7 @@
 #include "ipusim/session.h"
 #include "linalg/gemm.h"
 #include "linalg/spmm.h"
+#include "nn/structured.h"
 #include "util/cli.h"
 #include "util/rng.h"
 #include "util/table.h"
@@ -44,15 +47,21 @@ double SecondsSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-// Times `iters` calls of `fn` (after one untimed warmup) and records one
-// JSON entry: ns per iteration plus items (flops, elements) per second.
+// Times calls of `fn` after one untimed warmup, at least `min_iters` of them
+// and until `min_seconds` have passed, and records one JSON entry: the calls
+// run, ns per call and items (flops, elements) per second.
 void TimeKernel(BenchJsonWriter& json, Table& table, const std::string& name,
-                std::size_t n, std::size_t iters, std::size_t items_per_iter,
-                const std::function<void()>& fn) {
+                std::size_t n, std::size_t min_iters, double min_seconds,
+                std::size_t items_per_iter, const std::function<void()>& fn) {
   fn();
   const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t i = 0; i < iters; ++i) fn();
-  const double s = SecondsSince(t0);
+  std::size_t iters = 0;
+  double s = 0.0;
+  while (iters < min_iters || s < min_seconds) {
+    fn();
+    ++iters;
+    s = SecondsSince(t0);
+  }
   const double ns_per_iter = s / static_cast<double>(iters) * 1e9;
   const double items_per_s =
       s > 0.0 ? static_cast<double>(items_per_iter * iters) / s : 0.0;
@@ -74,6 +83,12 @@ void RunHostKernels(BenchJsonWriter& json, bool fast) {
   std::printf("GEMM core vector width: %s\n", GemmIsa());
   Table t({"kernel", "n", "iters", "us/iter", "Gitems/s"});
   const std::size_t scale = fast ? 1 : 4;
+  const double min_seconds = fast ? 0.05 : 0.2;
+  const auto time_row = [&](const std::string& name, std::size_t n,
+                            std::size_t min_iters, std::size_t items_per_iter,
+                            const std::function<void()>& fn) {
+    TimeKernel(json, t, name, n, min_iters, min_seconds, items_per_iter, fn);
+  };
 
   {
     const std::size_t n = fast ? 128 : 256;
@@ -81,10 +96,10 @@ void RunHostKernels(BenchJsonWriter& json, bool fast) {
     Matrix a = Matrix::RandomNormal(n, n, rng);
     Matrix b = Matrix::RandomNormal(n, n, rng);
     Matrix c(n, n);
-    TimeKernel(json, t, "gemm_blocked", n, 4 * scale, 2 * n * n * n,
-               [&] { GemmBlocked(a, b, c); });
-    TimeKernel(json, t, "gemm_naive", n, 2 * scale, 2 * n * n * n,
-               [&] { GemmNaive(a, b, c); });
+    time_row("gemm_blocked", n, 4 * scale, 2 * n * n * n,
+             [&] { GemmBlocked(a, b, c); });
+    time_row("gemm_naive", n, 2 * scale, 2 * n * n * n,
+             [&] { GemmNaive(a, b, c); });
   }
   // The SHL training shapes (m x k x n, batch 50), each layout next to the
   // naive reference on the same product: the hidden forward, the hidden dW
@@ -105,14 +120,14 @@ void RunHostKernels(BenchJsonWriter& json, bool fast) {
     const std::size_t flops = 2 * s.m * s.k * s.n;
     const std::size_t iters = 2 * scale;
     const std::string tag = std::string("_") + s.name;
-    TimeKernel(json, t, "gemm_naive" + tag, s.n, iters, flops,
-               [&] { GemmNaive(a, b, c); });
-    TimeKernel(json, t, "gemm_blocked" + tag, s.n, iters, flops,
-               [&] { GemmBlocked(a, b, c); });
-    TimeKernel(json, t, "gemm_transa" + tag, s.n, iters, flops,
-               [&] { GemmTransA(at, b, c); });
-    TimeKernel(json, t, "gemm_transb" + tag, s.n, iters, flops,
-               [&] { GemmTransB(a, bt, c); });
+    time_row("gemm_naive" + tag, s.n, iters, flops,
+             [&] { GemmNaive(a, b, c); });
+    time_row("gemm_blocked" + tag, s.n, iters, flops,
+             [&] { GemmBlocked(a, b, c); });
+    time_row("gemm_transa" + tag, s.n, iters, flops,
+             [&] { GemmTransA(at, b, c); });
+    time_row("gemm_transb" + tag, s.n, iters, flops,
+             [&] { GemmTransB(a, bt, c); });
   }
   // The IPU serving vertices on GemmSerial, the entry the engine calls: a
   // dense AmpGemm (a 16-row weight block times a k x 32 activation chunk),
@@ -126,7 +141,7 @@ void RunHostKernels(BenchJsonWriter& json, bool fast) {
       const Matrix a = Matrix::RandomNormal(blocks * m, k, rng);
       const Matrix b = Matrix::RandomNormal(blocks * k, n, rng);
       Matrix c(m, n);
-      TimeKernel(json, t, name, n, 64 * scale, 2 * blocks * m * k * n, [&] {
+      time_row(name, n, 64 * scale, 2 * blocks * m * k * n, [&] {
         for (std::size_t blk = 0; blk < blocks; ++blk) {
           GemmSerial(m, k, n, a.data() + blk * m * k, b.data() + blk * k * n,
                      c.data(), accumulate || blk > 0);
@@ -143,8 +158,8 @@ void RunHostKernels(BenchJsonWriter& json, bool fast) {
     Csr s = RandomCsr(n, n, 0.05, rng);
     Matrix b = Matrix::RandomNormal(n, 64, rng);
     Matrix c(n, 64);
-    TimeKernel(json, t, "spmm_csr", n, 8 * scale, 2 * s.nnz() * 64,
-               [&] { SpmmCsr(s, b, c); });
+    time_row("spmm_csr", n, 8 * scale, 2 * s.nnz() * 64,
+             [&] { SpmmCsr(s, b, c); });
   }
   {
     const std::size_t n = fast ? 256 : 1024;
@@ -152,9 +167,9 @@ void RunHostKernels(BenchJsonWriter& json, bool fast) {
     core::Butterfly bf(n, core::ButterflyParam::kGivens, true, rng);
     Matrix x = Matrix::RandomNormal(50, n, rng);
     Matrix y(50, n);
-    TimeKernel(json, t, "butterfly_forward", n, 8 * scale,
-               50 * 4 * (n / 2) * static_cast<std::size_t>(std::log2(n)),
-               [&] { bf.Forward(x, y); });
+    time_row("butterfly_forward", n, 8 * scale,
+             50 * 4 * (n / 2) * static_cast<std::size_t>(std::log2(n)),
+             [&] { bf.Forward(x, y); });
   }
   {
     Rng rng(5);
@@ -162,25 +177,39 @@ void RunHostKernels(BenchJsonWriter& json, bool fast) {
     core::Pixelfly pf(cfg, rng);
     Matrix x = Matrix::RandomNormal(50, cfg.n, rng);
     Matrix y(50, cfg.n);
-    TimeKernel(json, t, "pixelfly_forward", cfg.n, 4 * scale, 50 * cfg.n,
-               [&] { pf.Forward(x, y); });
+    time_row("pixelfly_forward", cfg.n, 4 * scale, 50 * cfg.n,
+             [&] { pf.Forward(x, y); });
+    // The parameter gradients of that forward, as SHL training takes them
+    // (the hidden layer is layer 0: no input gradient). They accumulate
+    // across calls.
+    const Matrix dy = Matrix::RandomNormal(50, cfg.n, rng);
+    core::Pixelfly::Workspace ws;
+    pf.Forward(x, y, &ws);
+    time_row("pixelfly_backward", cfg.n, 4 * scale, 50 * cfg.n,
+             [&] { pf.Backward(ws, dy, nullptr); });
   }
   {
     const std::size_t n = 1024;
     Rng rng(6);
     Matrix x = Matrix::RandomNormal(50, n, rng);
-    TimeKernel(json, t, "fwht_rows", n, 8 * scale,
-               50 * n * static_cast<std::size_t>(std::log2(n)),
-               [&] { core::FwhtRows(x); });
+    time_row("fwht_rows", n, 8 * scale,
+             50 * n * static_cast<std::size_t>(std::log2(n)),
+             [&] { core::FwhtRows(x); });
   }
+  // One forward and one inverse transform on a plan built once, as the
+  // circulant layer runs them; the pair keeps v's scale over any number of
+  // calls.
   {
     const std::size_t n = 1024;
     Rng rng(7);
     std::vector<core::Cpx> v(n);
     for (auto& c : v) c = core::Cpx(rng.Normal(), rng.Normal());
-    TimeKernel(json, t, "fft", n, 16 * scale,
-               n * static_cast<std::size_t>(std::log2(n)),
-               [&] { core::Fft(v); });
+    const core::FftPlan plan(n);
+    time_row("fft", n, 16 * scale,
+             2 * n * static_cast<std::size_t>(std::log2(n)), [&] {
+               plan.Run(v);
+               plan.Run(v, /*inverse=*/true);
+             });
   }
   {
     const std::size_t n = 1024;
@@ -188,8 +217,22 @@ void RunHostKernels(BenchJsonWriter& json, bool fast) {
     std::vector<float> c(n), x(n), out(n);
     rng.FillNormal(c.data(), n, 1.0f);
     rng.FillNormal(x.data(), n, 1.0f);
-    TimeKernel(json, t, "circular_convolve", n, 8 * scale, n,
-               [&] { core::CircularConvolve(c, x, out); });
+    time_row("circular_convolve", n, 8 * scale, n,
+             [&] { core::CircularConvolve(c, x, out); });
+  }
+  // One SHL training step of the circulant hidden layer: forward in train
+  // mode, then the parameter gradients (layer 0: no input gradient).
+  {
+    const std::size_t n = 1024;
+    Rng rng(10);
+    nn::CirculantLayer layer(n, rng);
+    const Matrix x = Matrix::RandomNormal(50, n, rng);
+    const Matrix dy = Matrix::RandomNormal(50, n, rng);
+    Matrix y;
+    time_row("circulant_layer_train", n, 4 * scale, 50 * n, [&] {
+      layer.Forward(x, y, /*train=*/true);
+      layer.Backward(dy, nullptr);
+    });
   }
   t.Print();
 }

@@ -44,9 +44,13 @@
 #   8. AddressSanitizer build of the concurrency-heavy tests (test_serve,
 #      test_session, test_obs, test_kernels, test_stream, test_executable),
 #      of test_linalg, whose GEMM core reads vertex operands in place up to
-#      their row ends, and of test_cluster and test_backend, which drive the
-#      serving event loop's numerics replay through routed and
-#      heterogeneous slots, in a side build dir.
+#      their row ends and writes column blocks of a wider C, of test_cluster
+#      and test_backend, which drive the serving event loop's numerics
+#      replay through routed and heterogeneous slots, and of the tests of
+#      the raw-pointer training kernels: test_pixelfly (per-block strided
+#      GEMMs), test_fwht_fft (the FFT plan), test_nn (the circulant layer's
+#      cached spectra) and test_failure_injection (backward past the cached
+#      batch), in a side build dir.
 #
 # Usage: scripts/check.sh [build-dir]      (default: build)
 set -euo pipefail
@@ -380,12 +384,12 @@ if ! diff -u "$repo_root/scripts/golden/perfbench_tiny_digests.txt" \
 fi
 echo "ok: perfbench sim.digest identical across threads and equal to the golden"
 
-echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable + test_linalg + test_cluster + test_backend) =="
+echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable + test_linalg + test_cluster + test_backend + test_pixelfly + test_fwht_fft + test_nn + test_failure_injection) =="
 asan_dir="$build_dir-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DREPRO_SANITIZE=address > /dev/null
 cmake --build "$asan_dir" -j --target test_serve test_session test_obs \
   test_kernels test_stream test_executable test_linalg test_cluster \
-  test_backend
+  test_backend test_pixelfly test_fwht_fft test_nn test_failure_injection
 "$asan_dir/tests/test_serve" > "$tmp_dir/asan_serve.log" \
   || { echo "FAIL: asan test_serve"; tail -40 "$tmp_dir/asan_serve.log"; exit 1; }
 "$asan_dir/tests/test_session" > "$tmp_dir/asan_session.log" \
@@ -404,6 +408,14 @@ cmake --build "$asan_dir" -j --target test_serve test_session test_obs \
   || { echo "FAIL: asan test_cluster"; tail -40 "$tmp_dir/asan_cluster.log"; exit 1; }
 "$asan_dir/tests/test_backend" > "$tmp_dir/asan_backend.log" \
   || { echo "FAIL: asan test_backend"; tail -40 "$tmp_dir/asan_backend.log"; exit 1; }
+"$asan_dir/tests/test_pixelfly" > "$tmp_dir/asan_pixelfly.log" \
+  || { echo "FAIL: asan test_pixelfly"; tail -40 "$tmp_dir/asan_pixelfly.log"; exit 1; }
+"$asan_dir/tests/test_fwht_fft" > "$tmp_dir/asan_fwht_fft.log" \
+  || { echo "FAIL: asan test_fwht_fft"; tail -40 "$tmp_dir/asan_fwht_fft.log"; exit 1; }
+"$asan_dir/tests/test_nn" > "$tmp_dir/asan_nn.log" \
+  || { echo "FAIL: asan test_nn"; tail -40 "$tmp_dir/asan_nn.log"; exit 1; }
+"$asan_dir/tests/test_failure_injection" > "$tmp_dir/asan_failure_injection.log" \
+  || { echo "FAIL: asan test_failure_injection"; tail -40 "$tmp_dir/asan_failure_injection.log"; exit 1; }
 echo "ok: asan clean"
 
 echo "all checks passed"

@@ -65,19 +65,6 @@ double LinkFabric::PairwiseExchangeSeconds(std::size_t bytes,
          static_cast<double>(hops) * config_.link_latency_sec;
 }
 
-double LinkFabric::AllToAllSeconds(std::size_t bytes_per_peer) const {
-  const std::size_t p = config_.num_ipus;
-  if (p == 1 || bytes_per_peer == 0) return 0.0;
-  std::size_t hop_volume = 0;  // link traversals weighted by payload
-  for (std::size_t d = 1; d < p; ++d) {
-    hop_volume += std::min(d, p - d);
-  }
-  return static_cast<double>(hop_volume) *
-             static_cast<double>(bytes_per_peer) /
-             config_.link_bytes_per_sec +
-         static_cast<double>(p / 2) * config_.link_latency_sec;
-}
-
 namespace {
 
 std::vector<FabricStep> RingPhaseSteps(const LinkFabricConfig& cfg,

@@ -77,11 +77,6 @@ class LinkFabric {
   // partner sends `bytes`, paying the shortest-path hop count in both
   // bandwidth (relay) and latency.
   double PairwiseExchangeSeconds(std::size_t bytes, std::size_t distance) const;
-  // All-to-all with `bytes_per_peer` to each of the p-1 peers, relayed over
-  // the ring: per-chip wire volume is sum over ring distances of
-  // bytes * min(d, p - d), paid at full link bandwidth, plus the worst-case
-  // hop latency of floor(p / 2).
-  double AllToAllSeconds(std::size_t bytes_per_peer) const;
 
   // Step decompositions of the ring collectives, for the trace spans the
   // benches emit (--trace): 2(p-1) steps of bytes/p for the allreduce,

@@ -96,6 +96,9 @@ void Butterfly::Backward(const Workspace& ws, const Matrix& dy, Matrix& dx) {
   REPRO_REQUIRE(ws.acts.size() == num_factors_, "stale butterfly workspace");
   REPRO_REQUIRE(dy.cols() == n_, "butterfly backward shape mismatch");
   const std::size_t batch = dy.rows();
+  REPRO_REQUIRE(ws.acts.front().rows() == batch,
+                "butterfly backward without cache: %zu rows cached, dy has %zu",
+                ws.acts.front().rows(), batch);
   Matrix grad = dy;       // gradient flowing backwards through factors
   Matrix prev(batch, n_);  // gradient w.r.t. factor input
   for (std::size_t fi = num_factors_; fi-- > 0;) {

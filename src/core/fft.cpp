@@ -7,34 +7,66 @@
 
 namespace repro::core {
 
-void Fft(std::span<Cpx> v, bool inverse) {
-  const std::size_t n = v.size();
+FftPlan::FftPlan(std::size_t n) : n_(n) {
   REPRO_REQUIRE(IsPow2(n), "FFT needs power-of-two length, got %zu", n);
   const unsigned bits = Log2(n);
-  // Bit-reversal permutation.
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t j = BitReverse(static_cast<std::uint32_t>(i), bits);
-    if (i < j) std::swap(v[i], v[j]);
+    const std::uint32_t j = BitReverse(static_cast<std::uint32_t>(i), bits);
+    if (i < j) swaps_.emplace_back(static_cast<std::uint32_t>(i), j);
   }
-  const double sign = inverse ? 1.0 : -1.0;
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = sign * 2.0 * M_PI / static_cast<double>(len);
-    const Cpx wlen(std::cos(angle), std::sin(angle));
-    for (std::size_t base = 0; base < n; base += len) {
+  for (const bool inverse : {false, true}) {
+    std::vector<double>& tw = twiddles_[inverse];
+    tw.reserve(2 * (n - 1));
+    const double sign = inverse ? 1.0 : -1.0;
+    for (std::size_t len = 2; len <= n; len <<= 1) {
+      const double angle = sign * 2.0 * M_PI / static_cast<double>(len);
+      const Cpx wlen(std::cos(angle), std::sin(angle));
       Cpx w(1.0, 0.0);
       for (std::size_t i = 0; i < len / 2; ++i) {
-        const Cpx u = v[base + i];
-        const Cpx t = w * v[base + i + len / 2];
-        v[base + i] = u + t;
-        v[base + i + len / 2] = u - t;
+        tw.push_back(w.real());
+        tw.push_back(w.imag());
         w *= wlen;
       }
     }
   }
+}
+
+void FftPlan::Run(std::span<Cpx> v, bool inverse) const {
+  REPRO_REQUIRE(v.size() == n_, "FFT plan of length %zu run on %zu values",
+                n_, v.size());
+  for (const auto& [i, j] : swaps_) std::swap(v[i], v[j]);
+  // std::complex<double> is an array of {re, im} ([complex.numbers]). The
+  // butterfly t = w * bot, top = u + t, bot = u - t is spelled out in the
+  // order GCC evaluates the std::complex expressions, without their NaN
+  // recovery call: the bits differ only where both parts of a product are
+  // NaN, which takes an infinite, NaN or overflowing operand.
+  double* d = reinterpret_cast<double*>(v.data());
+  const double* tw = twiddles_[inverse].data();
+  for (std::size_t half = 1; half < n_; half <<= 1) {
+    const double* w = tw + 2 * (half - 1);
+    for (std::size_t base = 0; base < n_; base += 2 * half) {
+      double* top = d + 2 * base;
+      double* bot = top + 2 * half;
+      for (std::size_t i = 0; i < half; ++i) {
+        const double wr = w[2 * i], wi = w[2 * i + 1];
+        const double br = bot[2 * i], bi = bot[2 * i + 1];
+        const double tr = wr * br - wi * bi;
+        const double ti = wr * bi + wi * br;
+        const double ur = top[2 * i], ui = top[2 * i + 1];
+        top[2 * i] = ur + tr;
+        top[2 * i + 1] = ui + ti;
+        bot[2 * i] = ur - tr;
+        bot[2 * i + 1] = ui - ti;
+      }
+    }
+  }
   if (inverse) {
-    for (auto& x : v) x /= static_cast<double>(n);
+    const double scale = static_cast<double>(n_);
+    for (std::size_t i = 0; i < 2 * n_; ++i) d[i] /= scale;
   }
 }
+
+void Fft(std::span<Cpx> v, bool inverse) { FftPlan(v.size()).Run(v, inverse); }
 
 std::vector<Cpx> DftNaive(std::span<const Cpx> v, bool inverse) {
   const std::size_t n = v.size();
@@ -107,24 +139,63 @@ std::vector<Cpx> ComplexButterfly::Apply(std::span<const Cpx> x) const {
   return v;
 }
 
+bool CircularUsesFft(std::size_t n) { return IsPow2(n) && n >= 32; }
+
+void RealSpectrum(const FftPlan& plan, std::span<const float> x,
+                  std::span<Cpx> spec) {
+  REPRO_REQUIRE(x.size() == plan.n() && spec.size() == plan.n(),
+                "spectrum size mismatch");
+  for (std::size_t i = 0; i < x.size(); ++i) spec[i] = Cpx(x[i], 0.0);
+  plan.Run(spec);
+}
+
+namespace {
+
+// out = Re(IDFT(work)), narrowed to float.
+void RealInverse(const FftPlan& plan, std::span<Cpx> work,
+                 std::span<float> out) {
+  REPRO_REQUIRE(out.size() == plan.n(), "inverse size mismatch");
+  plan.Run(work, /*inverse=*/true);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<float>(work[i].real());
+  }
+}
+
+}  // namespace
+
+void ConvolveSpectra(const FftPlan& plan, std::span<const Cpx> a,
+                     std::span<const Cpx> b, std::span<Cpx> work,
+                     std::span<float> out) {
+  REPRO_REQUIRE(a.size() == plan.n() && b.size() == plan.n() &&
+                    work.size() == plan.n(),
+                "convolve spectra size mismatch");
+  for (std::size_t i = 0; i < work.size(); ++i) work[i] = a[i] * b[i];
+  RealInverse(plan, work, out);
+}
+
+void CorrelateSpectra(const FftPlan& plan, std::span<const Cpx> a,
+                      std::span<const Cpx> b, std::span<Cpx> work,
+                      std::span<float> out) {
+  REPRO_REQUIRE(a.size() == plan.n() && b.size() == plan.n() &&
+                    work.size() == plan.n(),
+                "correlate spectra size mismatch");
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    work[i] = std::conj(a[i]) * b[i];
+  }
+  RealInverse(plan, work, out);
+}
+
 void CircularConvolve(std::span<const float> c, std::span<const float> x,
                       std::span<float> out) {
   const std::size_t n = c.size();
   REPRO_REQUIRE(x.size() == n && out.size() == n,
                 "circular convolve size mismatch");
-  if (IsPow2(n) && n >= 32) {
+  if (CircularUsesFft(n)) {
+    const FftPlan plan(n);
     std::vector<Cpx> fc(n), fx(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      fc[i] = Cpx(c[i], 0.0);
-      fx[i] = Cpx(x[i], 0.0);
-    }
-    Fft(fc);
-    Fft(fx);
-    for (std::size_t i = 0; i < n; ++i) fc[i] *= fx[i];
-    Fft(fc, /*inverse=*/true);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = static_cast<float>(fc[i].real());
-    }
+    RealSpectrum(plan, c, fc);
+    RealSpectrum(plan, x, fx);
+    ConvolveSpectra(plan, fc, fx, fx, out);
     return;
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -141,20 +212,12 @@ void CircularCorrelate(std::span<const float> x, std::span<const float> y,
   const std::size_t n = x.size();
   REPRO_REQUIRE(y.size() == n && out.size() == n,
                 "circular correlate size mismatch");
-  if (IsPow2(n) && n >= 32) {
-    // out = IFFT(conj(FFT(x)) * FFT(y))
+  if (CircularUsesFft(n)) {
+    const FftPlan plan(n);
     std::vector<Cpx> fx(n), fy(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      fx[i] = Cpx(x[i], 0.0);
-      fy[i] = Cpx(y[i], 0.0);
-    }
-    Fft(fx);
-    Fft(fy);
-    for (std::size_t i = 0; i < n; ++i) fx[i] = std::conj(fx[i]) * fy[i];
-    Fft(fx, /*inverse=*/true);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[i] = static_cast<float>(fx[i].real());
-    }
+    RealSpectrum(plan, x, fx);
+    RealSpectrum(plan, y, fy);
+    CorrelateSpectra(plan, fx, fy, fy, out);
     return;
   }
   for (std::size_t j = 0; j < n; ++j) {

@@ -70,22 +70,15 @@ void Pixelfly::Forward(const Matrix& x, Matrix& y, Workspace* ws) const {
   } else {
     y.Zero();
   }
-  // Block-sparse term: y[bi*b + i] += sum_q W_q[i, p] x[bj*b + p].
+  // Block-sparse term, one GEMM per block in pattern order:
+  // Y[:, bi] += X[:, bj] W_q^T, each element summed from 0 over the block's
+  // columns and then added to Y.
   const std::size_t b2 = b * b;
-  for (std::size_t row = 0; row < batch; ++row) {
-    const float* xr = x.data() + row * n;
-    float* yr = y.data() + row * n;
-    for (std::size_t q = 0; q < pattern_.size(); ++q) {
-      const float* w = blocks_.data() + q * b2;
-      const float* xb = xr + pattern_[q].bj * b;
-      float* yb = yr + pattern_[q].bi * b;
-      for (std::size_t i = 0; i < b; ++i) {
-        float acc = 0.0f;
-        const float* wrow = w + i * b;
-        for (std::size_t p = 0; p < b; ++p) acc += wrow[p] * xb[p];
-        yb[i] += acc;
-      }
-    }
+  for (std::size_t q = 0; q < pattern_.size(); ++q) {
+    GemmStrided({.a = x.data() + pattern_[q].bj * b, .a_row = n, .a_col = 1,
+                 .b = blocks_.data() + q * b2, .b_row = 1, .b_col = b,
+                 .c = y.data() + pattern_[q].bi * b, .ldc = n,
+                 .m = batch, .k = b, .n = b, .start = GemmStart::kAddAfter});
   }
   // Low-rank term: t = x V (batch x r), y += t U^T.
   Matrix t;
@@ -109,27 +102,21 @@ void Pixelfly::Backward(const Workspace& ws, const Matrix& dy, Matrix* dx) {
                 "pixelfly backward shape mismatch");
   if (dx != nullptr) *dx = config_.residual ? dy : Matrix(batch, n);
 
+  // Block-sparse term, per block in pattern order, both sums from C over
+  // the batch rows and the block's rows respectively:
+  // dW_q += dY[:, bi]^T X[:, bj] and dX[:, bj] += dY[:, bi] W_q.
   const std::size_t b2 = b * b;
-  for (std::size_t row = 0; row < batch; ++row) {
-    const float* xr = ws.x.data() + row * n;
-    const float* gy = dy.data() + row * n;
-    float* gx = dx != nullptr ? dx->data() + row * n : nullptr;
-    for (std::size_t q = 0; q < pattern_.size(); ++q) {
-      const float* w = blocks_.data() + q * b2;
-      float* gw = block_grads_.data() + q * b2;
-      const float* xb = xr + pattern_[q].bj * b;
-      const float* gyb = gy + pattern_[q].bi * b;
-      for (std::size_t i = 0; i < b; ++i) {
-        const float g = gyb[i];
-        if (g == 0.0f) continue;
-        float* gwrow = gw + i * b;
-        for (std::size_t p = 0; p < b; ++p) gwrow[p] += g * xb[p];
-        if (gx == nullptr) continue;
-        const float* wrow = w + i * b;
-        float* gxb = gx + pattern_[q].bj * b;
-        for (std::size_t p = 0; p < b; ++p) gxb[p] += wrow[p] * g;
-      }
-    }
+  for (std::size_t q = 0; q < pattern_.size(); ++q) {
+    const float* gy = dy.data() + pattern_[q].bi * b;
+    GemmStrided({.a = gy, .a_row = 1, .a_col = n,
+                 .b = ws.x.data() + pattern_[q].bj * b, .b_row = n, .b_col = 1,
+                 .c = block_grads_.data() + q * b2, .ldc = b,
+                 .m = b, .k = batch, .n = b, .start = GemmStart::kFromC});
+    if (dx == nullptr) continue;
+    GemmStrided({.a = gy, .a_row = n, .a_col = 1,
+                 .b = blocks_.data() + q * b2, .b_row = b, .b_col = 1,
+                 .c = dx->data() + pattern_[q].bj * b, .ldc = n,
+                 .m = batch, .k = b, .n = b, .start = GemmStart::kFromC});
   }
   if (r == 0) return;
   // dT = dY U ; dU += dY^T T ; dV += X^T dT ; dX += dT V^T.

@@ -53,25 +53,6 @@ const Unaligned<Vec>& At(const float* p) {
   return *reinterpret_cast<const Unaligned<Vec>*>(p);
 }
 
-// Where each C element's running sum starts, and how it is written back:
-//   kZero      from 0, C = sum      (every layout without accumulate)
-//   kFromC     from C, C = sum      (GemmBlocked, GemmTransA and GemmSerial
-//                                    accumulate)
-//   kAddAfter  from 0, C = C + sum  (GemmTransB accumulate)
-enum class Start { kZero, kFromC, kAddAfter };
-
-// C (m x n, row-major) from A(i, p) = a[i * a_row + p * a_col] and
-// B(p, j) = b[p * b_row + j * b_col]; the strides express each layout.
-struct Operands {
-  const float* a;
-  std::size_t a_row, a_col;
-  const float* b;
-  std::size_t b_row, b_col;
-  float* c;
-  std::size_t m, k, n;
-  Start start;
-};
-
 // One kMr x (kVecs * kLanes) tile of C (leading dimension ldc), with B's
 // tile columns at b + p * ldb. Every element adds its k products one at a
 // time in p order, so the result is bitwise that of a scalar loop over p,
@@ -79,13 +60,14 @@ struct Operands {
 template <std::size_t kLanes, std::size_t kVecs>
 void Tile(const float* const* arow, std::size_t a_col, const float* b,
           std::size_t ldb, std::size_t k, float* c, std::size_t ldc,
-          Start start) {
+          GemmStart start) {
   using Vec = typename Lanes<kLanes>::Vec;
   Vec acc[kMr][kVecs];
   for (std::size_t i = 0; i < kMr; ++i) {
     for (std::size_t v = 0; v < kVecs; ++v) {
-      acc[i][v] = start == Start::kFromC ? At<Vec>(c + i * ldc + v * kLanes).v
-                                         : Vec{};
+      acc[i][v] = start == GemmStart::kFromC
+                      ? At<Vec>(c + i * ldc + v * kLanes).v
+                      : Vec{};
     }
   }
   for (std::size_t p = 0; p < k; ++p) {
@@ -101,7 +83,7 @@ void Tile(const float* const* arow, std::size_t a_col, const float* b,
   for (std::size_t i = 0; i < kMr; ++i) {
     for (std::size_t v = 0; v < kVecs; ++v) {
       Unaligned<Vec>& dst = At<Vec>(c + i * ldc + v * kLanes);
-      dst.v = start == Start::kAddAfter ? dst.v + acc[i][v] : acc[i][v];
+      dst.v = start == GemmStart::kAddAfter ? dst.v + acc[i][v] : acc[i][v];
     }
   }
 }
@@ -110,7 +92,7 @@ void Tile(const float* const* arow, std::size_t a_col, const float* b,
 // cols <= the tile width, with B's tile columns at b + p * ldb. A partial
 // tile runs on a copy of C on the stack.
 template <std::size_t kLanes, std::size_t kVecs>
-void RowTile(const Operands& op, std::size_t i0, std::size_t rows,
+void RowTile(const GemmOperands& op, std::size_t i0, std::size_t rows,
              std::size_t j0, std::size_t cols, const float* b,
              std::size_t ldb) {
   constexpr std::size_t kWidth = kVecs * kLanes;
@@ -119,24 +101,24 @@ void RowTile(const Operands& op, std::size_t i0, std::size_t rows,
   for (std::size_t i = 0; i < kMr; ++i) {
     arow[i] = op.a + (i0 + std::min(i, rows - 1)) * op.a_row;
   }
-  float* c = op.c + i0 * op.n + j0;
+  float* c = op.c + i0 * op.ldc + j0;
   if (rows == kMr && cols == kWidth) {
-    Tile<kLanes, kVecs>(arow, op.a_col, b, ldb, op.k, c, op.n, op.start);
+    Tile<kLanes, kVecs>(arow, op.a_col, b, ldb, op.k, c, op.ldc, op.start);
     return;
   }
   float edge[kMr * kWidth] = {};
   for (std::size_t i = 0; i < rows; ++i) {
-    std::copy_n(c + i * op.n, cols, edge + i * kWidth);
+    std::copy_n(c + i * op.ldc, cols, edge + i * kWidth);
   }
   Tile<kLanes, kVecs>(arow, op.a_col, b, ldb, op.k, edge, kWidth, op.start);
   for (std::size_t i = 0; i < rows; ++i) {
-    std::copy_n(edge + i * kWidth, cols, c + i * op.n);
+    std::copy_n(edge + i * kWidth, cols, c + i * op.ldc);
   }
 }
 
 // RowTile with a run-time vector count, 1 to kMaxVecs.
 template <std::size_t kLanes>
-void RowTileVecs(std::size_t vecs, const Operands& op, std::size_t i0,
+void RowTileVecs(std::size_t vecs, const GemmOperands& op, std::size_t i0,
                  std::size_t rows, std::size_t j0, std::size_t cols,
                  const float* b, std::size_t ldb) {
   if (vecs == 3) {
@@ -152,7 +134,7 @@ void RowTileVecs(std::size_t vecs, const Operands& op, std::size_t i0,
 // multiple of 4): full-width tiles, then whole kLanes vectors, then the
 // rest of the row at half the width, so no load passes the row end.
 template <std::size_t kLanes>
-void InPlaceColumns(const Operands& op, std::size_t i0, std::size_t rows,
+void InPlaceColumns(const GemmOperands& op, std::size_t i0, std::size_t rows,
                     std::size_t j0) {
   constexpr std::size_t kNr = kMaxVecs * kLanes;
   for (; j0 + kNr <= op.n; j0 += kNr) {
@@ -170,7 +152,7 @@ void InPlaceColumns(const Operands& op, std::size_t i0, std::size_t rows,
 
 // RowTile of `vecs` vectors of `lanes` floats, lanes <= kLanes.
 template <std::size_t kLanes>
-void RowTileAt(std::size_t lanes, std::size_t vecs, const Operands& op,
+void RowTileAt(std::size_t lanes, std::size_t vecs, const GemmOperands& op,
                std::size_t i0, std::size_t rows, std::size_t j0,
                std::size_t cols, const float* b, std::size_t ldb) {
   if constexpr (kLanes > 4) {
@@ -187,7 +169,7 @@ void RowTileAt(std::size_t lanes, std::size_t vecs, const Operands& op,
 // Any other B is packed once per column panel (zero-padded past n) that
 // every row tile of the range reuses.
 template <std::size_t kLanes>
-void GemmRows(const Operands& op, std::size_t r0, std::size_t r1) {
+void GemmRows(const GemmOperands& op, std::size_t r0, std::size_t r1) {
   if (op.b_col == 1 && op.n % 4 == 0 && op.n <= kInPlaceMaxN) {
     for (std::size_t i0 = r0; i0 < r1; i0 += kMr) {
       InPlaceColumns<kLanes>(op, i0, std::min(kMr, r1 - i0), 0);
@@ -221,7 +203,7 @@ void GemmRows(const Operands& op, std::size_t r0, std::size_t r1) {
   }
 }
 
-using RowsFn = void (*)(const Operands&, std::size_t, std::size_t);
+using RowsFn = void (*)(const GemmOperands&, std::size_t, std::size_t);
 
 // The wide widths are compiled for their ISA here, with the whole core
 // inlined (flatten), while the rest of the library stays baseline x86-64.
@@ -229,12 +211,12 @@ using RowsFn = void (*)(const Operands&, std::size_t, std::size_t);
 // product into its sum.
 #if defined(__x86_64__)
 __attribute__((target("avx2"), flatten)) void GemmRowsAvx2(
-    const Operands& op, std::size_t r0, std::size_t r1) {
+    const GemmOperands& op, std::size_t r0, std::size_t r1) {
   GemmRows<8>(op, r0, r1);
 }
 
 __attribute__((target("avx512f"), flatten)) void GemmRowsAvx512(
-    const Operands& op, std::size_t r0, std::size_t r1) {
+    const GemmOperands& op, std::size_t r0, std::size_t r1) {
   GemmRows<16>(op, r0, r1);
 }
 #endif
@@ -283,7 +265,7 @@ RowsFn ActiveRows() {
   return forced != nullptr ? forced->rows : Widest().rows;
 }
 
-void Gemm(const Operands& op) {
+void Gemm(const GemmOperands& op) {
   // Row blocks are independent: shard them over the host thread pool
   // (serial on single-core machines; see util/parallel.h).
   const RowsFn rows = ActiveRows();
@@ -319,8 +301,8 @@ void GemmBlocked(const Matrix& a, const Matrix& b, Matrix& c,
   const std::size_t m = a.rows(), k = a.cols(), n = b.cols();
   REPRO_REQUIRE(b.rows() == k && c.rows() == m && c.cols() == n,
                 "GemmBlocked shape mismatch");
-  Gemm({a.data(), k, 1, b.data(), n, 1, c.data(), m, k, n,
-        accumulate ? Start::kFromC : Start::kZero});
+  Gemm({a.data(), k, 1, b.data(), n, 1, c.data(), n, m, k, n,
+        accumulate ? GemmStart::kFromC : GemmStart::kZero});
 }
 
 void GemmTransA(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
@@ -328,8 +310,8 @@ void GemmTransA(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
   const std::size_t k = a.rows(), m = a.cols(), n = b.cols();
   REPRO_REQUIRE(b.rows() == k && c.rows() == m && c.cols() == n,
                 "GemmTransA shape mismatch");
-  Gemm({a.data(), 1, m, b.data(), n, 1, c.data(), m, k, n,
-        accumulate ? Start::kFromC : Start::kZero});
+  Gemm({a.data(), 1, m, b.data(), n, 1, c.data(), n, m, k, n,
+        accumulate ? GemmStart::kFromC : GemmStart::kZero});
 }
 
 void GemmTransB(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
@@ -337,15 +319,16 @@ void GemmTransB(const Matrix& a, const Matrix& b, Matrix& c, bool accumulate) {
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   REPRO_REQUIRE(b.cols() == k && c.rows() == m && c.cols() == n,
                 "GemmTransB shape mismatch");
-  Gemm({a.data(), k, 1, b.data(), 1, k, c.data(), m, k, n,
-        accumulate ? Start::kAddAfter : Start::kZero});
+  Gemm({a.data(), k, 1, b.data(), 1, k, c.data(), n, m, k, n,
+        accumulate ? GemmStart::kAddAfter : GemmStart::kZero});
 }
+
+void GemmStrided(const GemmOperands& op) { ActiveRows()(op, 0, op.m); }
 
 void GemmSerial(std::size_t m, std::size_t k, std::size_t n, const float* a,
                 const float* b, float* c, bool accumulate) {
-  ActiveRows()({a, k, 1, b, n, 1, c, m, k, n,
-                accumulate ? Start::kFromC : Start::kZero},
-               0, m);
+  GemmStrided({a, k, 1, b, n, 1, c, n, m, k, n,
+               accumulate ? GemmStart::kFromC : GemmStart::kZero});
 }
 
 const char* GemmIsa() { return Widest().isa; }

@@ -3,11 +3,12 @@
 // GemmNaive is the reference. GemmBlocked, GemmTransA and GemmTransB are the
 // three layouts the host NN trainer multiplies in (Table 4 training runs on
 // them); all three are wrappers over one register-tiled core that shards row
-// blocks of C over the host thread pool. GemmSerial runs the same core on
-// the calling thread for the IPU simulator's GEMM vertices. Every C element
-// adds its k products one at a time in p order, starting from the value
-// named on each wrapper, so results are bitwise independent of tiling and
-// thread count.
+// blocks of C over the host thread pool. GemmStrided runs the same core on
+// the calling thread, on any strides: the IPU simulator's GEMM vertices
+// (through GemmSerial) and pixelfly's block-sparse term call it. Every C
+// element adds its k products one at a time in p order, starting from the
+// value named on each entry, so results are bitwise independent of tiling
+// and thread count.
 //
 // The core runs at the widest vectors the CPU offers, picked once on first
 // use: 4 floats (SSE2, baseline x86-64), 8 (AVX2) or 16 (AVX-512F). Every
@@ -40,11 +41,37 @@ void GemmTransA(const Matrix& a, const Matrix& b, Matrix& c,
 void GemmTransB(const Matrix& a, const Matrix& b, Matrix& c,
                 bool accumulate = false);
 
-// C(m x n) (+)= A(m x k) * B(k x n) on raw row-major arrays, on the calling
-// thread only: callers that already shard their work (the IPU engine's
-// vertex groups, one serving replica per host worker) must not nest the
-// thread pool. Each element starts from C when accumulating, else from 0.
-// The caller guarantees the array extents; the function checks nothing.
+// Where each C element's running sum starts, and how it is written back.
+enum class GemmStart {
+  kZero,      // from 0, C = sum
+  kFromC,     // from C, C = sum
+  kAddAfter,  // from 0, C = C + sum
+};
+
+// C(i, j) = c[i * ldc + j], i < m, j < n, from A(i, p) = a[i * a_row +
+// p * a_col] and B(p, j) = b[p * b_row + j * b_col], p < k: the strides
+// express every layout, and ldc >= n lets C be a column block of a wider
+// matrix, whose other columns are left alone.
+struct GemmOperands {
+  const float* a;
+  std::size_t a_row, a_col;
+  const float* b;
+  std::size_t b_row, b_col;
+  float* c;
+  std::size_t ldc;
+  std::size_t m, k, n;
+  GemmStart start;
+};
+
+// The core on raw strided arrays, on the calling thread only: for callers
+// that already shard their work (the IPU engine's vertex groups, one serving
+// replica per host worker), which must not nest the thread pool, and for
+// products too small to shard (pixelfly's 16 x 16 blocks). The caller
+// guarantees the array extents; the function checks nothing.
+void GemmStrided(const GemmOperands& op);
+
+// GemmStrided on row-major C(m x n) (+)= A(m x k) * B(k x n): each element
+// starts from C when accumulating, else from 0.
 void GemmSerial(std::size_t m, std::size_t k, std::size_t n, const float* a,
                 const float* b, float* c, bool accumulate);
 

@@ -51,8 +51,4 @@ LossResult SoftmaxCrossEntropy(const Matrix& logits,
   return res;
 }
 
-double Accuracy(const Matrix& logits, const std::vector<std::uint8_t>& labels) {
-  return SoftmaxCrossEntropy(logits, labels, nullptr).accuracy;
-}
-
 }  // namespace repro::nn

@@ -19,7 +19,4 @@ LossResult SoftmaxCrossEntropy(const Matrix& logits,
                                const std::vector<std::uint8_t>& labels,
                                Matrix* dlogits = nullptr);
 
-// Argmax accuracy only.
-double Accuracy(const Matrix& logits, const std::vector<std::uint8_t>& labels);
-
 }  // namespace repro::nn

@@ -178,29 +178,63 @@ CirculantLayer::CirculantLayer(std::size_t n, Rng& rng)
   c_.resize(n);
   c_grad_.assign(n, 0.0f);
   rng.FillNormal(c_.data(), n, 1.0f / std::sqrt(static_cast<float>(n)));
+  if (core::CircularUsesFft(n)) {
+    plan_.emplace(n);
+    c_spec_.resize(n);
+    work_.resize(n);
+  }
 }
 
 void CirculantLayer::Forward(const Matrix& x, Matrix& y, bool train) {
   REPRO_REQUIRE(x.cols() == n_, "Circulant forward dim mismatch");
-  if (y.rows() != x.rows() || y.cols() != n_) y = Matrix(x.rows(), n_);
-  for (std::size_t r = 0; r < x.rows(); ++r) {
-    core::CircularConvolve(c_, x.row(r), y.row(r));
+  const std::size_t batch = x.rows();
+  if (y.rows() != batch || y.cols() != n_) y = Matrix(batch, n_);
+  if (plan_) {
+    core::RealSpectrum(*plan_, c_, c_spec_);
+    if (train) x_spec_.resize(batch * n_);
+    for (std::size_t r = 0; r < batch; ++r) {
+      const std::span<core::Cpx> spec =
+          train ? std::span<core::Cpx>(x_spec_).subspan(r * n_, n_)
+                : std::span<core::Cpx>(work_);
+      core::RealSpectrum(*plan_, x.row(r), spec);
+      core::ConvolveSpectra(*plan_, c_spec_, spec, work_, y.row(r));
+    }
+  } else {
+    for (std::size_t r = 0; r < batch; ++r) {
+      core::CircularConvolve(c_, x.row(r), y.row(r));
+    }
+    if (train) x_cache_ = x;
   }
   addBias(y);
-  if (train) x_cache_ = x;
+  if (train) trained_rows_ = batch;
 }
 
 void CirculantLayer::Backward(const Matrix& dy, Matrix* dx) {
+  const std::size_t batch = dy.rows();
+  REPRO_REQUIRE(trained_rows_ == batch && dy.cols() == n_,
+                "Circulant backward without cache");
   biasGrad(dy);
-  if (dx != nullptr && (dx->rows() != dy.rows() || dx->cols() != n_)) {
-    *dx = Matrix(dy.rows(), n_);
+  if (dx != nullptr && (dx->rows() != batch || dx->cols() != n_)) {
+    *dx = Matrix(batch, n_);
   }
+  // dc[j] = sum_i dy[i] x[(i-j) mod n] ; dx[k] = sum_i dy[i] c[(i-k) mod n].
   std::vector<float> dc(n_);
-  for (std::size_t r = 0; r < dy.rows(); ++r) {
-    // dc[j] = sum_i dy[i] x[(i-j) mod n] ; dx[k] = sum_i dy[i] c[(i-k) mod n].
-    core::CircularCorrelate(x_cache_.row(r), dy.row(r), dc);
+  std::vector<core::Cpx> dy_spec(plan_ ? n_ : 0);
+  if (plan_ && dx != nullptr) core::RealSpectrum(*plan_, c_, c_spec_);
+  for (std::size_t r = 0; r < batch; ++r) {
+    if (plan_) {
+      core::RealSpectrum(*plan_, dy.row(r), dy_spec);
+      core::CorrelateSpectra(
+          *plan_, std::span<const core::Cpx>(x_spec_).subspan(r * n_, n_),
+          dy_spec, work_, dc);
+      if (dx != nullptr) {
+        core::CorrelateSpectra(*plan_, c_spec_, dy_spec, work_, dx->row(r));
+      }
+    } else {
+      core::CircularCorrelate(x_cache_.row(r), dy.row(r), dc);
+      if (dx != nullptr) core::CircularCorrelate(c_, dy.row(r), dx->row(r));
+    }
     for (std::size_t j = 0; j < n_; ++j) c_grad_[j] += dc[j];
-    if (dx != nullptr) core::CircularCorrelate(c_, dy.row(r), dx->row(r));
   }
 }
 

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 
 #include "core/butterfly.h"
 #include "core/fft.h"
@@ -88,6 +89,10 @@ class FastfoodLayer : public Layer, private BiasMixin {
 };
 
 // Circulant weight matrix: y = circ(c) x via FFT-based circular convolution.
+// Bitwise per-row core::CircularConvolve (forward) and CircularCorrelate
+// (backward). On their FFT path the layer holds one plan, transforms c once
+// per Forward, and keeps each trained row's spectrum for Backward, which
+// then transforms only dy: 4 FFTs per trained row (5 with dx), not 6 (9).
 class CirculantLayer : public Layer, private BiasMixin {
  public:
   CirculantLayer(std::size_t n, Rng& rng);
@@ -102,7 +107,12 @@ class CirculantLayer : public Layer, private BiasMixin {
  private:
   std::size_t n_;
   std::vector<float> c_, c_grad_;
-  Matrix x_cache_;
+  std::optional<core::FftPlan> plan_;  // set when CircularUsesFft(n)
+  // FFT path: c's spectrum, the trained rows' spectra (row-major,
+  // trained_rows_ x n) and one row of scratch.
+  std::vector<core::Cpx> c_spec_, x_spec_, work_;
+  Matrix x_cache_;  // direct path: the trained rows
+  std::size_t trained_rows_ = 0;
 };
 
 // Low-rank W = U V^T (in x rank)(rank x out).

@@ -92,7 +92,7 @@ class ExecutionBackend {
 // The IPU serving path behind the interface: a compiled ModelPlan plus
 // (optionally) the ReplicaPool instantiated from it. Without a pool the
 // backend is scoring-only (the placer compares plans before spending the
-// engines); AttachPool upgrades it in place. Neither is owned.
+// engines). Neither is owned.
 class IpuBackend final : public ExecutionBackend {
  public:
   // `max_replicas_per_device` carries the capacity-probe result for the
@@ -100,7 +100,6 @@ class IpuBackend final : public ExecutionBackend {
   explicit IpuBackend(const ModelPlan& plan, ReplicaPool* pool = nullptr,
                       std::size_t max_replicas_per_device = 0);
 
-  void AttachPool(ReplicaPool* pool) { pool_ = pool; }
   const ModelPlan& plan() const { return *plan_; }
 
   const char* name() const override { return "ipu"; }

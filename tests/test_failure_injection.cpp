@@ -10,6 +10,7 @@
 #include "ipusim/session.h"
 #include "linalg/gemm.h"
 #include "linalg/spmm.h"
+#include "nn/structured.h"
 
 namespace repro {
 namespace {
@@ -152,6 +153,31 @@ TEST(FailureInjection, ButterflyStaleWorkspaceDies) {
   Matrix dy = Matrix::RandomNormal(2, 8, rng);
   Matrix dx(2, 8);
   EXPECT_DEATH(bf.Backward(ws, dy, dx), "stale");
+}
+
+// A backward of more rows than the train-mode forward cached must die, not
+// read past the cache.
+TEST(FailureInjection, ButterflyBackwardPastTheCachedBatchDies) {
+  Rng rng(4);
+  core::Butterfly bf(8, core::ButterflyParam::kGivens, true, rng);
+  core::Butterfly::Workspace ws;
+  Matrix y(2, 8);
+  bf.Forward(Matrix::RandomNormal(2, 8, rng), y, &ws);
+  const Matrix dy = Matrix::RandomNormal(3, 8, rng);
+  Matrix dx;
+  EXPECT_DEATH(bf.Backward(ws, dy, dx), "backward without cache");
+}
+
+TEST(FailureInjection, CirculantBackwardPastTheCachedBatchDies) {
+  for (const std::size_t n : {std::size_t{1024}, std::size_t{16}}) {
+    Rng rng(5);
+    nn::CirculantLayer layer(n, rng);
+    Matrix y;
+    layer.Forward(Matrix::RandomNormal(2, n, rng), y, /*train=*/true);
+    const Matrix dy = Matrix::RandomNormal(3, n, rng);
+    EXPECT_DEATH(layer.Backward(dy, nullptr), "backward without cache")
+        << "n=" << n;
+  }
 }
 
 TEST(FailureInjection, StatusOrTakeOnErrorDies) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/fft.h"
 #include "core/fwht.h"
 #include "linalg/gemm.h"
+#include "util/bitops.h"
 #include "util/rng.h"
 
 namespace repro::core {
@@ -80,6 +82,73 @@ TEST_P(FftSizes, InverseRoundTrip) {
 
 INSTANTIATE_TEST_SUITE_P(Pow2, FftSizes,
                          ::testing::Values(2, 4, 8, 32, 128, 512));
+
+// Fft as the loop it was before FftPlan, which advances each twiddle by
+// w *= wlen inside every butterfly group and multiplies in std::complex:
+// the bitwise oracle for the plan.
+void RecurrenceFft(std::span<Cpx> v, bool inverse) {
+  const std::size_t n = v.size();
+  const unsigned bits = Log2(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t j = BitReverse(static_cast<std::uint32_t>(i), bits);
+    if (i < j) std::swap(v[i], v[j]);
+  }
+  const double sign = inverse ? 1.0 : -1.0;
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double angle = sign * 2.0 * M_PI / static_cast<double>(len);
+    const Cpx wlen(std::cos(angle), std::sin(angle));
+    for (std::size_t base = 0; base < n; base += len) {
+      Cpx w(1.0, 0.0);
+      for (std::size_t i = 0; i < len / 2; ++i) {
+        const Cpx u = v[base + i];
+        const Cpx t = w * v[base + i + len / 2];
+        v[base + i] = u + t;
+        v[base + i + len / 2] = u - t;
+        w *= wlen;
+      }
+    }
+  }
+  if (inverse) {
+    for (auto& x : v) x /= static_cast<double>(n);
+  }
+}
+
+bool SameBits(const std::vector<Cpx>& a, const std::vector<Cpx>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(Cpx)) == 0;
+}
+
+TEST(FftPlan, MatchesTheRecurrenceLoopBitwise) {
+  for (std::size_t n = 1; n <= 4096; n <<= 1) {
+    const FftPlan plan(n);
+    EXPECT_EQ(plan.n(), n);
+    Rng rng(n + 11);
+    std::vector<Cpx> x(n);
+    for (auto& c : x) c = Cpx(rng.Normal(), rng.Normal());
+    x[n / 2] = Cpx(0.0, -0.0);  // an exact zero among the inputs
+    for (const bool inverse : {false, true}) {
+      std::vector<Cpx> want = x;
+      RecurrenceFft(want, inverse);
+      std::vector<Cpx> got = x;
+      plan.Run(got, inverse);
+      EXPECT_TRUE(SameBits(got, want)) << "n=" << n << " inverse=" << inverse;
+      // A plan runs any number of signals; Fft builds one per call.
+      got = x;
+      plan.Run(got, inverse);
+      EXPECT_TRUE(SameBits(got, want)) << "rerun n=" << n;
+      got = x;
+      Fft(got, inverse);
+      EXPECT_TRUE(SameBits(got, want)) << "Fft n=" << n;
+    }
+  }
+}
+
+TEST(FftPlan, RejectsWrongLengths) {
+  EXPECT_DEATH(FftPlan(12), "power-of-two");
+  const FftPlan plan(8);
+  std::vector<Cpx> v(4);
+  EXPECT_DEATH(plan.Run(v), "length 8 run on 4");
+}
 
 // The paper's equation (1): the DFT decomposes into log N butterfly factors
 // applied after the even/odd (bit-reversal) permutation. This validates the

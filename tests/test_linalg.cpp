@@ -251,6 +251,91 @@ TEST(GemmWidths, EveryWidthMatchesTheFourLaneWidthAndTheReference) {
   }
 }
 
+// GemmStrided's contract as a scalar loop: C(i, j) = c[i * ldc + j] summed
+// over p in order, from the value `start` names.
+void RefStrided(const GemmOperands& op) {
+  for (std::size_t i = 0; i < op.m; ++i) {
+    for (std::size_t j = 0; j < op.n; ++j) {
+      float& out = op.c[i * op.ldc + j];
+      float acc = op.start == GemmStart::kFromC ? out : 0.0f;
+      for (std::size_t p = 0; p < op.k; ++p) {
+        acc += op.a[i * op.a_row + p * op.a_col] *
+               op.b[p * op.b_row + j * op.b_col];
+      }
+      out = op.start == GemmStart::kAddAfter ? out + acc : acc;
+    }
+  }
+}
+
+// GemmStrided at every width this CPU runs, on C as a column block of a
+// wider matrix: ldc = n + 5, with two guard columns left of the block, three
+// right of it and a guard row above and below, all of which must keep their
+// bits. A is read in place and transposed; B in place (its rows read
+// directly when n is a multiple of 4 up to 64, else packed) and transposed
+// (packed); all three starts.
+TEST(GemmWidths, StridedColumnBlockMatchesTheReference) {
+  const GemmStart starts[] = {GemmStart::kZero, GemmStart::kFromC,
+                              GemmStart::kAddAfter};
+  for (const std::size_t m : {7, 50}) {
+    for (const std::size_t k : {1, 16}) {
+      for (std::size_t n = 1; n <= 68; ++n) {
+        Rng rng(m * 10000 + k * 100 + n);
+        const std::size_t ldc = n + 5;
+        const Matrix a = Matrix::RandomNormal(m, k, rng);
+        const Matrix b = Matrix::RandomNormal(k, n, rng);
+        const Matrix at = a.Transposed(), bt = b.Transposed();
+        std::vector<float> c0((m + 2) * ldc);
+        rng.FillNormal(c0.data(), c0.size(), 1.0f);
+        const struct {
+          const char* name;
+          const float* a;
+          std::size_t a_row, a_col;
+          const float* b;
+          std::size_t b_row, b_col;
+        } layouts[] = {{"a b", a.data(), k, 1, b.data(), n, 1},
+                       {"at b", at.data(), 1, m, b.data(), n, 1},
+                       {"a bt", a.data(), k, 1, bt.data(), 1, k},
+                       {"at bt", at.data(), 1, m, bt.data(), 1, k}};
+        for (const auto& l : layouts) {
+          for (const GemmStart start : starts) {
+            const auto operands = [&](std::vector<float>& c) {
+              return GemmOperands{l.a, l.a_row, l.a_col, l.b, l.b_row, l.b_col,
+                                  c.data() + ldc + 2, ldc, m, k, n, start};
+            };
+            std::vector<float> want = c0;
+            RefStrided(operands(want));
+            for (const char* isa : kGemmIsas) {
+              std::vector<float> got = c0;
+              if (!RunAtGemmIsa(isa, [&] { GemmStrided(operands(got)); })) {
+                continue;
+              }
+              EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                    want.size() * sizeof(float)),
+                        0)
+                  << isa << " " << l.name << " start="
+                  << static_cast<int>(start) << " m=" << m << " k=" << k
+                  << " n=" << n;
+              std::size_t guards_moved = 0;
+              for (std::size_t idx = 0; idx < c0.size(); ++idx) {
+                const std::size_t row = idx / ldc, col = idx % ldc;
+                const bool in_view =
+                    row >= 1 && row <= m && col >= 2 && col < n + 2;
+                if (!in_view && std::memcmp(&got[idx], &c0[idx],
+                                            sizeof(float)) != 0) {
+                  ++guards_moved;
+                }
+              }
+              EXPECT_EQ(guards_moved, 0u)
+                  << isa << " " << l.name << " m=" << m << " k=" << k
+                  << " n=" << n;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // a * b + c with the product rounded first must not become one fused
 // multiply-add at any width, whatever ISA the kernel is compiled for. With
 // a = b = 1 + 2^-12 the exact product 1 + 2^-11 + 2^-24 rounds to

@@ -158,6 +158,55 @@ TEST(CirculantLayerTest, ShiftKernelShifts) {
   EXPECT_NEAR(y(0, 7), 6.0f, 1e-4);
 }
 
+// The layer's plan, its c spectrum and its cached row spectra against the
+// per-row CircularConvolve / CircularCorrelate loop it replaced, bitwise:
+// forward in train and eval mode, and backward with and without dx. A
+// ragged batch with exact zeros, at n = 1024 (the FFT path) and n = 16 (the
+// direct path).
+TEST(CirculantLayerTest, MatchesPerRowLoopsBitwise) {
+  for (const std::size_t n : {std::size_t{1024}, std::size_t{16}}) {
+    Rng rng(n);
+    CirculantLayer layer(n, rng);
+    std::vector<ParamRef> ps = layer.parameters();
+    const std::span<const float> c = ps[0].value, bias = ps[1].value;
+    rng.FillNormal(ps[1].value.data(), n, 0.1f);
+    const std::size_t batch = 5;
+    Matrix x = Matrix::RandomNormal(batch, n, rng);
+    Matrix dy = Matrix::RandomNormal(batch, n, rng);
+    for (std::size_t i = 0; i < x.size(); i += 7) x.data()[i] = 0.0f;
+    for (std::size_t i = 0; i < dy.size(); i += 3) dy.data()[i] = 0.0f;
+
+    Matrix want_y(batch, n), want_dx(batch, n);
+    std::vector<float> want_dc(n, 0.0f), want_db(n, 0.0f), dc(n);
+    for (std::size_t r = 0; r < batch; ++r) {
+      core::CircularConvolve(c, x.row(r), want_y.row(r));
+      for (std::size_t j = 0; j < n; ++j) want_y(r, j) += bias[j];
+      core::CircularCorrelate(x.row(r), dy.row(r), dc);
+      for (std::size_t j = 0; j < n; ++j) want_dc[j] += dc[j];
+      core::CircularCorrelate(c, dy.row(r), want_dx.row(r));
+      for (std::size_t j = 0; j < n; ++j) want_db[j] += dy(r, j);
+    }
+    const auto same = [](std::span<const float> a, std::span<const float> b) {
+      return a.size() == b.size() &&
+             std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+    };
+
+    Matrix y;
+    layer.Forward(x, y, /*train=*/false);
+    EXPECT_TRUE(same(y.flat(), want_y.flat())) << "eval forward, n=" << n;
+    layer.Forward(x, y, /*train=*/true);
+    EXPECT_TRUE(same(y.flat(), want_y.flat())) << "train forward, n=" << n;
+    Matrix dx;
+    for (Matrix* out : {static_cast<Matrix*>(nullptr), &dx}) {
+      layer.zeroGrad();
+      layer.Backward(dy, out);
+      EXPECT_TRUE(same(ps[0].grad, want_dc)) << "dc, n=" << n;
+      EXPECT_TRUE(same(ps[1].grad, want_db)) << "db, n=" << n;
+    }
+    EXPECT_TRUE(same(dx.flat(), want_dx.flat())) << "dx, n=" << n;
+  }
+}
+
 TEST(LowRankLayerTest, GradCheck) {
   Rng rng(11);
   LowRankLayer l(10, 8, 2, rng);
