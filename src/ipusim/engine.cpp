@@ -229,17 +229,28 @@ double Engine::cyclesToUs(double cycles) const {
   return cycles / graph_.arch().clock_hz * 1e6;
 }
 
+void Engine::checkHostView(const Tensor& t, std::size_t size,
+                           const char* op) const {
+  REPRO_REQUIRE(opts_.execute, "%s on a timing-only engine", op);
+  const auto& vars = graph_.variables();
+  REPRO_REQUIRE(t.var < vars.size(), "%s of variable %u, graph has %zu", op,
+                t.var, vars.size());
+  const std::size_t numel = vars[t.var].numel;
+  REPRO_REQUIRE(t.offset <= numel && t.numel <= numel - t.offset,
+                "%s of [%zu, +%zu) outside variable %u of %zu elements", op,
+                t.offset, t.numel, t.var, numel);
+  REPRO_REQUIRE(size == t.numel, "%s size mismatch: %zu vs %zu", op, size,
+                t.numel);
+}
+
 void Engine::writeTensor(const Tensor& t, std::span<const float> data) {
-  REPRO_REQUIRE(opts_.execute, "writeTensor on a timing-only engine");
-  REPRO_REQUIRE(data.size() == t.numel, "writeTensor size mismatch: %zu vs %zu",
-                data.size(), t.numel);
+  checkHostView(t, data.size(), "writeTensor");
   std::memcpy(storage_[t.var].data() + t.offset, data.data(),
               data.size() * sizeof(float));
 }
 
 void Engine::readTensor(const Tensor& t, std::span<float> out) const {
-  REPRO_REQUIRE(opts_.execute, "readTensor on a timing-only engine");
-  REPRO_REQUIRE(out.size() == t.numel, "readTensor size mismatch");
+  checkHostView(t, out.size(), "readTensor");
   std::memcpy(out.data(), storage_[t.var].data() + t.offset,
               out.size() * sizeof(float));
 }

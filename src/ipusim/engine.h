@@ -110,7 +110,8 @@ class Engine {
   // (program, ledgers, exchange plans) are compiled once and shared.
   Engine(Internal, std::shared_ptr<const Executable> exe, Options opts);
 
-  // Host data access (requires Options::execute).
+  // Host data access (requires Options::execute). Fatal unless `t` is a
+  // window inside one of the graph's variables and the span matches it.
   void writeTensor(const Tensor& t, std::span<const float> data);
   void readTensor(const Tensor& t, std::span<float> out) const;
 
@@ -122,6 +123,8 @@ class Engine {
   std::shared_ptr<const Executable> executableShared() const { return exe_; }
 
  private:
+  // writeTensor/readTensor's checks on a host view of `size` elements.
+  void checkHostView(const Tensor& t, std::size_t size, const char* op) const;
   void runProgram(const Program& p, RunReport& r);
   void execComputeSet(ComputeSetId cs, RunReport& r);
   void execCopy(const Program& p, RunReport& r);

@@ -118,6 +118,39 @@ TEST(FailureInjection, WriteTensorWrongSizeDies) {
   EXPECT_DEATH(session.writeTensor(x, wrong), "size mismatch");
 }
 
+// Host IO trusts no Tensor handle: a window past the variable's end (also
+// one whose offset + numel wraps around) or a variable the graph does not
+// have dies before any byte moves.
+TEST(FailureInjection, WriteTensorOutsideTheGraphDies) {
+  Session session(Gc200());
+  Tensor a = session.graph().addVariable("a", 8);
+  session.graph().setTileMapping(a, 0);
+  ASSERT_TRUE(session.compile(Program::Sequence({})).ok());
+  std::vector<float> data(8, 1.0f);
+  EXPECT_DEATH(session.writeTensor(Tensor{a.var, 1u << 20, 8, 1, 8}, data),
+               "outside variable");
+  EXPECT_DEATH(session.writeTensor(
+                   Tensor{a.var, 4, SIZE_MAX - 2, 1, SIZE_MAX - 2}, data),
+               "outside variable");
+  EXPECT_DEATH(session.writeTensor(Tensor{a.var + 1, 0, 8, 1, 8}, data),
+               "graph has 1");
+}
+
+TEST(FailureInjection, ReadTensorOutsideTheGraphDies) {
+  Session session(Gc200());
+  Tensor a = session.graph().addVariable("a", 8);
+  session.graph().setTileMapping(a, 0);
+  ASSERT_TRUE(session.compile(Program::Sequence({})).ok());
+  std::vector<float> out(8);
+  EXPECT_DEATH(session.readTensor(Tensor{a.var, 1u << 20, 8, 1, 8}, out),
+               "outside variable");
+  EXPECT_DEATH(
+      session.readTensor(Tensor{a.var, 4, SIZE_MAX - 2, 1, SIZE_MAX - 2}, out),
+      "outside variable");
+  EXPECT_DEATH(session.readTensor(Tensor{kInvalidId, 0, 8, 1, 8}, out),
+               "graph has 1");
+}
+
 TEST(FailureInjection, MatmulZeroDimensionDies) {
   Graph g(Gc200());
   EXPECT_DEATH(
