@@ -1,7 +1,7 @@
 // Serving-capacity comparison: dense vs butterfly vs pixelfly at a fixed
 // per-tile memory budget (the paper's memory argument turned into a serving
 // claim). For each method the bench
-//   1. exports the SHL forward pass and probes MaxReplicasPerIpu -- how many
+//   1. exports the SHL forward pass and probes ProbeMaxReplicas -- how many
 //      timing-plan replicas of the compiled graph fit on one simulated GC200
 //      when the device is carved into equal tile slices;
 //   2. runs a closed-loop load (enough clients to keep every replica's batch

@@ -50,7 +50,9 @@
 #      the raw-pointer training kernels: test_pixelfly (per-block strided
 #      GEMMs), test_fwht_fft (the FFT plan), test_nn (the circulant layer's
 #      cached spectra) and test_failure_injection (backward past the cached
-#      batch), in a side build dir.
+#      batch, host IO outside a variable), and of test_ipusim_engine and
+#      test_ipusim_program, whose writeTensor, readTensor and Copy steps
+#      move bytes in engine storage, in a side build dir.
 #
 # Usage: scripts/check.sh [build-dir]      (default: build)
 set -euo pipefail
@@ -384,12 +386,13 @@ if ! diff -u "$repo_root/scripts/golden/perfbench_tiny_digests.txt" \
 fi
 echo "ok: perfbench sim.digest identical across threads and equal to the golden"
 
-echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable + test_linalg + test_cluster + test_backend + test_pixelfly + test_fwht_fft + test_nn + test_failure_injection) =="
+echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable + test_linalg + test_cluster + test_backend + test_pixelfly + test_fwht_fft + test_nn + test_failure_injection + test_ipusim_engine + test_ipusim_program) =="
 asan_dir="$build_dir-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DREPRO_SANITIZE=address > /dev/null
 cmake --build "$asan_dir" -j --target test_serve test_session test_obs \
   test_kernels test_stream test_executable test_linalg test_cluster \
-  test_backend test_pixelfly test_fwht_fft test_nn test_failure_injection
+  test_backend test_pixelfly test_fwht_fft test_nn test_failure_injection \
+  test_ipusim_engine test_ipusim_program
 "$asan_dir/tests/test_serve" > "$tmp_dir/asan_serve.log" \
   || { echo "FAIL: asan test_serve"; tail -40 "$tmp_dir/asan_serve.log"; exit 1; }
 "$asan_dir/tests/test_session" > "$tmp_dir/asan_session.log" \
@@ -416,6 +419,10 @@ cmake --build "$asan_dir" -j --target test_serve test_session test_obs \
   || { echo "FAIL: asan test_nn"; tail -40 "$tmp_dir/asan_nn.log"; exit 1; }
 "$asan_dir/tests/test_failure_injection" > "$tmp_dir/asan_failure_injection.log" \
   || { echo "FAIL: asan test_failure_injection"; tail -40 "$tmp_dir/asan_failure_injection.log"; exit 1; }
+"$asan_dir/tests/test_ipusim_engine" > "$tmp_dir/asan_ipusim_engine.log" \
+  || { echo "FAIL: asan test_ipusim_engine"; tail -40 "$tmp_dir/asan_ipusim_engine.log"; exit 1; }
+"$asan_dir/tests/test_ipusim_program" > "$tmp_dir/asan_ipusim_program.log" \
+  || { echo "FAIL: asan test_ipusim_program"; tail -40 "$tmp_dir/asan_ipusim_program.log"; exit 1; }
 echo "ok: asan clean"
 
 echo "all checks passed"

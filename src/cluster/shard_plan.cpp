@@ -88,7 +88,8 @@ StatusOr<std::unique_ptr<ShardPlan>> ShardPlan::Build(
   plan->stage_b_seconds_ = plan->stage_b_->run().seconds(arch);
 
   // All chips run the same compiled stage executables; makeReplica shares
-  // the program and gives each chip private storage for its weight slice.
+  // the program, and writing each chip's weight slice gives that chip a
+  // private copy of the weight buffers (copy-on-write).
   for (std::size_t c = 0; c < C; ++c) {
     plan->engines_a_.push_back(plan->stage_a_->makeReplica(1));
     plan->engines_b_.push_back(plan->stage_b_->makeReplica(1));

@@ -35,6 +35,24 @@ void AccumulateRunStats(double seconds, std::uint64_t vertices,
   g_host_stats.run_dispatches += dispatches;
 }
 
+// Marks every variable a program step writes (Copy, CopyBundle, HostWrite
+// and StreamIn destinations) in `written`.
+void MarkProgramWrites(const Program& p, std::vector<bool>& written) {
+  switch (p.kind) {
+    case Program::Kind::kCopy:
+    case Program::Kind::kHostWrite:
+    case Program::Kind::kStreamIn:
+      REPRO_REQUIRE(p.dst.var < written.size(),
+                    "program writes variable %u, graph has %zu", p.dst.var,
+                    written.size());
+      written[p.dst.var] = true;
+      break;
+    default:
+      break;
+  }
+  for (const Program& c : p.children) MarkProgramWrites(c, written);
+}
+
 }  // namespace
 
 EngineHostStats EngineHostStatsSnapshot() {
@@ -75,6 +93,13 @@ Engine::Engine(Internal tag, Executable exe, Options opts)
     : Engine(tag, std::make_shared<const Executable>(std::move(exe)), opts) {}
 
 Engine::Engine(Internal, std::shared_ptr<const Executable> exe, Options opts)
+    : Engine(std::move(exe), opts, nullptr) {}
+
+Engine::Engine(Internal, const Engine& source, Options opts)
+    : Engine(source.exe_, opts, &source) {}
+
+Engine::Engine(std::shared_ptr<const Executable> exe, Options opts,
+               const Engine* share_from)
     : exe_(std::move(exe)),
       graph_([&]() -> const Graph& {
         REPRO_REQUIRE(exe_ != nullptr && exe_->graph != nullptr,
@@ -87,10 +112,19 @@ Engine::Engine(Internal, std::shared_ptr<const Executable> exe, Options opts)
   const std::size_t workers = hostWorkers();
   const auto& vars = graph_.variables();
   if (opts_.execute) {
+    std::vector<bool> shared;
+    if (share_from != nullptr) {
+      REPRO_REQUIRE(share_from->opts_.execute,
+                    "executing replica of a timing-only engine");
+      shared = ConstantVariables(*exe_);
+    }
     storage_.resize(vars.size());
     ParallelForWith(workers, 0, vars.size(), [&](std::size_t lo, std::size_t hi) {
       for (std::size_t i = lo; i < hi; ++i) {
-        storage_[i].assign(vars[i].numel, 0.0f);
+        storage_[i] = !shared.empty() && shared[i]
+                          ? share_from->storage_[i]
+                          : std::make_shared<std::vector<float>>(vars[i].numel,
+                                                                 0.0f);
       }
     });
   }
@@ -137,7 +171,7 @@ Engine::Engine(Internal, std::shared_ptr<const Executable> exe, Options opts)
                         spans.resize(g.edges.size());
                         for (std::size_t e = 0; e < g.edges.size(); ++e) {
                           const Tensor& t = g.edges[e];
-                          spans[e] = {storage_[t.var].data() + t.offset,
+                          spans[e] = {storage_[t.var]->data() + t.offset,
                                       t.numel};
                         }
                         auto& states = group_states_[gi];
@@ -225,6 +259,19 @@ bool ProgramHasStream(const Program& p) {
   return false;
 }
 
+std::vector<bool> ConstantVariables(const Executable& exe) {
+  const Graph& g = *exe.graph;
+  std::vector<bool> written(g.variables().size(), false);
+  MarkProgramWrites(exe.program, written);
+  for (const Vertex& v : g.vertices()) {
+    for (const Edge& e : v.edges) {
+      if (e.is_output) written[e.view.var] = true;
+    }
+  }
+  written.flip();
+  return written;
+}
+
 double Engine::cyclesToUs(double cycles) const {
   return cycles / graph_.arch().clock_hz * 1e6;
 }
@@ -243,16 +290,40 @@ void Engine::checkHostView(const Tensor& t, std::size_t size,
                 t.numel);
 }
 
+float* Engine::unsharedData(VarId var) {
+  std::shared_ptr<std::vector<float>>& buf = storage_[var];
+  if (buf.use_count() > 1) {
+    buf = std::make_shared<std::vector<float>>(*buf);
+    const KernelPlan& plan = exe_->kernel_plan;
+    for (std::size_t gi = 0; gi < plan.groups.size(); ++gi) {
+      const std::vector<Tensor>& edges = plan.groups[gi].edges;
+      for (std::size_t e = 0; e < edges.size(); ++e) {
+        if (edges[e].var != var) continue;
+        group_spans_[gi][e] = {buf->data() + edges[e].offset, edges[e].numel};
+      }
+    }
+  }
+  return buf->data();
+}
+
 void Engine::writeTensor(const Tensor& t, std::span<const float> data) {
   checkHostView(t, data.size(), "writeTensor");
-  std::memcpy(storage_[t.var].data() + t.offset, data.data(),
+  std::memcpy(unsharedData(t.var) + t.offset, data.data(),
               data.size() * sizeof(float));
 }
 
 void Engine::readTensor(const Tensor& t, std::span<float> out) const {
   checkHostView(t, out.size(), "readTensor");
-  std::memcpy(out.data(), storage_[t.var].data() + t.offset,
+  std::memcpy(out.data(), storage_[t.var]->data() + t.offset,
               out.size() * sizeof(float));
+}
+
+std::size_t Engine::ownedStorageBytes() const {
+  std::size_t bytes = 0;
+  for (const auto& buf : storage_) {
+    if (buf.use_count() == 1) bytes += buf->size() * sizeof(float);
+  }
+  return bytes;
 }
 
 RunReport Engine::run() {
@@ -465,10 +536,10 @@ void Engine::walkCopyTraffic(const Program& p,
 }
 
 void Engine::moveCopyData(const Program& p) {
-  auto& src_buf = storage_[p.src.var];
-  auto& dst_buf = storage_[p.dst.var];
-  const float* src = src_buf.data() + p.src.offset;
-  float* dst = dst_buf.data() + p.dst.offset;
+  // A copy's destination is never a constant, so its buffer is this
+  // engine's alone.
+  const float* src = storage_[p.src.var]->data() + p.src.offset;
+  float* dst = storage_[p.dst.var]->data() + p.dst.offset;
   const std::size_t n = p.src.numel;
   if (p.src.var == p.dst.var &&
       p.src.offset < p.dst.offset + n && p.dst.offset < p.src.offset + n) {

@@ -104,27 +104,43 @@ class Engine {
   // artifact loaded from disk run in a process that never built a graph.
   struct Internal {};
   Engine(Internal, Executable exe, Options opts);
-  // Replica construction: shares an already-compiled executable instead of
-  // owning a private copy. Every replica engine gets its own tensor storage
-  // and cost tables, so replicas run concurrently; the compile artifacts
-  // (program, ledgers, exchange plans) are compiled once and shared.
+  // Shares an already-compiled executable instead of owning a private copy;
+  // every variable starts zeroed in this engine's own buffer.
   Engine(Internal, std::shared_ptr<const Executable> exe, Options opts);
+  // Replica construction: runs `source`'s executable. The compile artifacts
+  // (program, ledgers, exchange plans) are shared, and so are `source`'s
+  // host buffers of the variables no program step writes
+  // (ConstantVariables); every other variable starts zeroed in a private
+  // buffer, so replicas run concurrently. writeTensor copies a shared
+  // buffer before writing it, so each engine behaves as if all of its
+  // storage were private.
+  Engine(Internal, const Engine& source, Options opts);
 
   // Host data access (requires Options::execute). Fatal unless `t` is a
   // window inside one of the graph's variables and the span matches it.
+  // A write into a buffer another engine still holds copies it first.
   void writeTensor(const Tensor& t, std::span<const float> data);
   void readTensor(const Tensor& t, std::span<float> out) const;
+
+  // Bytes of host tensor storage no other engine holds: all of it for an
+  // engine whose buffers are unshared, only the written variables for a
+  // replica that shares its constants. Host memory only; the simulated
+  // ledger charges every engine's tiles for every variable either way.
+  std::size_t ownedStorageBytes() const;
 
   // Runs the compiled program once and returns its cost report.
   RunReport run();
 
   const Executable& executable() const { return *exe_; }
-  // The shared compile artifact, for spawning further replicas off it.
-  std::shared_ptr<const Executable> executableShared() const { return exe_; }
 
  private:
+  Engine(std::shared_ptr<const Executable> exe, Options opts,
+         const Engine* share_from);
   // writeTensor/readTensor's checks on a host view of `size` elements.
   void checkHostView(const Tensor& t, std::size_t size, const char* op) const;
+  // Copy-on-write: `var`'s buffer, first copied if another engine still
+  // holds it, with the group spans resolved into the old buffer re-pointed.
+  float* unsharedData(VarId var);
   void runProgram(const Program& p, RunReport& r);
   void execComputeSet(ComputeSetId cs, RunReport& r);
   void execCopy(const Program& p, RunReport& r);
@@ -154,9 +170,11 @@ class Engine {
   std::shared_ptr<const Executable> exe_;  // declared before graph_: see ctor
   const Graph& graph_;                     // alias of *exe_->graph
   Options opts_;
-  std::vector<std::vector<float>> storage_;  // per variable (execute mode)
+  // One reference-counted buffer per variable (execute mode); constants may
+  // be shared with the engine this one was made from, or with its replicas.
+  std::vector<std::shared_ptr<std::vector<float>>> storage_;
   // Kernel-plan dispatch state: per-group spans and vertex states resolved
-  // against this engine's private storage (execute mode), aligned with the
+  // against this engine's storage (execute mode), aligned with the
   // plan's SoA tables; cached codelet pointers; and each lowered compute
   // set's contiguous [begin, end) range of plan groups, one host dispatch
   // per group.
@@ -194,6 +212,13 @@ class Engine {
   double in_link_free_s_ = 0.0;
   double out_link_free_s_ = 0.0;
 };
+
+// Per variable of exe's graph: true when nothing the compiled program runs
+// can write it. Such a variable is never the destination of a Copy,
+// CopyBundle, HostWrite or StreamIn and never the view of an is_output
+// vertex edge (weights, biases, classifiers). Replica engines share these
+// buffers.
+std::vector<bool> ConstantVariables(const Executable& exe);
 
 // True when the program tree contains a StreamIn/StreamOut anywhere; the
 // engine's fast_repeat path needs a few warm-up iterations for such bodies

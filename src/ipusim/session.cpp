@@ -96,8 +96,7 @@ std::unique_ptr<Engine> Session::makeReplica(std::size_t host_threads) const {
   // host-schedule nondeterminism into the trace. The scheduler owns the
   // serving timeline instead.
   eo.tracer = nullptr;
-  return std::make_unique<Engine>(Engine::Internal{},
-                                  engine_->executableShared(), eo);
+  return std::make_unique<Engine>(Engine::Internal{}, *engine_, eo);
 }
 
 void Session::writeTensor(const Tensor& t, std::span<const float> data) {
@@ -108,6 +107,12 @@ void Session::writeTensor(const Tensor& t, std::span<const float> data) {
 void Session::readTensor(const Tensor& t, std::span<float> out) const {
   REPRO_REQUIRE(engine_.has_value(), "Session::readTensor before compile");
   engine_->readTensor(t, out);
+}
+
+std::size_t Session::ownedStorageBytes() const {
+  REPRO_REQUIRE(engine_.has_value(),
+                "Session::ownedStorageBytes before compile");
+  return engine_->ownedStorageBytes();
 }
 
 const Executable& Session::executable() const {

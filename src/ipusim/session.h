@@ -133,9 +133,13 @@ class Session {
   RunReport run();
 
   // Spawns an independent engine over this session's compiled executable:
-  // compilation runs once, every replica shares the same program, ledgers
-  // and exchange plans, and each replica owns private tensor storage so
-  // replicas execute concurrently (the serving replica pool's substrate).
+  // compilation runs once, and every replica shares the same program,
+  // ledgers and exchange plans (the serving replica pool's substrate). A
+  // replica shares the session engine's host buffers of the variables no
+  // program step writes, so it starts with whatever was written into them
+  // (the weights), and gets private zeroed storage for the rest, so
+  // replicas execute concurrently. Writing a shared variable copies it
+  // first, in whichever engine writes (Engine's replica constructor).
   // The replica's execute/fast_repeat flags follow the session options;
   // `host_threads` caps the replica's own host parallelism (0 defers to the
   // session's setting). Fatal before a successful compile().
@@ -144,6 +148,9 @@ class Session {
   // Host tensor IO (requires options().execute and a compiled session).
   void writeTensor(const Tensor& t, std::span<const float> data);
   void readTensor(const Tensor& t, std::span<float> out) const;
+  // Host storage bytes the session engine shares with no replica
+  // (Engine::ownedStorageBytes).
+  std::size_t ownedStorageBytes() const;
 
   // Compile artifacts, for memory reports and graph-count summaries.
   const Executable& executable() const;

@@ -258,6 +258,7 @@ StatusOr<std::unique_ptr<ModelPlan>> ModelPlan::Build(
   plan->session_ = std::make_unique<ipu::Session>(plan->arch_, so);
   Status st = plan->buildGraph();
   if (!st.ok()) return st;
+  if (opts.execute) plan->writeWeights();
   const ipu::RunReport cold = plan->session_->run();
   const double cold_s = cold.seconds(plan->arch_);
   if (opts.streaming) {
@@ -283,38 +284,37 @@ StatusOr<std::unique_ptr<ModelPlan>> ModelPlan::Build(
 
 std::unique_ptr<ipu::Engine> ModelPlan::MakeReplica(
     std::size_t host_threads) const {
-  std::unique_ptr<ipu::Engine> engine = session_->makeReplica(host_threads);
-  if (opts_.execute) writeWeights(*engine);
-  return engine;
+  return session_->makeReplica(host_threads);
 }
 
-void ModelPlan::writeWeights(ipu::Engine& engine) const {
+void ModelPlan::writeWeights() {
+  ipu::Session& session = *session_;
   switch (spec_.method) {
     case core::Method::kBaseline:
-      engine.writeTensor(dense_w_.w,
-                         packBlocks(dense_w_, spec_.dense_wt.data()));
+      session.writeTensor(dense_w_.w,
+                          packBlocks(dense_w_, spec_.dense_wt.data()));
       break;
     case core::Method::kButterfly:
       for (std::size_t f = 0; f < bfly_w_.size(); ++f) {
-        engine.writeTensor(bfly_w_[f], spec_.butterfly_factors[f]);
+        session.writeTensor(bfly_w_[f], spec_.butterfly_factors[f]);
       }
       break;
     case core::Method::kPixelfly:
-      engine.writeTensor(pf_w_, spec_.pf_blocks);
+      session.writeTensor(pf_w_, spec_.pf_blocks);
       if (spec_.pixelfly.low_rank > 0) {
-        engine.writeTensor(lr_vt_.w, packBlocks(lr_vt_, spec_.pf_vt.data()));
-        engine.writeTensor(lr_u_.w, packBlocks(lr_u_, spec_.pf_u.data()));
+        session.writeTensor(lr_vt_.w, packBlocks(lr_vt_, spec_.pf_vt.data()));
+        session.writeTensor(lr_u_.w, packBlocks(lr_u_, spec_.pf_u.data()));
       }
       break;
     default:
       REPRO_REQUIRE(false, "unreachable serving method");
   }
-  engine.writeTensor(hidden_bias_, spec_.hidden_bias);
-  engine.writeTensor(cls_w_.w, packBlocks(cls_w_, spec_.classifier_wt.data()));
+  session.writeTensor(hidden_bias_, spec_.hidden_bias);
+  session.writeTensor(cls_w_.w, packBlocks(cls_w_, spec_.classifier_wt.data()));
   std::vector<float> cb(Pad16(spec_.classes), 0.0f);
   std::copy(spec_.classifier_bias.begin(), spec_.classifier_bias.end(),
             cb.begin());
-  engine.writeTensor(cls_bias_, cb);
+  session.writeTensor(cls_bias_, cb);
 }
 
 Matrix ModelPlan::RunBatch(ipu::Engine& engine, const Matrix& inputs,

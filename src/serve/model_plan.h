@@ -13,12 +13,15 @@
 // makes that padding visible).
 //
 // Replication: MakeReplica() spawns engines off the one compiled executable
-// (Session::makeReplica) -- program, ledgers and exchange plans are shared,
-// tensor storage is private per replica, so a pool of replicas runs
-// concurrently. Capacity probes build timing-only plans on a carved-down
-// tile slice (PlanOptions::num_tiles); a plan that fails to compile is how
-// "this method does not fit K replicas per IPU" is detected
-// (replica_pool.h).
+// (Session::makeReplica) -- program, ledgers and exchange plans are shared.
+// Build() writes the trained weights once, into the plan's session engine,
+// and every replica shares that one host copy of them; each replica's
+// activations, inputs and logits live in private storage, so a pool of
+// replicas runs concurrently. The simulated ledger still charges every
+// replica's tiles for its own weights. Capacity probes build timing-only
+// plans on a carved-down tile slice (PlanOptions::num_tiles); a plan that
+// fails to compile is how "this method does not fit K replicas per IPU" is
+// detected (replica_pool.h).
 #pragma once
 
 #include <memory>
@@ -51,7 +54,7 @@ struct PlanOptions {
   bool poptorch_parity = true;
   // Optional trace sink (SessionOptions passthrough): compile-pass spans
   // and the calibration run's BSP timeline land on trace_pid. Capacity
-  // probes (MaxReplicasPerIpu) always null it -- dozens of probe compiles
+  // probes (ProbeMaxReplicas) always null it -- dozens of probe compiles
   // would bury the plan that actually serves.
   obs::Tracer* tracer = nullptr;
   std::size_t trace_pid = 0;
@@ -100,12 +103,17 @@ class ModelPlan {
     return session_->save(path);
   }
 
-  // Fresh engine over the shared executable, with this plan's trained
-  // weights written into its private storage (execute plans; timing-only
+  // Fresh engine over the shared executable that reads this plan's trained
+  // weights from the session engine's buffers (execute plans; timing-only
   // replicas carry no storage). `host_threads` bounds the replica's own
   // host-side parallelism -- the pool parallelises across replicas, so 1
   // keeps one replica = one worker.
   std::unique_ptr<ipu::Engine> MakeReplica(std::size_t host_threads = 1) const;
+
+  // The plan's own session, whose engine holds the host copy of the
+  // weights that replicas share. A write into it copies that buffer first,
+  // so replicas already made keep the weights they had.
+  ipu::Session& session() { return *session_; }
 
   // Runs one micro-batch (1..max_batch rows of spec().input features) on a
   // replica engine and returns its logits (rows x classes). Execute plans
@@ -131,7 +139,8 @@ class ModelPlan {
                       const ipu::Tensor& x, const ipu::Tensor& out,
                       std::size_t m, std::size_t k, bool accumulate);
   static std::vector<float> packBlocks(const GemmWeights& gw, const float* w);
-  void writeWeights(ipu::Engine& engine) const;
+  // Writes the trained weights into the session engine (execute plans).
+  void writeWeights();
 
   nn::ForwardSpec spec_;
   PlanOptions opts_;

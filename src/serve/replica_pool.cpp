@@ -77,10 +77,4 @@ CapacityProbe ProbeMaxReplicas(const nn::ForwardSpec& spec,
   return result;
 }
 
-std::size_t MaxReplicasPerIpu(const nn::ForwardSpec& spec,
-                              const ipu::IpuArch& arch,
-                              const PlanOptions& opts, std::size_t cap) {
-  return ProbeMaxReplicas(spec, arch, opts, cap).replicas;
-}
-
 }  // namespace repro::serve

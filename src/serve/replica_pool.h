@@ -8,9 +8,10 @@
 // strictly more replicas fit per simulated IPU at equal hidden width --
 // more replicas = more concurrent batches = higher sustained QPS.
 //
-// MaxReplicasPerIpu probes that limit with timing-only plans (no tensor
-// storage, one compile per probe) via doubling + binary search; the pool
-// then instantiates the chosen K with private per-replica storage.
+// ProbeMaxReplicas finds that limit with timing-only plans (no tensor
+// storage, one compile per slice size) via doubling + binary search; the
+// pool then instantiates the chosen K, which share the plan's one host copy
+// of the weights and hold private activation storage each.
 #pragma once
 
 #include <memory>
@@ -23,9 +24,10 @@ namespace repro::serve {
 class ReplicaPool {
  public:
   // Spawns `replicas` engines off the plan's compiled executable. For
-  // execute plans each replica gets the trained weights written into its
-  // private storage; `host_threads_per_replica` bounds each engine's own
-  // host parallelism (the pool's caller parallelises across replicas).
+  // execute plans every replica reads the trained weights from the plan's
+  // session engine (ModelPlan::MakeReplica); `host_threads_per_replica`
+  // bounds each engine's own host parallelism (the pool's caller
+  // parallelises across replicas).
   ReplicaPool(const ModelPlan& plan, std::size_t replicas,
               std::size_t host_threads_per_replica = 1);
 
@@ -65,10 +67,5 @@ struct CapacityProbe {
 CapacityProbe ProbeMaxReplicas(const nn::ForwardSpec& spec,
                                const ipu::IpuArch& arch,
                                const PlanOptions& opts, std::size_t cap = 256);
-
-// Back-compat wrapper: just the capacity.
-std::size_t MaxReplicasPerIpu(const nn::ForwardSpec& spec,
-                              const ipu::IpuArch& arch,
-                              const PlanOptions& opts, std::size_t cap = 256);
 
 }  // namespace repro::serve

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -253,15 +255,17 @@ TEST(ModelPlanTest, PartialBatchIsZeroPaddedCorrectly) {
   CheckParity(Method::kButterfly, 3);
 }
 
-// FNV-1a (64-bit) over the bytes of a matrix.
-std::uint64_t Fnv1a(const Matrix& m) {
+// FNV-1a (64-bit) over the bytes of some floats.
+std::uint64_t Fnv1a(std::span<const float> v) {
   std::uint64_t h = 0xcbf29ce484222325ull;
-  const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
-  for (std::size_t i = 0; i < m.size() * sizeof(float); ++i) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(float); ++i) {
     h = (h ^ bytes[i]) * 0x100000001b3ull;
   }
   return h;
 }
+
+std::uint64_t Fnv1a(const Matrix& m) { return Fnv1a({m.data(), m.size()}); }
 
 TEST(ModelPlanTest, ServedLogitsArePinnedBitwise) {
   // ParityModel's logits on a full batch, at CheckParity's max_batch and at
@@ -301,7 +305,7 @@ TEST(ModelPlanTest, TooSmallTileSliceIsInvalid) {
 // ---------------------------------------------------------------------------
 // Replication
 
-TEST(ReplicaPoolTest, ReplicasShareExecutableButNotStorage) {
+TEST(ReplicaPoolTest, ReplicasShareExecutableAndServeIdenticalLogits) {
   Rng rng(3);
   nn::Sequential model = nn::BuildShl(Method::kButterfly, SmallShape(64), rng);
   nn::ForwardSpec spec = nn::ExportForward(model);
@@ -328,6 +332,183 @@ TEST(ReplicaPoolTest, ReplicasShareExecutableButNotStorage) {
       EXPECT_EQ(a(i, j), b(i, j)) << "(" << i << ", " << j << ")";
 }
 
+// ---------------------------------------------------------------------------
+// One host copy of the weights: replicas share the variables no program
+// step writes with their plan's session engine, copy-on-write.
+
+constexpr Method kServedMethods[] = {Method::kBaseline, Method::kButterfly,
+                                     Method::kPixelfly};
+
+// A whole-variable view of `var`.
+ipu::Tensor WholeVariable(const ipu::Executable& exe, ipu::VarId var) {
+  const std::size_t numel = exe.graph->variables()[var].numel;
+  return ipu::Tensor{var, 0, numel, 1, numel};
+}
+
+// The id of the variable called `name` (fatal when there is none).
+ipu::VarId VariableNamed(const ipu::Executable& exe, const std::string& name) {
+  const auto& vars = exe.graph->variables();
+  for (std::size_t i = 0; i < vars.size(); ++i) {
+    if (vars[i].name == name) return static_cast<ipu::VarId>(i);
+  }
+  REPRO_REQUIRE(false, "no variable %s", name.c_str());
+  return ipu::kInvalidId;
+}
+
+// ParityModel(method) as an executing plan of `max_batch`.
+std::unique_ptr<ModelPlan> ParityPlan(Method method, std::size_t max_batch) {
+  nn::Sequential model = ParityModel(method);
+  PlanOptions opts;
+  opts.max_batch = max_batch;
+  auto plan = ModelPlan::Build(nn::ExportForward(model), ipu::Gc200(), opts);
+  REPRO_REQUIRE(plan.ok(), "%s", plan.status().message().c_str());
+  return plan.take();
+}
+
+std::vector<float> Read(const ipu::Session& s, const ipu::Tensor& t) {
+  std::vector<float> out(t.numel);
+  s.readTensor(t, out);
+  return out;
+}
+
+std::vector<float> Read(const ipu::Engine& e, const ipu::Tensor& t) {
+  std::vector<float> out(t.numel);
+  e.readTensor(t, out);
+  return out;
+}
+
+TEST(ReplicaPoolTest, ReplicasOwnOnlyTheWrittenVariables) {
+  constexpr std::size_t kReplicas = 4;
+  for (Method method : kServedMethods) {
+    for (std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(MethodName(method)) + " at " +
+                   std::to_string(threads) + " host threads");
+      const std::unique_ptr<ModelPlan> built = ParityPlan(method, 8);
+      ModelPlan& plan = *built;
+      const ipu::Executable& exe = plan.executable();
+      const std::vector<bool> constant = ipu::ConstantVariables(exe);
+      // Biases are constants; the streamed input and the logits are not.
+      EXPECT_TRUE(constant[VariableNamed(exe, "serve_hb")]);
+      EXPECT_TRUE(constant[VariableNamed(exe, "serve_cb")]);
+      EXPECT_FALSE(constant[VariableNamed(exe, "serve_x")]);
+      EXPECT_FALSE(constant[VariableNamed(exe, "serve_logits")]);
+      std::size_t constant_bytes = 0;
+      std::size_t written_bytes = 0;
+      for (std::size_t v = 0; v < constant.size(); ++v) {
+        (constant[v] ? constant_bytes : written_bytes) +=
+            exe.graph->variables()[v].numel * sizeof(float);
+      }
+
+      // Before any replica the session engine holds every buffer alone.
+      EXPECT_EQ(plan.session().ownedStorageBytes(),
+                constant_bytes + written_bytes);
+      {
+        ReplicaPool pool(plan, kReplicas, threads);
+        std::size_t replica_bytes = 0;
+        for (std::size_t i = 0; i < pool.size(); ++i) {
+          replica_bytes += pool.engine(i).ownedStorageBytes();
+        }
+        EXPECT_EQ(replica_bytes, kReplicas * written_bytes);
+        // The constants are shared now, so only the written ones are the
+        // session engine's alone.
+        EXPECT_EQ(plan.session().ownedStorageBytes(), written_bytes);
+      }
+      // With the pool gone, the one copy of the constants is the session
+      // engine's alone again.
+      EXPECT_EQ(plan.session().ownedStorageBytes(),
+                constant_bytes + written_bytes);
+    }
+  }
+}
+
+TEST(ReplicaPoolTest, WritingASharedConstantCopiesItFirst) {
+  const Matrix x = ParityInputs(8);
+  for (Method method : kServedMethods) {
+    for (std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(MethodName(method)) + " at " +
+                   std::to_string(threads) + " host threads");
+      const std::unique_ptr<ModelPlan> built = ParityPlan(method, 8);
+      ModelPlan& plan = *built;
+      const ipu::Tensor hb =
+          WholeVariable(plan.executable(),
+                        VariableNamed(plan.executable(), "serve_hb"));
+      ReplicaPool pool(plan, /*replicas=*/3, threads);
+      const std::vector<float> bias = Read(plan.session(), hb);
+      const std::uint64_t logits = Fnv1a(plan.RunBatch(pool.engine(1), x));
+      std::vector<float> bumped = bias;
+      for (float& b : bumped) b += 0.5f;
+
+      // A write into one replica stays in that replica.
+      const std::size_t owned = pool.engine(0).ownedStorageBytes();
+      pool.engine(0).writeTensor(hb, bumped);
+      EXPECT_EQ(pool.engine(0).ownedStorageBytes(), owned + hb.bytes());
+      EXPECT_EQ(Read(pool.engine(0), hb), bumped);
+      EXPECT_EQ(Read(pool.engine(1), hb), bias);
+      EXPECT_EQ(Read(pool.engine(2), hb), bias);
+      EXPECT_EQ(Read(plan.session(), hb), bias);
+      EXPECT_EQ(Fnv1a(plan.RunBatch(pool.engine(1), x)), logits);
+      EXPECT_EQ(Fnv1a(plan.RunBatch(pool.engine(2), x)), logits);
+      const std::uint64_t bumped_logits =
+          Fnv1a(plan.RunBatch(pool.engine(0), x));
+      EXPECT_NE(bumped_logits, logits);
+
+      // A write into the session engine after the replicas exist leaves
+      // them as they were; a replica made afterwards starts from it, and
+      // serves what replica 0's private copy serves.
+      plan.session().writeTensor(hb, bumped);
+      EXPECT_EQ(Read(pool.engine(1), hb), bias);
+      EXPECT_EQ(Read(pool.engine(2), hb), bias);
+      EXPECT_EQ(Fnv1a(plan.RunBatch(pool.engine(1), x)), logits);
+      EXPECT_EQ(Fnv1a(plan.RunBatch(pool.engine(2), x)), logits);
+      EXPECT_EQ(Fnv1a(plan.RunBatch(pool.engine(0), x)), bumped_logits);
+      std::unique_ptr<ipu::Engine> late = plan.MakeReplica(threads);
+      EXPECT_EQ(Read(*late, hb), bumped);
+      EXPECT_EQ(Fnv1a(plan.RunBatch(*late, x)), bumped_logits);
+    }
+  }
+}
+
+// The sharing is only sound while no vertex writes through an edge that is
+// not marked as an output: a closed loop over every replica must leave
+// every shared constant's bits as they were.
+TEST(ReplicaPoolTest, ServingNeverWritesASharedConstant) {
+  const Matrix inputs = ParityInputs(16);
+  for (Method method : kServedMethods) {
+    for (std::size_t threads : {1u, 4u}) {
+      SCOPED_TRACE(std::string(MethodName(method)) + " at " +
+                   std::to_string(threads) + " host threads");
+      const std::unique_ptr<ModelPlan> built = ParityPlan(method, 4);
+      ModelPlan& plan = *built;
+      const ipu::Executable& exe = plan.executable();
+      const std::vector<bool> constant = ipu::ConstantVariables(exe);
+      auto checksums = [&] {
+        std::vector<std::uint64_t> sums;
+        for (std::size_t v = 0; v < constant.size(); ++v) {
+          if (!constant[v]) continue;
+          sums.push_back(Fnv1a(Read(
+              plan.session(),
+              WholeVariable(exe, static_cast<ipu::VarId>(v)))));
+        }
+        return sums;
+      };
+      const std::vector<std::uint64_t> before = checksums();
+      ASSERT_FALSE(before.empty());
+
+      ReplicaPool pool(plan, /*replicas=*/3);
+      ServerConfig cfg;
+      cfg.batch = BatchPolicy{.max_batch = 4, .max_delay_s = 50e-6};
+      cfg.queue_capacity = 16;
+      cfg.host_threads = threads;
+      Server server(pool, cfg);
+      ServeResult r = server.RunClosedLoop(
+          ClosedLoopLoad{.clients = 12, .requests = 60, .think_s = 0.0},
+          &inputs);
+      ASSERT_EQ(r.logits.rows(), 60u);
+      EXPECT_EQ(checksums(), before);
+    }
+  }
+}
+
 TEST(ReplicaPoolTest, ButterflyFitsMoreReplicasThanDenseAtN1024) {
   // The acceptance claim of the serving subsystem: at n = 1024, the
   // O(n log n) butterfly weights fit strictly more timing-plan replicas per
@@ -339,13 +520,13 @@ TEST(ReplicaPoolTest, ButterflyFitsMoreReplicasThanDenseAtN1024) {
   nn::Sequential dense = nn::BuildShl(Method::kBaseline, shape, rng_d);
   nn::ForwardSpec dense_spec = nn::ExportForward(dense);
   const std::size_t dense_k =
-      MaxReplicasPerIpu(dense_spec, ipu::Gc200(), probe, /*cap=*/256);
+      ProbeMaxReplicas(dense_spec, ipu::Gc200(), probe, /*cap=*/256).replicas;
 
   Rng rng_b(11);
   nn::Sequential bfly = nn::BuildShl(Method::kButterfly, shape, rng_b);
   nn::ForwardSpec bfly_spec = nn::ExportForward(bfly);
   const std::size_t bfly_k =
-      MaxReplicasPerIpu(bfly_spec, ipu::Gc200(), probe, /*cap=*/256);
+      ProbeMaxReplicas(bfly_spec, ipu::Gc200(), probe, /*cap=*/256).replicas;
 
   EXPECT_GE(dense_k, 1u);
   EXPECT_GT(bfly_k, dense_k)
