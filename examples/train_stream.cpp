@@ -42,35 +42,18 @@ ipu::RunReport TimeStepLoop(const ipu::IpuArch& arch, std::size_t n,
                             bool streaming) {
   ipu::Session session(arch, ipu::SessionOptions{.execute = false});
   ipu::Graph& g = session.graph();
-  const double cpm = core::ButterflyCyclesPerMac(n);
 
   ipu::Tensor x = g.addVariable("x", n, batch);
   g.mapLinearly(x, batch);
   Program body = Program::Sequence({});
   body.add(streaming ? Program::StreamIn(x) : Program::HostWrite(x));
-  ipu::Tensor cur = x;
-  std::size_t factors = 0;
-  for (std::size_t m = n; m > 1; m >>= 1) ++factors;
-  for (std::size_t f = 0; f < factors; ++f) {
-    ipu::Tensor w = g.addVariable("w" + std::to_string(f), n / 2, 4);
-    g.mapLinearly(w, 4);
-    // Fresh staging tensor per stage (the unfused framework form); it also
-    // keeps the StreamOut source disjoint from the StreamIn destination,
-    // which the compiler's stream-validation pass requires.
-    ipu::Tensor staged = g.addVariable("stage" + std::to_string(f), n, batch);
-    if (f % 2 == 0) {
-      core::MapRowsOffset(g, staged, n);
-    } else {
-      g.mapLinearly(staged, batch);
-    }
-    body.add(Program::Copy(cur, staged));
-    cur = staged;
-    ipu::ComputeSetId cs =
-        core::AddPairStage(g, cur, n, batch, std::size_t{1} << f,
-                           ipu::codelets::kButterfly2x2, &w, cpm);
-    body.add(Program::Execute(cs));
-  }
-  body.add(streaming ? Program::StreamOut(cur) : Program::HostRead(cur));
+  // PopTorch-parity stages write each factor into a fresh staging tensor
+  // (the unfused framework form); that also keeps the StreamOut source
+  // disjoint from the StreamIn destination, which the compiler's
+  // stream-validation pass requires.
+  const ipu::Tensor y =
+      core::AddButterflyStages(g, body, "", x, /*parity=*/true).y;
+  body.add(streaming ? Program::StreamOut(y) : Program::HostRead(y));
 
   const Status cs = session.compile(Program::Repeat(steps, std::move(body)));
   REPRO_REQUIRE(cs.ok(), "step-loop compile: %s", cs.message().c_str());

@@ -54,6 +54,9 @@
 #      test_ipusim_program, whose writeTensor, readTensor and Copy steps
 #      move bytes in engine storage, in a side build dir.
 #
+# On exit, pass or fail, it prints each stage's wall-clock seconds and the
+# total.
+#
 # Usage: scripts/check.sh [build-dir]      (default: build)
 set -euo pipefail
 
@@ -61,14 +64,35 @@ repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
 schema_dir="$repo_root/scripts/bench_schemas"
 
-echo "== configure + build =="
+# `stage NAME` ends the running stage and starts NAME. On exit, pass or
+# fail, the run prints each stage's wall-clock seconds and the total.
+stage_names=()
+stage_starts=()
+stage() {
+  stage_names+=("$1")
+  stage_starts+=("$EPOCHREALTIME")
+  echo "== $1 =="
+}
+print_stage_seconds() {
+  local end="$EPOCHREALTIME" i
+  echo "== stage wall-clock seconds =="
+  for i in "${!stage_names[@]}"; do
+    awk -v a="${stage_starts[$i]}" -v b="${stage_starts[$((i + 1))]:-$end}" \
+        -v name="${stage_names[$i]}" 'BEGIN { printf "%8.1f  %s\n", b - a, name }'
+  done
+  awk -v a="${stage_starts[0]:-$end}" -v b="$end" \
+      'BEGIN { printf "%8.1f  total\n", b - a }'
+}
+trap print_stage_seconds EXIT
+
+stage "configure + build"
 cmake -B "$build_dir" -S "$repo_root"
 cmake --build "$build_dir" -j
 
-echo "== tier-1 tests =="
+stage "tier-1 tests"
 ctest --test-dir "$build_dir" --output-on-failure -j
 
-echo "== no fused multiply-add in the src/ libraries =="
+stage "no fused multiply-add in the src/ libraries"
 if [[ "$(uname -m)" == x86_64 ]]; then
   libs=("$build_dir"/src/*/librepro_*.a)
   fma="$(objdump -d "${libs[@]}" | grep -E '\bvfn?m(add|sub)' || true)"
@@ -82,7 +106,7 @@ else
   echo "skipped: not an x86-64 host"
 fi
 
-echo "== bench --json schemas =="
+stage "bench --json schemas"
 json_benches=(
   bench_fig3_exchange
   bench_fig4_skew
@@ -98,7 +122,7 @@ json_benches=(
   bench_cluster
 )
 tmp_dir="$(mktemp -d)"
-trap 'rm -rf "$tmp_dir"' EXIT
+trap 'rm -rf "$tmp_dir"; print_stage_seconds' EXIT
 failed=0
 for bench in "${json_benches[@]}"; do
   out="$tmp_dir/$bench.json"
@@ -121,7 +145,7 @@ if [[ "$failed" -ne 0 ]]; then
   exit 1
 fi
 
-echo "== Table 4 training bytes vs golden =="
+stage "Table 4 training bytes vs golden"
 # The accuracies in this JSON come from host training but are coarse (400
 # test samples); each record's final training loss, printed at %.17g, is
 # what makes this gate fail when any training bit moves. The golden's
@@ -141,7 +165,7 @@ for out in "$tmp_dir/bench_table4_shl.json" "$tmp_dir/table4_t1.json"; do
 done
 echo "ok: Table 4 JSON byte-identical to the golden at default and 1 thread"
 
-echo "== fig7 ledger + multi-IPU scaling bytes vs goldens =="
+stage "fig7 ledger + multi-IPU scaling bytes vs goldens"
 # Compiler ledgers, graph counts and the fabric's allreduce algebra, held to
 # the bytes the goldens were captured with (both deterministic across host
 # thread counts).
@@ -155,7 +179,7 @@ for bench in bench_fig7_computesets bench_multi_ipu; do
 done
 echo "ok: fig7 and multi-IPU JSON byte-identical to their goldens"
 
-echo "== trace determinism =="
+stage "trace determinism"
 # The tracer's contract: simulated-time timestamps only, so the trace bytes
 # never depend on host parallelism (REPRO_THREADS or --host-threads). The
 # streaming host-exchange spans ride the same contract, so the serving
@@ -185,7 +209,7 @@ if ! diff -u "$schema_dir/trace_events.keys" "$tmp_dir/trace.keys"; then
 fi
 echo "ok: trace + metrics bitwise-identical across host threads, schema stable"
 
-echo "== IPU backend byte-identity vs pre-refactor goldens =="
+stage "IPU backend byte-identity vs pre-refactor goldens"
 # The ExecutionBackend refactor's observational contract: routing the IPU
 # serving path through serve::IpuBackend must not change a byte of the
 # metrics or trace JSON. The goldens were captured from the pre-refactor
@@ -201,7 +225,7 @@ if ! cmp -s "$t1" "$repo_root/scripts/golden/bench_serving_ipu_trace.json"; then
 fi
 echo "ok: IPU backend serving bytes identical to the pre-refactor goldens"
 
-echo "== backend auto mode: cost-model crossover gate =="
+stage "backend auto mode: cost-model crossover gate"
 # The placer must route dense to the GPU and butterfly/pixelfly to the IPU
 # at n >= 1024 (the paper's Table 4 economics); --require-crossover makes
 # the bench itself exit nonzero otherwise. The auto-mode record stream
@@ -238,7 +262,7 @@ if ! grep -q 'chip 0 \[ipu\]' "$auto_trace" \
 fi
 echo "ok: dense -> gpu, butterfly/pixelfly -> ipu at n >= 1024; auto schema stable"
 
-echo "== streaming host I/O: overlap + throughput gate =="
+stage "streaming host I/O: overlap + throughput gate"
 # bench_serving runs every method through both ingress paths off one
 # capacity probe. --require-stream-win 1.01 makes the bench itself exit
 # nonzero unless, for every method, the double-buffered streaming path
@@ -271,7 +295,7 @@ if ! grep -o '"overlapped_s": [^,}]*' "$t1" \
 fi
 echo "ok: streaming beats copy >= 1.01x on every method, overlap visible in trace"
 
-echo "== cluster fabric: thread-count byte-identity + golden + scaling sanity =="
+stage "cluster fabric: thread-count byte-identity + golden + scaling sanity"
 # The router runs the serving event loop, so it shares the tracer contract:
 # metrics JSON and trace bytes derive only from the single-threaded loop,
 # and REPRO_THREADS and --host-threads must not change a byte. The same run
@@ -307,7 +331,7 @@ fi
 grep 'scaling efficiency' "$tmp_dir/cluster_t1.log" || true
 echo "ok: cluster metrics/trace bitwise-identical and equal to the golden; 4-chip scaling >= 3x"
 
-echo "== executable artifact cache: cold vs warm byte-identity =="
+stage "executable artifact cache: cold vs warm byte-identity"
 # The cold run compiles every plan and saves each ipu::Executable into
 # --cache-dir; the warm run is a FRESH PROCESS that must load every artifact
 # from disk (0 compiles) and still emit byte-identical --json. This is the
@@ -366,7 +390,7 @@ if ! cmp -s "$tmp_dir/demo_cold.log" <(sed 's/^loaded cached/compiled/' \
 fi
 echo "ok: cold and warm runs byte-identical; warm runs served entirely from disk"
 
-echo "== perfbench simulated outputs vs golden digests =="
+stage "perfbench simulated outputs vs golden digests"
 # Builds perfbench/ into .bench_build/ on first use (about a minute), then
 # about 15 s of tiny-size runs.
 det_log="$tmp_dir/perfbench_determinism.log"
@@ -386,7 +410,7 @@ if ! diff -u "$repo_root/scripts/golden/perfbench_tiny_digests.txt" \
 fi
 echo "ok: perfbench sim.digest identical across threads and equal to the golden"
 
-echo "== asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable + test_linalg + test_cluster + test_backend + test_pixelfly + test_fwht_fft + test_nn + test_failure_injection + test_ipusim_engine + test_ipusim_program) =="
+stage "asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable + test_linalg + test_cluster + test_backend + test_pixelfly + test_fwht_fft + test_nn + test_failure_injection + test_ipusim_engine + test_ipusim_program)"
 asan_dir="$build_dir-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DREPRO_SANITIZE=address > /dev/null
 cmake --build "$asan_dir" -j --target test_serve test_session test_obs \

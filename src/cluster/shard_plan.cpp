@@ -15,8 +15,6 @@ using ipu::Graph;
 using ipu::Program;
 using ipu::Tensor;
 
-std::size_t Pad16(std::size_t x) { return CeilDiv(x, 16) * 16; }
-
 ipu::SessionOptions StageSessionOptions(const ShardOptions& opts,
                                         std::size_t pid_offset,
                                         const char* stage) {
@@ -116,30 +114,10 @@ Status ShardPlan::buildStageA() {
     xa_ = g.addVariable("shard_x", m, B);
     g.mapLinearly(xa_, B);
     seq.add(Program::HostWrite(xa_));
-    const std::size_t local_factors = Log2(m);
-    const double cpm = core::ButterflyCyclesPerMac(m, opts_.poptorch_parity);
-    Tensor cur = xa_;
-    for (std::size_t f = 0; f < local_factors; ++f) {
-      Tensor w = g.addVariable("shard_bw" + std::to_string(f), m / 2, 4);
-      g.mapLinearly(w, 4);
-      bfly_w_.push_back(w);
-      if (opts_.poptorch_parity) {
-        Tensor staged =
-            g.addVariable("shard_bstage" + std::to_string(f), m, B);
-        if (f % 2 == 0) {
-          core::MapRowsOffset(g, staged, m);
-        } else {
-          g.mapLinearly(staged, B);
-        }
-        seq.add(Program::Copy(cur, staged));
-        cur = staged;
-      }
-      ipu::ComputeSetId cs =
-          core::AddPairStage(g, cur, m, B, std::size_t{1} << f,
-                             ipu::codelets::kButterfly2x2, &w, cpm);
-      seq.add(Program::Execute(cs));
-    }
-    ha_ = cur;
+    core::ButterflyStages stages =
+        core::AddButterflyStages(g, seq, "shard_b", xa_, opts_.poptorch_parity);
+    bfly_w_ = std::move(stages.w);
+    ha_ = stages.y;
     stage_a_out_rows_ = m;
     seq.add(Program::HostRead(ha_));
   } else {
@@ -172,43 +150,13 @@ Status ShardPlan::buildStageB() {
 
   // Bias + ReLU over the chip's summed hidden slice (the bias is applied
   // exactly once, after the inter-chip reduce).
-  hidden_bias_ = g.addVariable("shard_hbias", mh);
-  g.mapLinearly(hidden_bias_, 1);
-  ipu::ComputeSetId cs_bias = g.addComputeSet("shard_bias_relu");
-  const std::size_t rows_per_tile =
-      std::max<std::size_t>(1, CeilDiv(mh, g.arch().num_tiles));
-  for (std::size_t r = 0; r < mh; r += rows_per_tile) {
-    const std::size_t count = std::min(rows_per_tile, mh - r);
-    const std::size_t tile = g.tileOfElement(hb_, r * B);
-    ipu::VertexId v = g.addVertex(cs_bias, ipu::codelets::kBiasRelu, tile);
-    g.connect(v, "bias", hidden_bias_.slice(r, count));
-    g.connect(v, "x", hb_.rowRange(r, count));
-    g.connect(v, "y", hb_.rowRange(r, count), true);
-    g.setInitialValue(v, "batch", static_cast<double>(B));
-    g.setInitialValue(v, "relu", 1.0);
-  }
-  seq.add(Program::Execute(cs_bias));
+  hidden_bias_ = serve::AddBiasRelu(g, seq, "shard", hb_);
 
   // Classifier k-split over the hidden slice: every chip emits full-height
   // partial logits; only chip 0 carries the real classifier bias so the
   // ring-reduce of partials reconstructs Wc*act + bc exactly once.
-  const std::size_t cp = Pad16(spec_.classes);
-  logits_ = g.addVariable("shard_logits", cp, B);
-  g.mapLinearly(logits_, B);
-  cls_w_ = serve::AddKSplitGemm(g, seq, "shard_cls", hb_, logits_,
-                                spec_.classes, mh, /*accumulate=*/false, B);
-  cls_bias_ = g.addVariable("shard_cbias", cp);
-  g.mapLinearly(cls_bias_, 1);
-  ipu::ComputeSetId cs_cb = g.addComputeSet("shard_cls_bias");
-  ipu::VertexId vb =
-      g.addVertex(cs_cb, ipu::codelets::kBiasRelu, g.tileOfElement(logits_, 0));
-  g.connect(vb, "bias", cls_bias_);
-  g.connect(vb, "x", logits_);
-  g.connect(vb, "y", logits_, true);
-  g.setInitialValue(vb, "batch", static_cast<double>(B));
-  g.setInitialValue(vb, "relu", 0.0);
-  seq.add(Program::Execute(cs_cb));
-  seq.add(Program::HostRead(logits_.rowRange(0, spec_.classes)));
+  cls_ = serve::AddClassifierHead(g, seq, "shard", hb_, spec_.classes);
+  seq.add(Program::HostRead(cls_.logits.rowRange(0, spec_.classes)));
 
   return stage_b_->compile(std::move(seq));
 }
@@ -250,13 +198,13 @@ void ShardPlan::writeChipWeights() {
         cslice[i * mh + j] = spec_.classifier_wt(i, c * mh + j);
       }
     }
-    eb.writeTensor(cls_w_.w, serve::PackGemmBlocks(cls_w_, cslice.data()));
+    eb.writeTensor(cls_.w.w, serve::PackGemmBlocks(cls_.w, cslice.data()));
     std::vector<float> cb(cp, 0.0f);
     if (c == 0) {
       std::copy(spec_.classifier_bias.begin(), spec_.classifier_bias.end(),
                 cb.begin());
     }
-    eb.writeTensor(cls_bias_, cb);
+    eb.writeTensor(cls_.bias, cb);
   }
 }
 
@@ -320,20 +268,7 @@ Matrix ShardPlan::RunBatch(const Matrix& inputs) const {
   const std::size_t B = opts_.max_batch;
   const std::size_t C = opts_.num_chips;
   const std::size_t rows = inputs.rows();
-  REPRO_REQUIRE(rows >= 1 && rows <= B && inputs.cols() == spec_.input,
-                "batch shape %zux%zu vs plan (<=%zu x %zu)", rows,
-                inputs.cols(), B, spec_.input);
-  // Same host-side preparation as the unsharded plan: feature-major
-  // transpose, butterfly input permutation, zero-pad unused batch columns.
-  const bool permute = spec_.method == core::Method::kButterfly &&
-                       spec_.butterfly_perm.size() == spec_.input;
-  std::vector<float> xbuf(spec_.input * B, 0.0f);
-  for (std::size_t i = 0; i < spec_.input; ++i) {
-    const std::size_t src = permute ? spec_.butterfly_perm[i] : i;
-    for (std::size_t j = 0; j < rows; ++j) {
-      xbuf[i * B + j] = inputs(j, src);
-    }
-  }
+  const std::vector<float> xbuf = serve::FeatureMajorBatch(spec_, inputs, B);
 
   // Stage A on every chip over its input slice.
   const std::size_t in_slice = spec_.input / C;
@@ -355,29 +290,19 @@ Matrix ShardPlan::RunBatch(const Matrix& inputs) const {
     }
   }
 
-  // Host-side cross-chip butterfly factors: identical arithmetic to the
-  // ButterflyCore codelet (read both endpoints, then write), applied in
-  // factor order.
+  // Host-side cross-chip butterfly factors, in factor order, through the
+  // Butterfly2x2 codelet's own arithmetic: factor f pairs row base + i with
+  // base + s + i (s = 2^f) in each 2s-row block, pairs base/2 + i.
   if (spec_.method == core::Method::kButterfly) {
     const std::size_t n = spec_.hidden;
-    const std::size_t m = n / C;
-    const std::size_t total_factors = Log2(n);
-    for (std::size_t f = Log2(m); f < total_factors; ++f) {
+    for (std::size_t f = Log2(n / C); f < Log2(n); ++f) {
       const std::size_t s = std::size_t{1} << f;
-      const std::vector<float>& w = spec_.butterfly_factors[f];
-      for (std::size_t p = 0; p < n / 2; ++p) {
-        const std::size_t top = (p / s) * 2 * s + (p % s);
-        const std::size_t bot = top + s;
-        const float a = w[4 * p + 0];
-        const float b = w[4 * p + 1];
-        const float cc = w[4 * p + 2];
-        const float d = w[4 * p + 3];
-        for (std::size_t j = 0; j < B; ++j) {
-          const float t = h[top * B + j];
-          const float u = h[bot * B + j];
-          h[top * B + j] = a * t + b * u;
-          h[bot * B + j] = cc * t + d * u;
-        }
+      const std::span<const float> w(spec_.butterfly_factors[f]);
+      for (std::size_t base = 0; base < n; base += 2 * s) {
+        const std::span<float> top(h.data() + base * B, s * B);
+        const std::span<float> bot(h.data() + (base + s) * B, s * B);
+        ipu::ButterflyCore(B, w.subspan(base / 2 * 4, s * 4), top, bot, top,
+                           bot);
       }
     }
   }
@@ -391,7 +316,7 @@ Matrix ShardPlan::RunBatch(const Matrix& inputs) const {
     engines_b_[c]->writeTensor(
         hb_, std::span<const float>(h.data() + c * mh * B, mh * B));
     engines_b_[c]->run();
-    engines_b_[c]->readTensor(logits_.rowRange(0, spec_.classes), lpart);
+    engines_b_[c]->readTensor(cls_.logits.rowRange(0, spec_.classes), lpart);
     for (std::size_t i = 0; i < lsum.size(); ++i) lsum[i] += lpart[i];
   }
 

@@ -111,9 +111,8 @@ class ShardPlan {
 
   // Stage B: summed hidden slice -> bias/relu -> classifier partial.
   std::unique_ptr<ipu::Session> stage_b_;
-  ipu::Tensor hb_, logits_;
-  ipu::Tensor hidden_bias_, cls_bias_;
-  serve::KSplitGemm cls_w_;
+  ipu::Tensor hb_, hidden_bias_;
+  serve::ClassifierHead cls_;
 
   std::vector<std::unique_ptr<ipu::Engine>> engines_a_;  // one per chip
   std::vector<std::unique_ptr<ipu::Engine>> engines_b_;

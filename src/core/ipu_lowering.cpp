@@ -88,8 +88,9 @@ void MergeCounts(ipu::GraphCounts& into, const ipu::GraphCounts& other) {
   into.free_bytes = std::min(into.free_bytes, other.free_bytes);
 }
 
-}  // namespace
-
+// Maps an n-row staging tensor to tiles offset by half the device from the
+// linear mapping, so a stage materialisation exchanges nearly everything (a
+// real gather/rearrange does).
 void MapRowsOffset(Graph& g, const Tensor& t, std::size_t n) {
   const std::size_t num_tiles = g.arch().num_tiles;
   const std::size_t rows_per_tile =
@@ -100,11 +101,13 @@ void MapRowsOffset(Graph& g, const Tensor& t, std::size_t n) {
   }
 }
 
+// Cycles-per-MAC of the Butterfly2x2 codelet at width n. PopTorch parity is
+// calibrated against Fig. 6 (right) and Table 4: the framework's
+// generic-codelet cycles-per-MAC grows with tensor size as gather lists and
+// rearrangement buffers thrash tile SRAM, which puts the butterfly/Linear
+// crossover at N ~ 2^10 and the large-N speedup near 1.6x. Custom vertices
+// (parity off) run fused and SIMD-tight.
 double ButterflyCyclesPerMac(std::size_t n, bool parity) {
-  // PopTorch-parity cost model, calibrated against Fig. 6 (right) and
-  // Table 4: the framework's generic-codelet cycles-per-MAC grows with
-  // tensor size as gather lists and rearrangement buffers thrash tile SRAM.
-  // Custom vertices (parity off) run fused and SIMD-tight.
   return parity
              ? std::clamp(1.05 * std::pow(static_cast<double>(n) / 1024.0,
                                           1.17),
@@ -112,6 +115,9 @@ double ButterflyCyclesPerMac(std::size_t n, bool parity) {
              : 0.5;
 }
 
+// Builds one stage of 2x2-pair compute sets (butterfly / Hadamard) over the
+// feature-major activation tensor x (n rows of `batch` columns). Returns the
+// compute set; `codelet` is Butterfly2x2 (with weights w) or Hadamard2.
 ipu::ComputeSetId AddPairStage(Graph& g, const Tensor& x, std::size_t n,
                                std::size_t batch, std::size_t stride,
                                const char* codelet, const Tensor* w,
@@ -145,6 +151,116 @@ ipu::ComputeSetId AddPairStage(Graph& g, const Tensor& x, std::size_t n,
   return cs;
 }
 
+}  // namespace
+
+ButterflyStages AddButterflyStages(Graph& g, Program& seq,
+                                   const std::string& prefix, const Tensor& x,
+                                   bool parity) {
+  const std::size_t n = x.rows;
+  const std::size_t batch = x.cols;
+  REPRO_REQUIRE(IsPow2(n), "butterfly lowering needs power-of-two n");
+  // PopTorch-parity cost model (see ButterflyCyclesPerMac): the framework
+  // materialises every stage through gather / scatter copies (two
+  // full-tensor exchanges per factor) and its generic-codelet cycles-per-MAC
+  // grows with tensor size. Together these put the butterfly/Linear
+  // break-even at N ~ 2^10 and cap the large-N speedup near the paper's
+  // 1.6x -- the optimisation headroom Section 5 points at.
+  const double cpm = ButterflyCyclesPerMac(n, parity);
+  ButterflyStages out;
+  out.y = x;
+  for (unsigned f = 0; f < Log2(n); ++f) {
+    Tensor w = g.addVariable(prefix + "w" + std::to_string(f), n / 2, 4);
+    g.mapLinearly(w, 4);
+    out.w.push_back(w);
+    if (parity) {
+      // One gather materialisation per stage (the scatter back is fused
+      // into the next op's exchange): the unfused framework writes each
+      // stage into a fresh staging tensor. Mappings alternate offset /
+      // linear so every materialisation crosses tiles; with
+      // reuse_variable_memory the liveness pass collapses all the staging
+      // tensors back onto two ping-pong arena slots.
+      Tensor staged =
+          g.addVariable(prefix + "stage" + std::to_string(f), n, batch);
+      if (f % 2 == 0) {
+        MapRowsOffset(g, staged, n);
+      } else {
+        g.mapLinearly(staged, batch);
+      }
+      seq.add(Program::Copy(out.y, staged));
+      out.y = staged;
+    }
+    seq.add(Program::Execute(AddPairStage(g, out.y, n, batch,
+                                          std::size_t{1} << f,
+                                          ipu::codelets::kButterfly2x2, &w,
+                                          cpm)));
+  }
+  return out;
+}
+
+void AddPixelflyBlocks(Graph& g, Program& seq, const std::string& prefix,
+                       const Tensor& x, const Tensor& w, const Tensor& y,
+                       const PixelflyConfig& config,
+                       const std::vector<BlockCoord>& pattern) {
+  const std::size_t b = config.block_size;
+  const std::size_t batch = x.cols;
+  const std::size_t grid = config.grid();
+  const std::size_t levels = Log2(config.butterfly_size);
+  REPRO_REQUIRE(pattern.size() == 2 * grid * levels,
+                "pixelfly pattern size mismatch");
+  // One BlockGemmAmp vertex per (output block-row, butterfly level). The
+  // lowering emits one compute set per butterfly level -- the natural
+  // unfused framework form. All levels write disjoint partial rows and only
+  // read x/w, so the fusion pass merges them into a single superstep; the
+  // partials are then summed (with the residual) in one more -- two
+  // supersteps total, pixelfly's "few compute sets" contrast to butterfly
+  // (Fig. 7). With fusion off, each level stays its own superstep.
+  Tensor partials = g.addVariable(prefix + "pfpart", grid * levels, b * batch);
+  std::vector<ipu::ComputeSetId> level_cs;
+  level_cs.reserve(levels);
+  for (std::size_t lv = 0; lv < levels; ++lv) {
+    level_cs.push_back(g.addComputeSet(prefix + "pf_lv" + std::to_string(lv)));
+  }
+  for (std::size_t bi = 0; bi < grid; ++bi) {
+    for (std::size_t lv = 0; lv < levels; ++lv) {
+      const std::size_t tile =
+          (bi * levels + lv) * 977 % g.arch().num_tiles;  // spread
+      g.setTileMapping(partials.row(bi * levels + lv), tile);
+      ipu::VertexId v =
+          g.addVertex(level_cs[lv], ipu::codelets::kBlockGemmAmp, tile);
+      // Pattern is level-major: level lv holds blocks [lv*2*grid, ...).
+      for (std::size_t q = lv * 2 * grid; q < (lv + 1) * 2 * grid; ++q) {
+        if (pattern[q].bi != bi) continue;
+        g.connect(v, "w", w.row(q));
+        g.connect(v, "x", x.rowRange(pattern[q].bj * b, b));
+      }
+      g.connect(v, "out", partials.row(bi * levels + lv), true);
+      g.setInitialValue(v, "b", static_cast<double>(b));
+      g.setInitialValue(v, "batch", static_cast<double>(batch));
+      g.setInitialValue(v, "accumulate", 0.0);
+      // Per-block gather/scatter keeps the AMP at ~20% streaming efficiency
+      // for isolated b x b blocks -- the structured-sparsity overhead that
+      // makes pixelfly lose on the IPU (Table 4, Section 4.2 discussion).
+      g.setInitialValue(v, "eff", 0.3);
+    }
+  }
+  for (std::size_t lv = 0; lv < levels; ++lv) {
+    seq.add(Program::Execute(level_cs[lv]));
+  }
+  ipu::ComputeSetId cs_sum = g.addComputeSet(prefix + "pf_sum");
+  for (std::size_t bi = 0; bi < grid; ++bi) {
+    const std::size_t tile = g.tileOfElement(y, bi * b * batch);
+    ipu::VertexId v = g.addVertex(cs_sum, ipu::codelets::kReduceAdd, tile);
+    for (std::size_t lv = 0; lv < levels; ++lv) {
+      g.connect(v, "partials", partials.row(bi * levels + lv));
+    }
+    if (config.residual) {
+      g.connect(v, "partials", x.rowRange(bi * b, b));  // residual as addend
+    }
+    g.connect(v, "out", y.rowRange(bi * b, b), true);
+  }
+  seq.add(Program::Execute(cs_sum));
+}
+
 IpuLayerTiming TimeLinearIpu(const ipu::IpuArch& arch, std::size_t batch,
                              std::size_t in, std::size_t out,
                              const IpuLoweringOptions& opts) {
@@ -161,50 +277,19 @@ IpuLayerTiming TimeLinearIpu(const ipu::IpuArch& arch, std::size_t batch,
 
 IpuLayerTiming TimeButterflyIpu(const ipu::IpuArch& arch, std::size_t batch,
                                 std::size_t n, const IpuLoweringOptions& opts) {
-  REPRO_REQUIRE(IsPow2(n), "butterfly lowering needs power-of-two n");
   ipu::Session session(arch, TimingOptions(opts));
   Graph& g = session.graph();
   const unsigned factors = Log2(n);
   const double flops = 8.0 * static_cast<double>(n / 2) * batch * factors;
   const double bytes = 4.0 * (static_cast<double>(n) * batch +
                               4.0 * static_cast<double>(n / 2) * factors);
-  // PopTorch-parity cost model (see ButterflyCyclesPerMac): the framework
-  // materialises every stage through gather / scatter copies (two
-  // full-tensor exchanges per factor) and its generic-codelet cycles-per-MAC
-  // grows with tensor size. Together these put the butterfly/Linear
-  // break-even at N ~ 2^10 and cap the large-N speedup near the paper's
-  // 1.6x -- the optimisation headroom Section 5 points at.
-  const double cpm = ButterflyCyclesPerMac(n, opts.poptorch_parity);
-
   Tensor x = g.addVariable("bfly_x", n, batch);
   g.mapLinearly(x, batch);
   Program seq = Program::Sequence({});
-  for (unsigned f = 0; f < factors; ++f) {
-    const std::size_t stride = std::size_t{1} << f;
-    Tensor w = g.addVariable("bfly_w" + std::to_string(f), n / 2, 4);
-    g.mapLinearly(w, 4);
-    if (opts.poptorch_parity) {
-      // One gather materialisation per stage (the scatter back is fused
-      // into the next op's exchange): the unfused framework writes each
-      // stage into a fresh staging tensor. Mappings alternate offset /
-      // linear so every materialisation crosses tiles; with
-      // reuse_variable_memory the liveness pass collapses all the staging
-      // tensors back onto two ping-pong arena slots.
-      Tensor staged = g.addVariable("bfly_stage" + std::to_string(f), n, batch);
-      if (f % 2 == 0) {
-        MapRowsOffset(g, staged, n);
-      } else {
-        g.mapLinearly(staged, batch);
-      }
-      seq.add(Program::Copy(x, staged));
-      x = staged;
-    }
-    ipu::ComputeSetId cs = AddPairStage(g, x, n, batch, stride,
-                                        ipu::codelets::kButterfly2x2, &w, cpm);
-    seq.add(Program::Execute(cs));
-  }
+  AddButterflyStages(g, seq, "bfly_", x, opts.poptorch_parity);
   // If the graph spills, the staged run keeps the butterfly kernels'
   // efficiency: 1 MAC per cpm cycles against the AMP's 16 MACs/cycle.
+  const double cpm = ButterflyCyclesPerMac(n, opts.poptorch_parity);
   return RunTimingOnly(session, std::move(seq), flops, bytes,
                        1.0 / (16.0 * cpm));
 }
@@ -233,66 +318,12 @@ IpuLayerTiming TimePixelflyIpu(const ipu::IpuArch& arch, std::size_t batch,
   Tensor w = g.addVariable("pf_w", pattern.size(), b * b);
   g.mapLinearly(w, b * b);
 
-  // One BlockGemmAmp vertex per (output block-row, butterfly level). The
-  // lowering emits one compute set per butterfly level -- the natural
-  // unfused framework form. All levels write disjoint partial rows and only
-  // read x/w, so the fusion pass merges them into a single superstep; the
-  // partials are then summed (with the residual) in one more -- two
-  // supersteps total, pixelfly's "few compute sets" contrast to butterfly
-  // (Fig. 7). With fusion off, each level stays its own superstep.
-  const std::size_t grid = config.grid();
-  const std::size_t levels = Log2(config.butterfly_size);
-  Tensor partials = g.addVariable("pf_partials", grid * levels, b * batch);
-  std::vector<ipu::ComputeSetId> level_cs;
-  level_cs.reserve(levels);
-  for (std::size_t lv = 0; lv < levels; ++lv) {
-    level_cs.push_back(
-        g.addComputeSet("pf_blocksparse_lv" + std::to_string(lv)));
-  }
-  for (std::size_t bi = 0; bi < grid; ++bi) {
-    for (std::size_t lv = 0; lv < levels; ++lv) {
-      const std::size_t tile =
-          (bi * levels + lv) * 977 % g.arch().num_tiles;  // spread
-      g.setTileMapping(partials.row(bi * levels + lv), tile);
-      ipu::VertexId v =
-          g.addVertex(level_cs[lv], ipu::codelets::kBlockGemmAmp, tile);
-      // Pattern is level-major: level lv holds blocks [lv*2*grid, ...).
-      for (std::size_t q = lv * 2 * grid; q < (lv + 1) * 2 * grid; ++q) {
-        if (pattern[q].bi != bi) continue;
-        g.connect(v, "w", w.row(q));
-        g.connect(v, "x", x.rowRange(pattern[q].bj * b, b));
-      }
-      g.connect(v, "out", partials.row(bi * levels + lv), true);
-      g.setInitialValue(v, "b", static_cast<double>(b));
-      g.setInitialValue(v, "batch", static_cast<double>(batch));
-      g.setInitialValue(v, "accumulate", 0.0);
-      // Per-block gather/scatter keeps the AMP at ~20% streaming efficiency
-      // for isolated b x b blocks -- the structured-sparsity overhead that
-      // makes pixelfly lose on the IPU (Table 4, Section 4.2 discussion).
-      g.setInitialValue(v, "eff", 0.3);
-    }
-  }
-  ipu::ComputeSetId cs_sum = g.addComputeSet("pf_sum");
-  for (std::size_t bi = 0; bi < grid; ++bi) {
-    const std::size_t tile = g.tileOfElement(y, bi * b * batch);
-    ipu::VertexId v = g.addVertex(cs_sum, ipu::codelets::kReduceAdd, tile);
-    for (std::size_t lv = 0; lv < levels; ++lv) {
-      g.connect(v, "partials", partials.row(bi * levels + lv));
-    }
-    if (config.residual) {
-      g.connect(v, "partials", x.rowRange(bi * b, b));  // residual as addend
-    }
-    g.connect(v, "out", y.rowRange(bi * b, b), true);
-  }
-  std::vector<Program> steps;
-  steps.reserve(levels + 1);
-  for (std::size_t lv = 0; lv < levels; ++lv) {
-    steps.push_back(Program::Execute(level_cs[lv]));
-  }
-  steps.push_back(Program::Execute(cs_sum));
-  Program seq = Program::Sequence(std::move(steps));
+  Program seq = Program::Sequence({});
+  AddPixelflyBlocks(g, seq, "", x, w, y, config, pattern);
   // Fallback efficiency: AMP block efficiency times the fraction of tiles a
   // (grid x levels)-vertex graph can occupy.
+  const std::size_t grid = config.grid();
+  const std::size_t levels = Log2(config.butterfly_size);
   const double util = std::min(
       1.0, static_cast<double>(grid * levels) /
                static_cast<double>(g.arch().num_tiles));

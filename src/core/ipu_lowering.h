@@ -3,15 +3,24 @@
 // engine pass. These timings drive Fig. 6 (right), Fig. 7, Table 4 (IPU
 // column) and Table 5.
 //
+// The butterfly and pixelfly graphs come from AddButterflyStages and
+// AddPixelflyBlocks, which the executing serving and shard plans call too,
+// so the timed graph and the served graph are one lowering. Like Poplar's
+// library calls, each takes the caller's graph, program and a name prefix.
+//
 // The butterfly/fastfood lowerings use the transposed activation layout
 // (features x batch) so each 2x2 pair touches two contiguous rows, exactly
 // how a feature-parallel lowering lays tensors out on the real device.
 #pragma once
 
+#include <string>
+#include <vector>
+
 #include "core/pixelfly.h"
 #include "ipusim/arch.h"
 #include "ipusim/graph.h"
 #include "ipusim/profiler.h"
+#include "ipusim/program.h"
 #include "util/error.h"
 
 namespace repro::obs {
@@ -24,26 +33,41 @@ class ExeCache;
 
 namespace repro::core {
 
-// --- graph-building helpers shared with the serving lowering (serve/) ---
+// --- layer lowerings shared with serving (serve/) and sharding (cluster/) ---
+//
+// Each appends one layer's graph to the caller's graph and program, names its
+// tensors and compute sets from `prefix`, and returns what the caller needs
+// afterwards. The paper timings below, serve::ModelPlan and
+// cluster::ShardPlan all build their layers through these, so a layer is
+// lowered in one place.
 
-// PopTorch-parity cycles-per-MAC for the Butterfly2x2 codelet at width n:
-// the calibration that puts the butterfly/Linear crossover at N ~ 2^10 and
-// the large-N speedup near 1.6x (Fig. 6 right). `parity` false models
-// hand-written custom vertices.
-double ButterflyCyclesPerMac(std::size_t n, bool parity = true);
+// The log2(n) Butterfly2x2 stages of an n-point butterfly over the
+// feature-major activation x (n = x.rows features of x.cols batch columns).
+// With PopTorch parity (the calibrated default) each stage first
+// materialises its input into a fresh staging tensor, `prefix` + "stage<f>",
+// and the vertices run at the parity cycles-per-MAC; without it the stages
+// run in place on x. The factor weights are `prefix` + "w<f>", (n/2) x 4.
+struct ButterflyStages {
+  std::vector<ipu::Tensor> w;  // per factor, in stage order
+  ipu::Tensor y;               // the last stage's output (x when in place)
+};
+ButterflyStages AddButterflyStages(ipu::Graph& g, ipu::Program& seq,
+                                   const std::string& prefix,
+                                   const ipu::Tensor& x, bool parity);
 
-// Maps an n-row staging tensor to tiles offset by half the device from the
-// linear mapping, so a stage materialisation exchanges nearly everything (a
-// real gather/rearrange does).
-void MapRowsOffset(ipu::Graph& g, const ipu::Tensor& t, std::size_t n);
-
-// Builds one stage of 2x2-pair compute sets (butterfly / Hadamard) over the
-// feature-major activation tensor x (n rows of `batch` columns). Returns the
-// compute set; `codelet` is Butterfly2x2 (with weights w) or Hadamard2.
-ipu::ComputeSetId AddPairStage(ipu::Graph& g, const ipu::Tensor& x,
-                               std::size_t n, std::size_t batch,
-                               std::size_t stride, const char* codelet,
-                               const ipu::Tensor* w, double cpm);
+// Pixelfly's block-sparse term plus residual, y = B x (+ x), over the
+// feature-major x and y (config.n rows of x.cols batch columns): one
+// BlockGemmAmp vertex per (output block-row, butterfly level) reading the
+// caller's block weights w (pattern.size() x b*b, the level-major
+// FlatButterflyPattern), one compute set per level (the fusion pass merges
+// them into one superstep), then a ReduceAdd of the level partials into y.
+// Adds `prefix` + "pfpart" and the compute sets `prefix` + "pf_lv<l>" and
+// `prefix` + "pf_sum".
+void AddPixelflyBlocks(ipu::Graph& g, ipu::Program& seq,
+                       const std::string& prefix, const ipu::Tensor& x,
+                       const ipu::Tensor& w, const ipu::Tensor& y,
+                       const PixelflyConfig& config,
+                       const std::vector<BlockCoord>& pattern);
 
 struct IpuLayerTiming {
   double fwd_seconds = 0.0;
@@ -85,14 +109,14 @@ IpuLayerTiming TimeLinearIpu(const ipu::IpuArch& arch, std::size_t batch,
                              std::size_t in, std::size_t out,
                              const IpuLoweringOptions& opts = {});
 
-// Butterfly: log2(n) compute sets of Butterfly2x2 vertices.
+// Butterfly: log2(n) compute sets of Butterfly2x2 vertices
+// (AddButterflyStages).
 IpuLayerTiming TimeButterflyIpu(const ipu::IpuArch& arch, std::size_t batch,
                                 std::size_t n,
                                 const IpuLoweringOptions& opts = {});
 
-// Pixelfly: one BlockGemmAmp compute set per butterfly level over the flat
-// pattern (the fusion pass merges them back to a single superstep) + two
-// skinny poplin matmuls for the low-rank term + residual add.
+// Pixelfly: the block-sparse term and residual (AddPixelflyBlocks) + two
+// skinny poplin matmuls for the low-rank term, charged analytically.
 IpuLayerTiming TimePixelflyIpu(const ipu::IpuArch& arch, std::size_t batch,
                                const PixelflyConfig& config,
                                const IpuLoweringOptions& opts = {});

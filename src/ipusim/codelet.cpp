@@ -8,8 +8,6 @@
 namespace repro::ipu {
 namespace {
 
-std::size_t Pad16(std::size_t x) { return CeilDiv(x, 16) * 16; }
-
 // --- arithmetic cores -------------------------------------------------------
 //
 // Cores applied per vertex by the builtins' compute functions. The comments
@@ -88,6 +86,8 @@ void DiagMulCore(std::size_t batch, std::span<const float> d,
   }
 }
 
+}  // namespace
+
 void ButterflyCore(std::size_t batch, std::span<const float> w,
                    std::span<const float> xt, std::span<const float> xb,
                    std::span<float> yt, std::span<float> yb) {
@@ -106,6 +106,8 @@ void ButterflyCore(std::size_t batch, std::span<const float> w,
     }
   }
 }
+
+namespace {
 
 void HadamardCore(std::span<const float> xt, std::span<const float> xb,
                   std::span<float> yt, std::span<float> yb) {

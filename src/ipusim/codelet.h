@@ -229,4 +229,13 @@ inline constexpr const char* kBlockGemmAmp = "BlockGemmAmp";
 inline constexpr const char* kBiasRelu = "BiasRelu";
 }  // namespace codelets
 
+// The Butterfly2x2 codelet's arithmetic on w.size() / 4 consecutive pairs,
+// each `batch` columns wide: with (a, b, c, d) = w[4p .. 4p+3],
+// yt = a * xt + b * xb and yb = c * xt + d * xb. Both endpoints of an
+// element are read before either is written, so the outputs may alias the
+// inputs. The cluster shard plans apply their cross-chip factors through it.
+void ButterflyCore(std::size_t batch, std::span<const float> w,
+                   std::span<const float> xt, std::span<const float> xb,
+                   std::span<float> yt, std::span<float> yb);
+
 }  // namespace repro::ipu

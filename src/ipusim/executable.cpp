@@ -174,6 +174,14 @@ Tensor TakeTensor(Reader& r) {
   return t;
 }
 
+// True when `t` views an existing variable of `vars` and lies within its
+// elements. Decided without forming offset + numel, which a hostile
+// artifact can make wrap.
+bool ViewInGraph(const Tensor& t, const std::vector<Variable>& vars) {
+  return t.var < vars.size() && t.offset <= vars[t.var].numel &&
+         t.numel <= vars[t.var].numel - t.offset;
+}
+
 void PutProgram(ByteSink auto& out, const Program& p) {
   PutU8(out, static_cast<std::uint8_t>(p.kind));
   PutU32(out, p.cs);
@@ -280,8 +288,7 @@ StatusOr<Graph> TakeGraph(Reader& r) {
                                      "compute set or out-of-range tile");
     }
     for (const Edge& e : v.edges) {
-      if (e.view.var >= variables.size() ||
-          e.view.offset + e.view.numel > variables[e.view.var].numel) {
+      if (!ViewInGraph(e.view, variables)) {
         return Status::InvalidArgument(
             "artifact graph edge references out-of-range variable view");
       }
@@ -514,8 +521,7 @@ Status ValidateKernelPlan(const KernelPlan& plan, const Graph& graph,
             "artifact kernel plan edge table has no offsets");
       }
       for (const Tensor& t : g.edges) {
-        if (t.var >= graph.variables().size() ||
-            t.offset + t.numel > graph.variables()[t.var].numel) {
+        if (!ViewInGraph(t, graph.variables())) {
           return Status::InvalidArgument(
               "artifact kernel plan edge references out-of-range variable "
               "view");
@@ -779,15 +785,46 @@ StatusOr<Executable> Executable::Deserialize(
       }
     }
   }
-  // Walk the program tree for compute-set ids beyond the lowered table,
-  // collecting the executed ones for the kernel plan check.
+  // Walk the program tree for steps the engine would run out of bounds:
+  // compute-set ids beyond the lowered table, tensor views outside the
+  // graph, copies between views of different sizes (the engine moves
+  // src.numel elements), bundles of non-copies and bodiless repeats (the
+  // engine runs children.front()). The walk also collects the executed
+  // compute sets for the kernel plan check.
+  const auto& vars = exe.graph->variables();
   std::vector<std::uint8_t> executed(exe.lowered_cs.size(), 0);
   const std::function<bool(const Program&)> valid = [&](const Program& p) {
-    if (p.kind == Program::Kind::kExecute) {
-      if (p.cs >= exe.lowered_cs.size() || p.cs >= exe.cs_exchange.size()) {
-        return false;
-      }
-      executed[p.cs] = 1;
+    switch (p.kind) {
+      case Program::Kind::kExecute:
+        if (p.cs >= exe.lowered_cs.size() || p.cs >= exe.cs_exchange.size()) {
+          return false;
+        }
+        executed[p.cs] = 1;
+        break;
+      case Program::Kind::kCopy:
+        if (!ViewInGraph(p.src, vars) || !ViewInGraph(p.dst, vars) ||
+            p.src.numel != p.dst.numel) {
+          return false;
+        }
+        break;
+      case Program::Kind::kCopyBundle:
+        for (const Program& c : p.children) {
+          if (c.kind != Program::Kind::kCopy) return false;
+        }
+        break;
+      case Program::Kind::kRepeat:
+        if (p.children.size() != 1) return false;
+        break;
+      case Program::Kind::kHostWrite:
+      case Program::Kind::kStreamIn:
+        if (!ViewInGraph(p.dst, vars)) return false;
+        break;
+      case Program::Kind::kHostRead:
+      case Program::Kind::kStreamOut:
+        if (!ViewInGraph(p.src, vars)) return false;
+        break;
+      default:
+        break;
     }
     for (const Program& c : p.children) {
       if (!valid(c)) return false;
@@ -796,7 +833,10 @@ StatusOr<Executable> Executable::Deserialize(
   };
   if (!valid(exe.program)) {
     return Status::InvalidArgument(
-        "artifact program executes a compute set outside the lowered table");
+        "artifact program has a step the engine cannot run: a compute set "
+        "outside the lowered table, a tensor view outside the graph, a "
+        "copy between views of different sizes, or a misshapen bundle or "
+        "repeat");
   }
   if (Status plan_ok = ValidateKernelPlan(exe.kernel_plan, *exe.graph,
                                           exe.lowered_cs, executed);
@@ -806,10 +846,8 @@ StatusOr<Executable> Executable::Deserialize(
   // Stream descriptors: each must name a valid in-range tensor view, and
   // every stream op in the program must have a matching descriptor (the
   // engine keys its per-stream FIFO state off the descriptor table).
-  const auto& vars = exe.graph->variables();
   for (const HostStream& hs : exe.streams) {
-    if (hs.tensor.numel == 0 || hs.tensor.var >= vars.size() ||
-        hs.tensor.offset + hs.tensor.numel > vars[hs.tensor.var].numel) {
+    if (hs.tensor.numel == 0 || !ViewInGraph(hs.tensor, vars)) {
       return Status::InvalidArgument(
           "artifact host stream references out-of-range variable view");
     }

@@ -3,68 +3,6 @@
 #include <sstream>
 
 namespace repro::ipu {
-namespace {
-
-std::string HumanBytes(std::size_t bytes) {
-  char buf[32];
-  if (bytes >= 1024ull * 1024 * 1024) {
-    std::snprintf(buf, sizeof(buf), "%.2f GiB",
-                  static_cast<double>(bytes) / (1024.0 * 1024.0 * 1024.0));
-  } else if (bytes >= 1024ull * 1024) {
-    std::snprintf(buf, sizeof(buf), "%.2f MiB",
-                  static_cast<double>(bytes) / (1024.0 * 1024.0));
-  } else if (bytes >= 1024) {
-    std::snprintf(buf, sizeof(buf), "%.2f KiB",
-                  static_cast<double>(bytes) / 1024.0);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%zu B", bytes);
-  }
-  return buf;
-}
-
-}  // namespace
-
-std::string MemoryReport(const Executable& exe) {
-  const CompileStats& s = exe.stats;
-  std::ostringstream out;
-  out << "Memory report\n";
-  out << "  variables:      " << s.num_variables << "\n";
-  out << "  vertices:       " << s.num_vertices << "\n";
-  out << "  edges:          " << s.num_edges << "\n";
-  out << "  compute sets:   " << s.num_compute_sets << "\n";
-  for (std::size_t c = 0; c < kNumMemCategories; ++c) {
-    out << "  " << MemCategoryName(static_cast<MemCategory>(c)) << ": "
-        << HumanBytes(s.category_bytes[c]) << "\n";
-  }
-  out << "  total:          " << HumanBytes(s.total_bytes) << "\n";
-  out << "  fullest tile:   " << HumanBytes(s.max_tile_bytes) << " / "
-      << HumanBytes(exe.graph->arch().tile_memory_bytes) << "\n";
-  out << "  free on device: " << HumanBytes(s.free_bytes) << "\n";
-  for (const PassReport& p : s.pass_reports) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf),
-                  "  pass %-22s %zu -> %zu objects, saved %s (%.3f ms)\n",
-                  (p.pass + ":").c_str(), p.objects_before, p.objects_after,
-                  HumanBytes(p.bytes_saved).c_str(), p.seconds * 1e3);
-    out << buf;
-  }
-  return out.str();
-}
-
-std::string ExecutionReport(const RunReport& r, const IpuArch& arch) {
-  std::ostringstream out;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "Run report: %.3f ms (compute %.3f ms, exchange %.3f ms, "
-                "sync %.3f ms, host %.3f ms), %.2f GFLOP/s\n",
-                r.seconds(arch) * 1e3,
-                static_cast<double>(r.compute_cycles) / arch.clock_hz * 1e3,
-                static_cast<double>(r.exchange_cycles) / arch.clock_hz * 1e3,
-                static_cast<double>(r.sync_cycles) / arch.clock_hz * 1e3,
-                r.host_seconds * 1e3, r.gflops(arch));
-  out << buf;
-  return out.str();
-}
 
 std::string GraphCounts::ToJson() const {
   std::ostringstream os;

@@ -1,19 +1,14 @@
-// PopVision-Graph-Analyzer-style reporting over compile and run artifacts.
-// Fig. 5 and Fig. 7 of the paper are read straight off these reports.
+// Graph counts of a compiled executable, PopVision-Graph-Analyzer style:
+// vertices, edges, variables, compute sets and bytes. Fig. 5 and Fig. 7 of
+// the paper are read straight off these counts (bench JSON `counts`); the
+// per-category ledger they sum is CompileStats (ipusim/executable.h).
 #pragma once
 
 #include <string>
 
-#include "ipusim/engine.h"
 #include "ipusim/executable.h"
 
 namespace repro::ipu {
-
-// Human-readable memory breakdown (per category, totals, fullest tile).
-std::string MemoryReport(const Executable& exe);
-
-// Human-readable cost breakdown of a run.
-std::string ExecutionReport(const RunReport& report, const IpuArch& arch);
 
 // One-line CSV-ish summary used by the figure benches:
 // n, vertices, edges, variables, compute_sets, total_bytes, free_bytes.

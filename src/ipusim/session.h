@@ -152,7 +152,7 @@ class Session {
   // (Engine::ownedStorageBytes).
   std::size_t ownedStorageBytes() const;
 
-  // Compile artifacts, for memory reports and graph-count summaries.
+  // Compile artifacts: ledgers, stats and graph-count summaries.
   const Executable& executable() const;
   GraphCounts counts() const { return CountsOf(executable()); }
 

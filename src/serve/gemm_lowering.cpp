@@ -101,4 +101,69 @@ std::vector<float> PackGemmBlocks(const KSplitGemm& gw, const float* w) {
   return packed;
 }
 
+ipu::Tensor AddBiasRelu(ipu::Graph& g, ipu::Program& seq,
+                        const std::string& prefix, const ipu::Tensor& h) {
+  const std::size_t rows = h.rows;
+  const std::size_t B = h.cols;
+  ipu::Tensor bias = g.addVariable(prefix + "_hb", rows);
+  g.mapLinearly(bias, 1);
+  ipu::ComputeSetId cs = g.addComputeSet(prefix + "_bias_relu");
+  const std::size_t rows_per_tile =
+      std::max<std::size_t>(1, CeilDiv(rows, g.arch().num_tiles));
+  for (std::size_t r = 0; r < rows; r += rows_per_tile) {
+    const std::size_t count = std::min(rows_per_tile, rows - r);
+    const std::size_t tile = g.tileOfElement(h, r * B);
+    ipu::VertexId v = g.addVertex(cs, ipu::codelets::kBiasRelu, tile);
+    g.connect(v, "bias", bias.slice(r, count));
+    g.connect(v, "x", h.rowRange(r, count));
+    g.connect(v, "y", h.rowRange(r, count), true);
+    g.setInitialValue(v, "batch", static_cast<double>(B));
+    g.setInitialValue(v, "relu", 1.0);
+  }
+  seq.add(ipu::Program::Execute(cs));
+  return bias;
+}
+
+ClassifierHead AddClassifierHead(ipu::Graph& g, ipu::Program& seq,
+                                 const std::string& prefix,
+                                 const ipu::Tensor& h, std::size_t classes) {
+  const std::size_t B = h.cols;
+  const std::size_t cp = Pad16(classes);
+  ClassifierHead head;
+  head.logits = g.addVariable(prefix + "_logits", cp, B);
+  g.mapLinearly(head.logits, B);
+  head.w = AddKSplitGemm(g, seq, prefix + "_cls", h, head.logits, classes,
+                         h.rows, /*accumulate=*/false, B);
+  head.bias = g.addVariable(prefix + "_cb", cp);
+  g.mapLinearly(head.bias, 1);
+  ipu::ComputeSetId cs = g.addComputeSet(prefix + "_cls_bias");
+  ipu::VertexId v = g.addVertex(cs, ipu::codelets::kBiasRelu,
+                                g.tileOfElement(head.logits, 0));
+  g.connect(v, "bias", head.bias);
+  g.connect(v, "x", head.logits);
+  g.connect(v, "y", head.logits, true);
+  g.setInitialValue(v, "batch", static_cast<double>(B));
+  g.setInitialValue(v, "relu", 0.0);
+  seq.add(ipu::Program::Execute(cs));
+  return head;
+}
+
+std::vector<float> FeatureMajorBatch(const nn::ForwardSpec& spec,
+                                     const Matrix& inputs, std::size_t batch) {
+  const std::size_t rows = inputs.rows();
+  REPRO_REQUIRE(rows >= 1 && rows <= batch && inputs.cols() == spec.input,
+                "batch shape %zux%zu vs plan (<=%zu x %zu)", rows,
+                inputs.cols(), batch, spec.input);
+  const bool permute = spec.method == core::Method::kButterfly &&
+                       spec.butterfly_perm.size() == spec.input;
+  std::vector<float> x(spec.input * batch, 0.0f);
+  for (std::size_t i = 0; i < spec.input; ++i) {
+    const std::size_t src = permute ? spec.butterfly_perm[i] : i;
+    for (std::size_t j = 0; j < rows; ++j) {
+      x[i * batch + j] = inputs(j, src);
+    }
+  }
+  return x;
+}
+
 }  // namespace repro::serve

@@ -4,99 +4,49 @@
 #include <utility>
 
 #include "core/ipu_lowering.h"
-#include "ipusim/codelet.h"
 #include "util/bitops.h"
 
 namespace repro::serve {
-namespace {
 
 using ipu::Graph;
 using ipu::Program;
 using ipu::Tensor;
-
-std::size_t Pad16(std::size_t x) { return CeilDiv(x, 16) * 16; }
-
-}  // namespace
-
-ModelPlan::GemmWeights ModelPlan::addGemm(Program& seq, const std::string& name,
-                                          const Tensor& x, const Tensor& out,
-                                          std::size_t m, std::size_t k,
-                                          bool accumulate) {
-  // The k-split lowering itself is shared with the cluster shard plans
-  // (serve/gemm_lowering.h).
-  return AddKSplitGemm(session_->graph(), seq, name, x, out, m, k, accumulate,
-                       opts_.max_batch);
-}
-
-std::vector<float> ModelPlan::packBlocks(const GemmWeights& gw,
-                                         const float* w) {
-  return PackGemmBlocks(gw, w);
-}
 
 void ModelPlan::buildDenseHidden(Program& seq) {
   Graph& g = session_->graph();
   const std::size_t B = opts_.max_batch;
   hidden_ = g.addVariable("serve_h", Pad16(spec_.hidden), B);
   g.mapLinearly(hidden_, B);
-  dense_w_ =
-      addGemm(seq, "serve_dense", x_, hidden_, spec_.hidden, spec_.input,
-              /*accumulate=*/false);
+  dense_w_ = AddKSplitGemm(g, seq, "serve_dense", x_, hidden_, spec_.hidden,
+                           spec_.input, /*accumulate=*/false, B);
 }
 
 void ModelPlan::buildButterflyHidden(Program& seq) {
-  Graph& g = session_->graph();
   const std::size_t n = spec_.hidden;
-  const std::size_t B = opts_.max_batch;
   REPRO_REQUIRE(spec_.input == n && IsPow2(n),
                 "butterfly serving needs square power-of-two hidden layer");
-  const std::size_t factors = spec_.butterfly_factors.size();
-  REPRO_REQUIRE(factors == Log2(n), "butterfly factor count mismatch");
-  const double cpm = core::ButterflyCyclesPerMac(n, opts_.poptorch_parity);
-  Tensor cur = x_;
-  for (std::size_t f = 0; f < factors; ++f) {
-    Tensor w = g.addVariable("serve_bw" + std::to_string(f), n / 2, 4);
-    g.mapLinearly(w, 4);
-    bfly_w_.push_back(w);
-    if (opts_.poptorch_parity) {
-      // Same staged materialisation as TimeButterflyIpu: the framework
-      // writes each stage into a fresh staging tensor with alternating
-      // mappings, and the liveness pass folds them into ping-pong slots.
-      Tensor staged = g.addVariable("serve_bstage" + std::to_string(f), n, B);
-      if (f % 2 == 0) {
-        core::MapRowsOffset(g, staged, n);
-      } else {
-        g.mapLinearly(staged, B);
-      }
-      seq.add(Program::Copy(cur, staged));
-      cur = staged;
-    }
-    ipu::ComputeSetId cs =
-        core::AddPairStage(g, cur, n, B, std::size_t{1} << f,
-                           ipu::codelets::kButterfly2x2, &w, cpm);
-    seq.add(Program::Execute(cs));
-  }
-  hidden_ = cur;
+  REPRO_REQUIRE(spec_.butterfly_factors.size() == Log2(n),
+                "butterfly factor count mismatch");
+  core::ButterflyStages stages = core::AddButterflyStages(
+      session_->graph(), seq, "serve_b", x_, opts_.poptorch_parity);
+  bfly_w_ = std::move(stages.w);
+  hidden_ = stages.y;
 }
 
 void ModelPlan::buildPixelflyHidden(Program& seq) {
   Graph& g = session_->graph();
   const core::PixelflyConfig& cfg = spec_.pixelfly;
   const std::size_t n = cfg.n;
-  const std::size_t b = cfg.block_size;
   const std::size_t B = opts_.max_batch;
   REPRO_REQUIRE(spec_.input == n && spec_.hidden == n,
                 "pixelfly serving needs a square hidden layer");
   REPRO_REQUIRE(n % 16 == 0, "pixelfly hidden width must be 16-aligned");
-  const auto& pattern = spec_.pf_pattern;
-  const std::size_t grid = cfg.grid();
-  const std::size_t levels = Log2(cfg.butterfly_size);
-  REPRO_REQUIRE(pattern.size() == 2 * grid * levels,
-                "pixelfly pattern size mismatch");
 
   hidden_ = g.addVariable("serve_h", n, B);
   g.mapLinearly(hidden_, B);
-  pf_w_ = g.addVariable("serve_pfw", pattern.size(), b * b);
-  g.mapLinearly(pf_w_, b * b);
+  pf_w_ = g.addVariable("serve_pfw", spec_.pf_pattern.size(),
+                        cfg.block_size * cfg.block_size);
+  g.mapLinearly(pf_w_, cfg.block_size * cfg.block_size);
 
   // Low-rank bottleneck t = V^T x first: it only reads x, so the fusion
   // pass merges it into the block-sparse superstep.
@@ -104,62 +54,16 @@ void ModelPlan::buildPixelflyHidden(Program& seq) {
   if (cfg.low_rank > 0) {
     t = g.addVariable("serve_pft", Pad16(cfg.low_rank), B);
     g.mapLinearly(t, B);
-    lr_vt_ = addGemm(seq, "serve_pfv", x_, t, cfg.low_rank, n,
-                     /*accumulate=*/false);
+    lr_vt_ = AddKSplitGemm(g, seq, "serve_pfv", x_, t, cfg.low_rank, n,
+                           /*accumulate=*/false, B);
   }
-
-  // One BlockGemmAmp vertex per (output block-row, butterfly level), the
-  // executing twin of TimePixelflyIpu's lowering (same spread, same AMP
-  // block-efficiency immediates).
-  Tensor partials = g.addVariable("serve_pfpart", grid * levels, b * B);
-  std::vector<ipu::ComputeSetId> level_cs;
-  level_cs.reserve(levels);
-  for (std::size_t lv = 0; lv < levels; ++lv) {
-    level_cs.push_back(
-        g.addComputeSet("serve_pf_lv" + std::to_string(lv)));
-  }
-  for (std::size_t bi = 0; bi < grid; ++bi) {
-    for (std::size_t lv = 0; lv < levels; ++lv) {
-      const std::size_t tile =
-          (bi * levels + lv) * 977 % g.arch().num_tiles;  // spread
-      g.setTileMapping(partials.row(bi * levels + lv), tile);
-      ipu::VertexId v =
-          g.addVertex(level_cs[lv], ipu::codelets::kBlockGemmAmp, tile);
-      // Pattern is level-major: level lv holds blocks [lv*2*grid, ...).
-      for (std::size_t q = lv * 2 * grid; q < (lv + 1) * 2 * grid; ++q) {
-        if (pattern[q].bi != bi) continue;
-        g.connect(v, "w", pf_w_.row(q));
-        g.connect(v, "x", x_.rowRange(pattern[q].bj * b, b));
-      }
-      g.connect(v, "out", partials.row(bi * levels + lv), true);
-      g.setInitialValue(v, "b", static_cast<double>(b));
-      g.setInitialValue(v, "batch", static_cast<double>(B));
-      g.setInitialValue(v, "accumulate", 0.0);
-      g.setInitialValue(v, "eff", 0.3);
-    }
-  }
-  for (std::size_t lv = 0; lv < levels; ++lv) {
-    seq.add(Program::Execute(level_cs[lv]));
-  }
-  ipu::ComputeSetId cs_sum = g.addComputeSet("serve_pf_sum");
-  for (std::size_t bi = 0; bi < grid; ++bi) {
-    const std::size_t tile = g.tileOfElement(hidden_, bi * b * B);
-    ipu::VertexId v = g.addVertex(cs_sum, ipu::codelets::kReduceAdd, tile);
-    for (std::size_t lv = 0; lv < levels; ++lv) {
-      g.connect(v, "partials", partials.row(bi * levels + lv));
-    }
-    if (cfg.residual) {
-      g.connect(v, "partials", x_.rowRange(bi * b, b));  // residual addend
-    }
-    g.connect(v, "out", hidden_.rowRange(bi * b, b), true);
-  }
-  seq.add(Program::Execute(cs_sum));
-
+  core::AddPixelflyBlocks(g, seq, "serve_", x_, pf_w_, hidden_, cfg,
+                          spec_.pf_pattern);
   // Expansion y += U t accumulates into the summed activations; k = rank is
   // small, so the single-chunk accumulate form applies.
   if (cfg.low_rank > 0) {
-    lr_u_ = addGemm(seq, "serve_pfu", t.rowRange(0, cfg.low_rank), hidden_, n,
-                    cfg.low_rank, /*accumulate=*/true);
+    lr_u_ = AddKSplitGemm(g, seq, "serve_pfu", t.rowRange(0, cfg.low_rank),
+                          hidden_, n, cfg.low_rank, /*accumulate=*/true, B);
   }
 }
 
@@ -188,43 +92,12 @@ Status ModelPlan::buildGraph() {
   }
 
   // Fused bias + ReLU epilogue over the logical hidden rows (padded rows of
-  // the dense lowering stay zero and are never read downstream).
-  Tensor h = hidden_.rowRange(0, spec_.hidden);
-  hidden_bias_ = g.addVariable("serve_hb", spec_.hidden);
-  g.mapLinearly(hidden_bias_, 1);
-  ipu::ComputeSetId cs_bias = g.addComputeSet("serve_bias_relu");
-  const std::size_t rows_per_tile =
-      std::max<std::size_t>(1, CeilDiv(spec_.hidden, g.arch().num_tiles));
-  for (std::size_t r = 0; r < spec_.hidden; r += rows_per_tile) {
-    const std::size_t count = std::min(rows_per_tile, spec_.hidden - r);
-    const std::size_t tile = g.tileOfElement(h, r * B);
-    ipu::VertexId v = g.addVertex(cs_bias, ipu::codelets::kBiasRelu, tile);
-    g.connect(v, "bias", hidden_bias_.slice(r, count));
-    g.connect(v, "x", h.rowRange(r, count));
-    g.connect(v, "y", h.rowRange(r, count), true);
-    g.setInitialValue(v, "batch", static_cast<double>(B));
-    g.setInitialValue(v, "relu", 1.0);
-  }
-  seq.add(Program::Execute(cs_bias));
-
-  // Classifier head + bias (no activation) + host readback.
-  const std::size_t cp = Pad16(spec_.classes);
-  logits_ = g.addVariable("serve_logits", cp, B);
-  g.mapLinearly(logits_, B);
-  cls_w_ = addGemm(seq, "serve_cls", h, logits_, spec_.classes, spec_.hidden,
-                   /*accumulate=*/false);
-  cls_bias_ = g.addVariable("serve_cb", cp);
-  g.mapLinearly(cls_bias_, 1);
-  ipu::ComputeSetId cs_cb = g.addComputeSet("serve_cls_bias");
-  ipu::VertexId vb =
-      g.addVertex(cs_cb, ipu::codelets::kBiasRelu, g.tileOfElement(logits_, 0));
-  g.connect(vb, "bias", cls_bias_);
-  g.connect(vb, "x", logits_);
-  g.connect(vb, "y", logits_, true);
-  g.setInitialValue(vb, "batch", static_cast<double>(B));
-  g.setInitialValue(vb, "relu", 0.0);
-  seq.add(Program::Execute(cs_cb));
-  const Tensor logits_out = logits_.rowRange(0, spec_.classes);
+  // the dense lowering stay zero and are never read downstream), then the
+  // classifier head and the host readback.
+  const Tensor h = hidden_.rowRange(0, spec_.hidden);
+  hidden_bias_ = AddBiasRelu(g, seq, "serve", h);
+  cls_ = AddClassifierHead(g, seq, "serve", h, spec_.classes);
+  const Tensor logits_out = cls_.logits.rowRange(0, spec_.classes);
   seq.add(opts_.streaming ? Program::StreamOut(logits_out)
                           : Program::HostRead(logits_out));
 
@@ -270,7 +143,7 @@ StatusOr<std::unique_ptr<ModelPlan>> ModelPlan::Build(
     const double in_s = static_cast<double>(plan->x_.bytes()) / bw;
     const double out_s =
         static_cast<double>(
-            plan->logits_.rowRange(0, spec.classes).bytes()) /
+            plan->cls_.logits.rowRange(0, spec.classes).bytes()) /
         bw;
     plan->stream_profile_ = {/*enabled=*/true, in_s,
                              /*compute_s=*/cold_s - in_s, out_s};
@@ -292,7 +165,7 @@ void ModelPlan::writeWeights() {
   switch (spec_.method) {
     case core::Method::kBaseline:
       session.writeTensor(dense_w_.w,
-                          packBlocks(dense_w_, spec_.dense_wt.data()));
+                          PackGemmBlocks(dense_w_, spec_.dense_wt.data()));
       break;
     case core::Method::kButterfly:
       for (std::size_t f = 0; f < bfly_w_.size(); ++f) {
@@ -302,19 +175,20 @@ void ModelPlan::writeWeights() {
     case core::Method::kPixelfly:
       session.writeTensor(pf_w_, spec_.pf_blocks);
       if (spec_.pixelfly.low_rank > 0) {
-        session.writeTensor(lr_vt_.w, packBlocks(lr_vt_, spec_.pf_vt.data()));
-        session.writeTensor(lr_u_.w, packBlocks(lr_u_, spec_.pf_u.data()));
+        session.writeTensor(lr_vt_.w, PackGemmBlocks(lr_vt_, spec_.pf_vt.data()));
+        session.writeTensor(lr_u_.w, PackGemmBlocks(lr_u_, spec_.pf_u.data()));
       }
       break;
     default:
       REPRO_REQUIRE(false, "unreachable serving method");
   }
   session.writeTensor(hidden_bias_, spec_.hidden_bias);
-  session.writeTensor(cls_w_.w, packBlocks(cls_w_, spec_.classifier_wt.data()));
+  session.writeTensor(cls_.w.w,
+                      PackGemmBlocks(cls_.w, spec_.classifier_wt.data()));
   std::vector<float> cb(Pad16(spec_.classes), 0.0f);
   std::copy(spec_.classifier_bias.begin(), spec_.classifier_bias.end(),
             cb.begin());
-  session.writeTensor(cls_bias_, cb);
+  session.writeTensor(cls_.bias, cb);
 }
 
 Matrix ModelPlan::RunBatch(ipu::Engine& engine, const Matrix& inputs,
@@ -322,25 +196,11 @@ Matrix ModelPlan::RunBatch(ipu::Engine& engine, const Matrix& inputs,
   REPRO_REQUIRE(opts_.execute, "RunBatch on a timing-only plan");
   const std::size_t B = opts_.max_batch;
   const std::size_t rows = inputs.rows();
-  REPRO_REQUIRE(rows >= 1 && rows <= B && inputs.cols() == spec_.input,
-                "batch shape %zux%zu vs plan (<=%zu x %zu)", rows,
-                inputs.cols(), B, spec_.input);
-  // Transpose to feature-major, apply the butterfly input permutation
-  // host-side, zero-pad unused batch columns.
-  const bool permute = spec_.method == core::Method::kButterfly &&
-                       spec_.butterfly_perm.size() == spec_.input;
-  std::vector<float> xbuf(spec_.input * B, 0.0f);
-  for (std::size_t i = 0; i < spec_.input; ++i) {
-    const std::size_t src = permute ? spec_.butterfly_perm[i] : i;
-    for (std::size_t j = 0; j < rows; ++j) {
-      xbuf[i * B + j] = inputs(j, src);
-    }
-  }
-  engine.writeTensor(x_, xbuf);
+  engine.writeTensor(x_, FeatureMajorBatch(spec_, inputs, B));
   ipu::RunReport r = engine.run();
   if (report != nullptr) *report = r;
   std::vector<float> lbuf(spec_.classes * B);
-  engine.readTensor(logits_.rowRange(0, spec_.classes), lbuf);
+  engine.readTensor(cls_.logits.rowRange(0, spec_.classes), lbuf);
   Matrix out(rows, spec_.classes);
   for (std::size_t c = 0; c < spec_.classes; ++c) {
     for (std::size_t j = 0; j < rows; ++j) {

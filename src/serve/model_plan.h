@@ -125,20 +125,10 @@ class ModelPlan {
  private:
   ModelPlan() = default;
 
-  // Weight-upload handles (block-major GEMM weights carry their packing
-  // geometry; serve/gemm_lowering.h).
-  using GemmWeights = KSplitGemm;
-
   Status buildGraph();
   void buildDenseHidden(ipu::Program& seq);
   void buildButterflyHidden(ipu::Program& seq);
   void buildPixelflyHidden(ipu::Program& seq);
-  // Feature-major k-split GEMM out = W * x (W is m x k, packed block-major)
-  // lowered as AmpGemm partial products + a ReduceAdd stage.
-  GemmWeights addGemm(ipu::Program& seq, const std::string& name,
-                      const ipu::Tensor& x, const ipu::Tensor& out,
-                      std::size_t m, std::size_t k, bool accumulate);
-  static std::vector<float> packBlocks(const GemmWeights& gw, const float* w);
   // Writes the trained weights into the session engine (execute plans).
   void writeWeights();
 
@@ -148,11 +138,14 @@ class ModelPlan {
   std::unique_ptr<ipu::Session> session_;  // non-movable; owns graph+engine
   double batch_seconds_ = 0.0;
   StreamProfile stream_profile_;
-  ipu::Tensor x_, hidden_, logits_;
-  GemmWeights dense_w_, lr_vt_, lr_u_, cls_w_;
+  ipu::Tensor x_, hidden_;
+  // Weight-upload handles; block-major GEMM weights carry their packing
+  // geometry (serve/gemm_lowering.h).
+  KSplitGemm dense_w_, lr_vt_, lr_u_;
   std::vector<ipu::Tensor> bfly_w_;  // per factor, (n/2) x 4
   ipu::Tensor pf_w_;                 // pattern.size() x b*b
-  ipu::Tensor hidden_bias_, cls_bias_;
+  ipu::Tensor hidden_bias_;
+  ClassifierHead cls_;  // weights, bias and the padded logits tensor
 };
 
 }  // namespace repro::serve

@@ -40,4 +40,8 @@ constexpr std::size_t CeilDiv(std::size_t a, std::size_t b) {
   return (a + b - 1) / b;
 }
 
+// x rounded up to a multiple of 16, the AMP's row block: GEMM operands and
+// outputs are padded to it.
+constexpr std::size_t Pad16(std::size_t x) { return CeilDiv(x, 16) * 16; }
+
 }  // namespace repro

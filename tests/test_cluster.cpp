@@ -530,6 +530,50 @@ TEST(ShardPlanTest, ButterflyShardAcrossTwoChips) {
   CheckShardParity(Method::kButterfly, 2);
 }
 
+// FNV-1a (64-bit) over the bytes of a matrix's floats.
+std::uint64_t Fnv1a(const Matrix& m) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  const auto* bytes = reinterpret_cast<const unsigned char*>(m.data());
+  for (std::size_t i = 0; i < m.size() * sizeof(float); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(ShardPlanTest, LogitsArePinnedBitwise) {
+  // CheckShardParity's models and inputs, bit for bit: the cross-chip
+  // butterfly factors and the chip-order sums run host-side, so a change
+  // to their arithmetic or order moves a digest even where the 5e-4
+  // parity bound still holds.
+  struct Pin {
+    Method method;
+    std::size_t chips;
+    std::uint64_t digest;
+  };
+  for (const Pin& pin : {Pin{Method::kBaseline, 2, 0xcea43bb359b635acull},
+                         Pin{Method::kBaseline, 4, 0x80d2e2d966cb08b2ull},
+                         Pin{Method::kButterfly, 2, 0x8a23c4eff8b5713aull},
+                         Pin{Method::kButterfly, 4, 0x1b2411f596630034ull}}) {
+    const std::size_t n = 64;
+    const std::size_t max_batch = 8;
+    Rng rng(41);
+    nn::Sequential model = nn::BuildShl(pin.method, SmallShape(n), rng);
+    ShardOptions opts;
+    opts.num_chips = pin.chips;
+    opts.max_batch = max_batch;
+    auto plan = ShardPlan::Build(nn::ExportForward(model), ipu::Gc200(), opts);
+    ASSERT_TRUE(plan.ok()) << plan.status().message();
+    Matrix x(max_batch, n);
+    Rng data_rng(7);
+    for (std::size_t i = 0; i < max_batch; ++i)
+      for (std::size_t j = 0; j < n; ++j)
+        x(i, j) = float(data_rng.Uniform(-1.0, 1.0));
+    const std::uint64_t got = Fnv1a(plan.value()->RunBatch(x));
+    EXPECT_EQ(got, pin.digest) << core::MethodName(pin.method) << " on "
+                               << pin.chips << " chips: 0x" << std::hex << got;
+  }
+}
+
 TEST(ShardPlanTest, FabricScheduleShape) {
   const std::size_t n = 64;
   Rng rng(41);

@@ -5,11 +5,14 @@
 // content-addressed ExeCache over it all.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,7 +25,9 @@
 #include "ipusim/session.h"
 #include "nn/export.h"
 #include "nn/model.h"
+#include "cluster/shard_plan.h"
 #include "core/device_time.h"
+#include "core/ipu_lowering.h"
 #include "serve/model_plan.h"
 #include "util/parallel.h"
 
@@ -123,17 +128,7 @@ TEST(ExecutableRoundTrip, LedgersAndCountsSurviveByteForByte) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
 
   EXPECT_EQ(CountsOf(exe).ToJson(), CountsOf(loaded.value()).ToJson());
-  // MemoryReport prints per-pass wall clock, which is intentionally not in
-  // the artifact (loads as 0); mask it before comparing the ledgers.
-  auto mask_ms = [](std::string s) {
-    for (std::size_t open = s.find('('); open != std::string::npos;
-         open = s.find('(', open + 1)) {
-      const std::size_t close = s.find(" ms)", open);
-      if (close != std::string::npos) s.replace(open, close - open + 4, "(ms)");
-    }
-    return s;
-  };
-  EXPECT_EQ(mask_ms(MemoryReport(exe)), mask_ms(MemoryReport(loaded.value())));
+  EXPECT_EQ(exe.stats.category_bytes, loaded.value().stats.category_bytes);
   ASSERT_EQ(exe.tiles.size(), loaded.value().tiles.size());
   for (std::size_t t = 0; t < exe.tiles.size(); ++t) {
     EXPECT_EQ(exe.tiles[t].bytes, loaded.value().tiles[t].bytes) << t;
@@ -265,6 +260,171 @@ TEST(ExecutableRejects, VersionMismatchNamesBothVersions) {
   EXPECT_NE(r.status().message().find("99"), std::string::npos);
 }
 
+// The first step of `kind` in `p`, depth first.
+Program* FindStep(Program& p, Program::Kind kind) {
+  if (p.kind == kind) return &p;
+  for (Program& c : p.children) {
+    if (Program* found = FindStep(c, kind)) return found;
+  }
+  return nullptr;
+}
+
+// A 2-variable graph whose program moves tensors with every step kind that
+// names a view: streams, host copies, a Copy, a CopyBundle and a Repeat.
+Executable CompileMoves() {
+  Session s(Gc200());
+  Graph& g = s.graph();
+  Tensor a = g.addVariable("a", 64);
+  Tensor b = g.addVariable("b", 64);
+  g.setTileMapping(a, 0);
+  g.setTileMapping(b, 3);
+  const Status st = s.compile(Program::Sequence(
+      {Program::StreamIn(a), Program::Copy(a, b), Program::StreamOut(b),
+       Program::HostWrite(a), Program::CopyBundle({Program::Copy(a, b)}),
+       Program::Repeat(2, Program::Copy(b, a)), Program::HostRead(b)}));
+  EXPECT_TRUE(st.ok()) << st.message();
+  return s.executable();
+}
+
+TEST(ExecutableRejects, ProgramStepsTheEngineCannotRun) {
+  // Mutate a decoded program and re-serialize, so the checksum is valid:
+  // only Deserialize's step checks stand between the engine and a step that
+  // reads or writes past the variable table or past a variable's elements.
+  constexpr std::size_t kWrap = SIZE_MAX - 1;  // offset + 2 wraps to 0
+  const std::vector<std::pair<const char*, std::function<void(Executable&)>>>
+      mutations = {
+          {"copy into a missing variable",
+           [](Executable& exe) {
+             FindStep(exe.program, Program::Kind::kCopy)->dst =
+                 Tensor{5, std::size_t{1} << 20, 64, 1, 64};
+           }},
+          {"bundled copy past its source",
+           [](Executable& exe) {
+             FindStep(exe.program, Program::Kind::kCopyBundle)
+                 ->children[0]
+                 .src.offset = 32;
+           }},
+          {"host write whose end wraps",
+           [&](Executable& exe) {
+             Tensor& t = FindStep(exe.program, Program::Kind::kHostWrite)->dst;
+             t.offset = kWrap;
+             t.numel = 2;
+           }},
+          {"copy longer than its destination",
+           [](Executable& exe) {
+             Tensor& dst = FindStep(exe.program, Program::Kind::kCopy)->dst;
+             dst.offset = 32;
+             dst.numel = 32;
+           }},
+          {"bundle of a step that is no copy",
+           [](Executable& exe) {
+             FindStep(exe.program, Program::Kind::kCopyBundle)->children[0] =
+                 Program::Sequence({});
+           }},
+          {"repeat without a body",
+           [](Executable& exe) {
+             FindStep(exe.program, Program::Kind::kRepeat)->children.clear();
+           }},
+          {"host read past its variable",
+           [](Executable& exe) {
+             FindStep(exe.program, Program::Kind::kHostRead)->src.numel = 65;
+           }},
+          {"stream in whose end wraps, descriptor too",
+           [&](Executable& exe) {
+             Tensor& t = FindStep(exe.program, Program::Kind::kStreamIn)->dst;
+             t.offset = kWrap;
+             t.numel = 2;
+             for (HostStream& hs : exe.streams) {
+               if (hs.dir == HostStream::Dir::kIn) hs.tensor = t;
+             }
+           }},
+          {"stream out of a missing variable, descriptor too",
+           [](Executable& exe) {
+             Tensor& t = FindStep(exe.program, Program::Kind::kStreamOut)->src;
+             t.var = 2;
+             for (HostStream& hs : exe.streams) {
+               if (hs.dir == HostStream::Dir::kOut) hs.tensor = t;
+             }
+           }},
+      };
+  for (const auto& [name, mutate] : mutations) {
+    Executable exe = CompileMoves();
+    ASSERT_TRUE(Executable::Deserialize(exe.Serialize()).ok()) << name;
+    mutate(exe);
+    StatusOr<Executable> back = Executable::Deserialize(exe.Serialize());
+    EXPECT_FALSE(back.ok()) << name;
+    EXPECT_EQ(back.status().code(), ErrorCode::kInvalidArgument) << name;
+  }
+}
+
+TEST(ExecutableRejects, StreamDescriptorWhoseEndWraps) {
+  // A descriptor no step uses still describes a FIFO the engine keeps; its
+  // offset + numel must not wrap past the bound check.
+  Executable exe = CompileMoves();
+  exe.streams.push_back(
+      HostStream{HostStream::Dir::kIn, Tensor{0, SIZE_MAX - 1, 2, 1, 2}});
+  StatusOr<Executable> back = Executable::Deserialize(exe.Serialize());
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), ErrorCode::kInvalidArgument);
+}
+
+// Little-endian bytes of an artifact's serialized Tensor.
+std::vector<std::uint8_t> TensorBytes(const Tensor& t) {
+  std::vector<std::uint8_t> out;
+  auto put = [&](std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) out.push_back((v >> (8 * i)) & 0xff);
+  };
+  put(t.var, 4);
+  put(t.offset, 8);
+  put(t.numel, 8);
+  put(t.rows, 8);
+  put(t.cols, 8);
+  return out;
+}
+
+TEST(ExecutableRejects, VertexEdgeWhoseEndWraps) {
+  // A BiasRelu vertex's 4-element bias edge moved to offset SIZE_MAX - 1 in
+  // the graph section, resealed with a valid checksum: offset + numel wraps
+  // to 2, inside the bias, unless the check avoids forming the sum.
+  Session s(Gc200());
+  Graph& g = s.graph();
+  Tensor bias = g.addVariable("bias", 4);
+  Tensor x = g.addVariable("x", 4, 2);
+  g.setTileMapping(bias, 0);
+  g.setTileMapping(x, 0);
+  ComputeSetId cs = g.addComputeSet("bias_relu");
+  VertexId v = g.addVertex(cs, codelets::kBiasRelu, 0);
+  g.connect(v, "bias", bias);
+  g.connect(v, "x", x);
+  g.connect(v, "y", x, true);
+  g.setInitialValue(v, "batch", 2.0);
+  g.setInitialValue(v, "relu", 1.0);
+  ASSERT_TRUE(s.compile(Program::Execute(cs)).ok());
+  std::vector<std::uint8_t> bytes = s.executable().Serialize();
+
+  // The graph section comes first, so the first copy of the bias view is
+  // the vertex edge (the kernel plan keeps another, left intact).
+  const std::vector<std::uint8_t> view = TensorBytes(bias);
+  auto at = std::search(bytes.begin(), bytes.end(), view.begin(), view.end());
+  ASSERT_NE(at, bytes.end());
+  Tensor wrapped = bias;
+  wrapped.offset = SIZE_MAX - 1;
+  const std::vector<std::uint8_t> patch = TensorBytes(wrapped);
+  std::copy(patch.begin(), patch.end(), at);
+  // Reseal: the last 8 bytes are the FNV-1a 64 of everything before them.
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ull;
+  }
+  for (int i = 0; i < 8; ++i) bytes[bytes.size() - 8 + i] = (h >> (8 * i)) & 0xff;
+
+  StatusOr<Executable> back = Executable::Deserialize(bytes);
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.status().code(), ErrorCode::kInvalidArgument);
+  EXPECT_NE(back.status().message().find("graph edge"), std::string::npos)
+      << back.status().message();
+}
+
 TEST(ExeCacheTest, KeyDependsOnGraphProgramAndFlags) {
   Graph g1(Gc200());
   Tensor a = g1.addVariable("a", 64);
@@ -299,37 +459,171 @@ TEST(ExeCacheTest, KeyDependsOnGraphProgramAndFlags) {
   EXPECT_NE(k1, ExeCache::KeyOf(g2, Program::Copy(a2, b2), base));
 }
 
-TEST(ExeCacheTest, TimingPlanArtifactNamesArePinned) {
-  // The capacity probe's timing plans, built through an on-disk cache: the
-  // artifact file names are the keys, pinned to the values a warm cache dir
-  // written by earlier builds holds.
-  const std::string dir = TempPath("exe_cache_plan_names");
+// The artifact file names (the cache keys) that `build` leaves in a fresh
+// on-disk cache, sorted and space-separated.
+std::string ArtifactNames(const std::string& dir,
+                          const std::function<void(ExeCache*)>& build) {
   std::filesystem::remove_all(dir);
-  ExeCache cache(dir);
-  for (core::Method method : {core::Method::kBaseline, core::Method::kButterfly,
-                              core::Method::kPixelfly}) {
-    core::ShlShape shape;
-    shape.input = 64;
-    shape.hidden = 64;
-    shape.pixelfly = core::ScaledPixelflyConfig(64);
-    Rng rng(7);
-    nn::Sequential model = nn::BuildShl(method, shape, rng);
-    const nn::ForwardSpec spec = nn::ExportForward(model);
-    serve::PlanOptions opts;
-    opts.max_batch = 4;
-    opts.execute = false;
-    opts.cache = &cache;
-    auto plan = serve::ModelPlan::Build(spec, Gc200(), opts);
-    ASSERT_TRUE(plan.ok()) << plan.status().message();
+  {
+    ExeCache cache(dir);
+    build(&cache);
   }
   std::set<std::string> names;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    names.insert(entry.path().filename().string());
+    names.insert(entry.path().stem().string());
   }
-  EXPECT_EQ(names, (std::set<std::string>{"65fb60ec5ed068b7.ipuexe",
-                                          "897a8519f4b69c45.ipuexe",
-                                          "a0253f289582d27a.ipuexe"}));
   std::filesystem::remove_all(dir);
+  std::string joined;
+  for (const std::string& name : names) {
+    joined += (joined.empty() ? "" : " ") + name;
+  }
+  return joined;
+}
+
+nn::ForwardSpec PinnedSpec(core::Method method) {
+  core::ShlShape shape;
+  shape.input = 64;
+  shape.hidden = 64;
+  shape.pixelfly = core::ScaledPixelflyConfig(64);
+  Rng rng(7);
+  nn::Sequential model = nn::BuildShl(method, shape, rng);
+  return nn::ExportForward(model);
+}
+
+TEST(ExeCacheTest, TimingPlanArtifactNamesArePinned) {
+  // Every lowered graph behind the paper timings, the serving plans and the
+  // shard plans, built through an on-disk cache: the artifact file names
+  // are the keys, pinned to the values a warm cache dir written by earlier
+  // builds holds. Any change to a lowering's graph or program moves a key.
+  const std::string dir = TempPath("exe_cache_plan_names");
+  std::map<std::string, std::string> got;
+  const core::Method kServed[] = {core::Method::kBaseline,
+                                  core::Method::kButterfly,
+                                  core::Method::kPixelfly};
+
+  // The capacity probe's timing plans.
+  got["timing plans"] = ArtifactNames(dir, [&](ExeCache* cache) {
+    for (core::Method method : kServed) {
+      serve::PlanOptions opts;
+      opts.max_batch = 4;
+      opts.execute = false;
+      opts.cache = cache;
+      auto plan = serve::ModelPlan::Build(PinnedSpec(method), Gc200(), opts);
+      ASSERT_TRUE(plan.ok()) << plan.status().message();
+    }
+  });
+
+  // The paper timings (Fig. 6, Fig. 7, Table 4's IPU column).
+  for (std::size_t n : {std::size_t{128}, std::size_t{1024}}) {
+    for (bool parity : {true, false}) {
+      for (bool fuse : {true, false}) {
+        const std::string label = "butterfly n=" + std::to_string(n) +
+                                  " parity=" + std::to_string(parity) +
+                                  " fuse=" + std::to_string(fuse);
+        got[label] = ArtifactNames(dir, [&](ExeCache* cache) {
+          core::IpuLoweringOptions lo;
+          lo.poptorch_parity = parity;
+          lo.fuse_compute_sets = fuse;
+          lo.cache = cache;
+          core::TimeButterflyIpu(Gc200(), 16, n, lo);
+        });
+      }
+    }
+  }
+  for (bool fuse : {true, false}) {
+    got["pixelfly fuse=" + std::to_string(fuse)] =
+        ArtifactNames(dir, [&](ExeCache* cache) {
+          core::IpuLoweringOptions lo;
+          lo.fuse_compute_sets = fuse;
+          lo.cache = cache;
+          core::TimePixelflyIpu(Gc200(), 16, core::ScaledPixelflyConfig(1024),
+                                lo);
+        });
+  }
+  got["fastfood"] = ArtifactNames(dir, [&](ExeCache* cache) {
+    core::IpuLoweringOptions lo;
+    lo.cache = cache;
+    core::TimeFastfoodIpu(Gc200(), 16, 1024, lo);
+  });
+
+  // Execute serving plans.
+  for (core::Method method : kServed) {
+    for (bool streaming : {true, false}) {
+      for (bool parity : {true, false}) {
+        const std::string label =
+            std::string("plan ") + core::MethodName(method) +
+            " streaming=" + std::to_string(streaming) +
+            " parity=" + std::to_string(parity);
+        got[label] = ArtifactNames(dir, [&](ExeCache* cache) {
+          serve::PlanOptions opts;
+          opts.max_batch = 4;
+          opts.streaming = streaming;
+          opts.poptorch_parity = parity;
+          opts.cache = cache;
+          auto plan =
+              serve::ModelPlan::Build(PinnedSpec(method), Gc200(), opts);
+          ASSERT_TRUE(plan.ok()) << plan.status().message();
+        });
+      }
+    }
+  }
+
+  // Shard plans: stages A and B.
+  for (core::Method method : {core::Method::kBaseline,
+                              core::Method::kButterfly}) {
+    for (std::size_t chips : {std::size_t{2}, std::size_t{4}}) {
+      const std::string label = std::string("shard ") +
+                                core::MethodName(method) +
+                                " chips=" + std::to_string(chips);
+      got[label] = ArtifactNames(dir, [&](ExeCache* cache) {
+        cluster::ShardOptions opts;
+        opts.num_chips = chips;
+        opts.max_batch = 4;
+        opts.cache = cache;
+        auto plan =
+            cluster::ShardPlan::Build(PinnedSpec(method), Gc200(), opts);
+        ASSERT_TRUE(plan.ok()) << plan.status().message();
+      });
+    }
+  }
+
+  const std::map<std::string, std::string> want = {
+      {"timing plans", "65fb60ec5ed068b7 897a8519f4b69c45 a0253f289582d27a"},
+      {"butterfly n=128 parity=1 fuse=1", "25b45965920d38d1"},
+      {"butterfly n=128 parity=1 fuse=0", "6bbcd0e9c06f5552"},
+      {"butterfly n=128 parity=0 fuse=1", "262ccef63277eaff"},
+      {"butterfly n=128 parity=0 fuse=0", "6cbc1c173bbbf658"},
+      {"butterfly n=1024 parity=1 fuse=1", "1d283f4e2850413d"},
+      {"butterfly n=1024 parity=1 fuse=0", "6cd58937bb922300"},
+      {"butterfly n=1024 parity=0 fuse=1", "e16d413ff83db192"},
+      {"butterfly n=1024 parity=0 fuse=0", "2fc4a952a6bb967f"},
+      {"pixelfly fuse=1", "ff02a08668d81373"},
+      {"pixelfly fuse=0", "2a165808abb3e19a"},
+      {"fastfood", "919d1c1e5a08817e"},
+      // Execute and timing-only plans share a key: `execute` is a run
+      // option, not part of the artifact.
+      {"plan Baseline streaming=1 parity=1", "897a8519f4b69c45"},
+      {"plan Baseline streaming=1 parity=0", "897a8519f4b69c45"},
+      {"plan Baseline streaming=0 parity=1", "80cc54e7b636e581"},
+      {"plan Baseline streaming=0 parity=0", "80cc54e7b636e581"},
+      {"plan Butterfly streaming=1 parity=1", "a0253f289582d27a"},
+      {"plan Butterfly streaming=1 parity=0", "814e3a4a5a8ceebd"},
+      {"plan Butterfly streaming=0 parity=1", "c407863c563ea7a6"},
+      {"plan Butterfly streaming=0 parity=0", "f6ed035364d7087d"},
+      {"plan Pixelfly streaming=1 parity=1", "65fb60ec5ed068b7"},
+      {"plan Pixelfly streaming=1 parity=0", "65fb60ec5ed068b7"},
+      {"plan Pixelfly streaming=0 parity=1", "e4853c84f21a8d23"},
+      {"plan Pixelfly streaming=0 parity=0", "e4853c84f21a8d23"},
+      // Stage B depends only on the hidden slice, not the method.
+      {"shard Baseline chips=2", "accce6142d1f9c00 d7c6072917a8d654"},
+      {"shard Baseline chips=4", "3afc476dacdba82f e3639a83de45c18d"},
+      {"shard Butterfly chips=2", "92ddb0d321dfc369 d7c6072917a8d654"},
+      {"shard Butterfly chips=4", "3afc476dacdba82f c521262bea414ec8"},
+  };
+  EXPECT_EQ(got.size(), want.size());
+  for (const auto& [label, names] : want) {
+    EXPECT_EQ(got[label], names) << label;
+  }
 }
 
 TEST(ExeCacheTest, DirectoryAtTheKeyPathIsAMiss) {

@@ -133,38 +133,6 @@ TEST(HostIo, ReadAndWriteBothCharged) {
   EXPECT_NEAR(e.run().host_seconds, 5e-4, 5e-5);
 }
 
-TEST(Profiler, MemoryReportContainsCategories) {
-  Session e(Gc200());
-  Graph& g = e.graph();
-  Tensor x = g.addVariable("x", 1024);
-  g.mapLinearly(x);
-  ComputeSetId cs = g.addComputeSet("cs");
-  VertexId v = g.addVertex(cs, codelets::kRelu, 0);
-  g.connect(v, "x", x);
-  g.connect(v, "y", x, true);
-  MustCompile(e, Program::Execute(cs));
-  const std::string report = MemoryReport(e.executable());
-  for (const char* needle :
-       {"variables", "vertex state", "vertex code", "edge pointers",
-        "exchange buffers", "control code", "fullest tile"}) {
-    EXPECT_NE(report.find(needle), std::string::npos) << needle;
-  }
-}
-
-TEST(Profiler, ExecutionReportMentionsBreakdown) {
-  Session e(Gc200());
-  Graph& g = e.graph();
-  Tensor a = g.addVariable("a", 64);
-  Tensor b = g.addVariable("b", 64);
-  g.setTileMapping(a, 0);
-  g.setTileMapping(b, 1);
-  MustCompile(e, Program::Copy(a, b));
-  const RunReport r = e.run();
-  const std::string report = ExecutionReport(r, Gc200());
-  EXPECT_NE(report.find("exchange"), std::string::npos);
-  EXPECT_NE(report.find("GFLOP/s"), std::string::npos);
-}
-
 TEST(Profiler, GraphCountsToJsonHasEveryField) {
   Session e(Gc200());
   Graph& g = e.graph();

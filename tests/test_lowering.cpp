@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/device_time.h"
 #include "core/ipu_lowering.h"
+#include "util/bitops.h"
 
 namespace repro::core {
 namespace {
@@ -19,19 +22,53 @@ TEST(IpuLowering, LinearProducesSaneTiming) {
   EXPECT_LE(t.flops, 1.35 * 2.0 * 50 * 1024 * 1024);
 }
 
+// Every pass-flag combination for N <= 1024 and the defaults above it: the
+// compute-set counts do not depend on the batch, so a small one keeps the
+// Fig. 7 sweep cheap.
+std::vector<IpuLoweringOptions> Fig7Flags(std::size_t n) {
+  std::vector<IpuLoweringOptions> flags;
+  for (int bits = 0; bits < (n <= 1024 ? 8 : 1); ++bits) {
+    IpuLoweringOptions opts;
+    opts.poptorch_parity = (bits & 1) == 0;
+    opts.fuse_compute_sets = (bits & 2) == 0;
+    opts.reuse_variable_memory = (bits & 4) == 0;
+    flags.push_back(opts);
+  }
+  return flags;
+}
+
 TEST(IpuLowering, ButterflyHasLogNComputeSets) {
-  IpuLayerTiming t = TimeButterflyIpu(kArch, 64, 1024);
-  EXPECT_EQ(t.counts.compute_sets, 10u);
-  EXPECT_GT(t.counts.vertices, 0u);
+  // Fig. 7: one superstep per factor, log2 N, under every pass flag, and
+  // the graph fits on chip.
+  for (std::size_t n = 128; n <= 4096; n *= 2) {
+    for (const IpuLoweringOptions& opts : Fig7Flags(n)) {
+      IpuLayerTiming t = TimeButterflyIpu(kArch, 4, n, opts);
+      EXPECT_EQ(t.counts.compute_sets, Log2(n))
+          << "n=" << n << " parity=" << opts.poptorch_parity
+          << " fuse=" << opts.fuse_compute_sets
+          << " reuse=" << opts.reuse_variable_memory;
+      EXPECT_FALSE(t.streamed) << "n=" << n;
+      EXPECT_GT(t.counts.vertices, 0u);
+    }
+  }
 }
 
 TEST(IpuLowering, PixelflyHasFewComputeSets) {
-  // Flat butterfly = one block-sparse pass (+ low-rank matmuls): far fewer
-  // supersteps than butterfly's log n -- the Fig. 7 contrast.
-  PixelflyConfig pf;
-  IpuLayerTiming bf = TimeButterflyIpu(kArch, 64, 1024);
-  IpuLayerTiming pfly = TimePixelflyIpu(kArch, 64, pf);
-  EXPECT_LT(pfly.counts.compute_sets, bf.counts.compute_sets);
+  // Fig. 7: the flat butterfly is one block-sparse superstep plus the sum
+  // once the fusion pass merges its per-level compute sets, against
+  // butterfly's log2 N; without fusion each level stays its own.
+  for (std::size_t n = 128; n <= 4096; n *= 2) {
+    const PixelflyConfig pf = ScaledPixelflyConfig(n);
+    for (const IpuLoweringOptions& opts : Fig7Flags(n)) {
+      IpuLayerTiming t = TimePixelflyIpu(kArch, 4, pf, opts);
+      const std::size_t want =
+          opts.fuse_compute_sets ? 2 : Log2(pf.butterfly_size) + 1;
+      EXPECT_EQ(t.counts.compute_sets, want)
+          << "n=" << n << " fuse=" << opts.fuse_compute_sets
+          << " reuse=" << opts.reuse_variable_memory;
+      EXPECT_FALSE(t.streamed) << "n=" << n;
+    }
+  }
 }
 
 TEST(IpuLowering, ButterflyBreakEvenNearPaperPoint) {
