@@ -44,10 +44,6 @@ double LinkFabric::RingReduceScatterSeconds(std::size_t bytes) const {
          (p - 1.0) * config_.link_latency_sec;
 }
 
-double LinkFabric::RingAllGatherSeconds(std::size_t bytes) const {
-  return RingReduceScatterSeconds(bytes);
-}
-
 double LinkFabric::RingReduceSeconds(std::size_t bytes) const {
   return RingReduceScatterSeconds(bytes);
 }

@@ -66,9 +66,9 @@ class LinkFabric {
   // Ring allreduce: every byte crosses the links 2(p-1)/p times plus
   // 2(p-1) latency hops (reduce-scatter then allgather).
   double RingAllReduceSeconds(std::size_t bytes) const;
-  // The two halves of the allreduce, each (p-1)/p traversals + (p-1) hops.
+  // One half of the allreduce (the allgather half costs the same):
+  // (p-1)/p traversals + (p-1) hops.
   double RingReduceScatterSeconds(std::size_t bytes) const;
-  double RingAllGatherSeconds(std::size_t bytes) const;
   // Pipelined ring reduce to a root (the host-egress pattern: logits leave
   // the cluster through one chip): (p-1)/p traversals + (p-1) hops.
   double RingReduceSeconds(std::size_t bytes) const;

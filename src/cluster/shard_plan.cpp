@@ -115,7 +115,7 @@ Status ShardPlan::buildStageA() {
     g.mapLinearly(xa_, B);
     seq.add(Program::HostWrite(xa_));
     core::ButterflyStages stages =
-        core::AddButterflyStages(g, seq, "shard_b", xa_, opts_.poptorch_parity);
+        core::AddButterflyStages(g, seq, "shard_b", xa_, /*parity=*/true);
     bfly_w_ = std::move(stages.w);
     ha_ = stages.y;
     stage_a_out_rows_ = m;

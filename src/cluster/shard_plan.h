@@ -46,7 +46,6 @@ namespace repro::cluster {
 struct ShardOptions {
   std::size_t num_chips = 4;  // power of two in [2, 16]
   std::size_t max_batch = 32;
-  bool poptorch_parity = true;
   // Link bandwidth/latency; num_ipus is overridden with num_chips.
   ipu::LinkFabricConfig fabric;
   // Optional trace sink: stage-A/stage-B compile passes + calibration BSP

@@ -18,7 +18,6 @@ BlockButterfly::BlockButterfly(std::size_t n, std::size_t block_size,
                 "butterfly size must be a power of two in [2, grid]");
   levels_ = Log2(butterfly_size);
   params_.resize(levels_ * grid_ * 2 * b_ * b_);
-  grads_.assign(params_.size(), 0.0f);
   // Near-identity init: the diagonal block starts at I + noise, the partner
   // block at noise, so the product is well conditioned from the start.
   const float scale = 0.5f / std::sqrt(static_cast<float>(b_));
@@ -35,10 +34,6 @@ BlockButterfly::BlockButterfly(std::size_t n, std::size_t block_size,
 const float* BlockButterfly::block(std::size_t k, std::size_t i,
                                    int which) const {
   return params_.data() + ((k * grid_ + i) * 2 + which) * b_ * b_;
-}
-
-float* BlockButterfly::blockGrad(std::size_t k, std::size_t i, int which) {
-  return grads_.data() + ((k * grid_ + i) * 2 + which) * b_ * b_;
 }
 
 void BlockButterfly::applyFactor(std::size_t k, const Matrix& in,
@@ -67,67 +62,16 @@ void BlockButterfly::applyFactor(std::size_t k, const Matrix& in,
   }
 }
 
-void BlockButterfly::Forward(const Matrix& x, Matrix& y, Workspace* ws) const {
+void BlockButterfly::Forward(const Matrix& x, Matrix& y) const {
   REPRO_REQUIRE(x.cols() == n_ && y.rows() == x.rows() && y.cols() == n_,
                 "block butterfly forward shape mismatch");
   Matrix cur = x;
-  if (ws != nullptr) {
-    ws->acts.clear();
-    ws->acts.push_back(cur);
-  }
   Matrix next(x.rows(), n_);
   for (std::size_t k = 0; k < levels_; ++k) {
     applyFactor(k, cur, next);
     std::swap(cur, next);
-    if (ws != nullptr && k + 1 < levels_) ws->acts.push_back(cur);
   }
   y = std::move(cur);
-}
-
-void BlockButterfly::Backward(const Workspace& ws, const Matrix& dy,
-                              Matrix& dx) {
-  REPRO_REQUIRE(ws.acts.size() == levels_, "stale block butterfly workspace");
-  const std::size_t batch = dy.rows();
-  Matrix grad = dy;
-  Matrix prev(batch, n_);
-  for (std::size_t k = levels_; k-- > 0;) {
-    const Matrix& input = ws.acts[k];
-    const std::uint32_t bit = 1u << k;
-    prev.Zero();
-    for (std::size_t r = 0; r < batch; ++r) {
-      const float* gy = grad.data() + r * n_;
-      const float* xin = input.data() + r * n_;
-      float* gx = prev.data() + r * n_;
-      for (std::size_t i = 0; i < grid_; ++i) {
-        const std::size_t j = i ^ bit;
-        const float* wd = block(k, i, 0);
-        const float* wp = block(k, i, 1);
-        float* gwd = blockGrad(k, i, 0);
-        float* gwp = blockGrad(k, i, 1);
-        const float* xd = xin + i * b_;
-        const float* xp = xin + j * b_;
-        const float* g = gy + i * b_;
-        float* gxd = gx + i * b_;
-        float* gxp = gx + j * b_;
-        for (std::size_t row = 0; row < b_; ++row) {
-          const float gv = g[row];
-          if (gv == 0.0f) continue;
-          const float* wdr = wd + row * b_;
-          const float* wpr = wp + row * b_;
-          float* gwdr = gwd + row * b_;
-          float* gwpr = gwp + row * b_;
-          for (std::size_t c = 0; c < b_; ++c) {
-            gwdr[c] += gv * xd[c];
-            gwpr[c] += gv * xp[c];
-            gxd[c] += wdr[c] * gv;
-            gxp[c] += wpr[c] * gv;
-          }
-        }
-      }
-    }
-    std::swap(grad, prev);
-  }
-  dx = std::move(grad);
 }
 
 Matrix BlockButterfly::ToDense() const {
@@ -136,7 +80,5 @@ Matrix BlockButterfly::ToDense() const {
   Forward(basis, out);
   return out.Transposed();
 }
-
-void BlockButterfly::zeroGrad() { grads_.assign(grads_.size(), 0.0f); }
 
 }  // namespace repro::core

@@ -32,26 +32,18 @@ class BlockButterfly {
   std::size_t numFactors() const { return levels_; }
   std::size_t paramCount() const { return params_.size(); }
 
-  struct Workspace {
-    std::vector<Matrix> acts;  // input to each factor
-  };
-
   // y_row = (B_{L-1} ... B_0) x_row for each row of the batch matrix.
-  void Forward(const Matrix& x, Matrix& y, Workspace* ws = nullptr) const;
-  void Backward(const Workspace& ws, const Matrix& dy, Matrix& dx);
+  void Forward(const Matrix& x, Matrix& y) const;
 
   Matrix ToDense() const;
 
   std::span<float> params() { return params_; }
   std::span<const float> params() const { return params_; }
-  std::span<float> grads() { return grads_; }
-  void zeroGrad();
 
  private:
   // Block q of factor k: index (k * grid + i) * 2 + which, where which = 0
   // is the diagonal (i <- i) block and which = 1 the partner (i <- i^2^k).
   const float* block(std::size_t k, std::size_t i, int which) const;
-  float* blockGrad(std::size_t k, std::size_t i, int which);
   void applyFactor(std::size_t k, const Matrix& in, Matrix& out) const;
 
   std::size_t n_ = 0;
@@ -59,7 +51,6 @@ class BlockButterfly {
   std::size_t grid_ = 0;
   std::size_t levels_ = 0;
   std::vector<float> params_;  // levels * grid * 2 * b * b
-  std::vector<float> grads_;
 };
 
 }  // namespace repro::core

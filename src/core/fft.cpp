@@ -66,8 +66,6 @@ void FftPlan::Run(std::span<Cpx> v, bool inverse) const {
   }
 }
 
-void Fft(std::span<Cpx> v, bool inverse) { FftPlan(v.size()).Run(v, inverse); }
-
 std::vector<Cpx> DftNaive(std::span<const Cpx> v, bool inverse) {
   const std::size_t n = v.size();
   const double sign = inverse ? 1.0 : -1.0;

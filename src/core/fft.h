@@ -38,9 +38,6 @@ class FftPlan {
   std::vector<double> twiddles_[2];
 };
 
-// FftPlan(v.size()).Run(v, inverse).
-void Fft(std::span<Cpx> v, bool inverse = false);
-
 // O(n^2) reference DFT for validation.
 std::vector<Cpx> DftNaive(std::span<const Cpx> v, bool inverse = false);
 

@@ -16,12 +16,6 @@ Permutation::Permutation(std::vector<std::uint32_t> indices)
   }
 }
 
-Permutation Permutation::Identity(std::size_t n) {
-  std::vector<std::uint32_t> p(n);
-  for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::uint32_t>(i);
-  return Permutation(std::move(p));
-}
-
 Permutation Permutation::BitReversal(std::size_t n) {
   REPRO_REQUIRE(IsPow2(n), "bit reversal needs power-of-two size, got %zu", n);
   const unsigned bits = Log2(n);
@@ -32,35 +26,10 @@ Permutation Permutation::BitReversal(std::size_t n) {
   return Permutation(std::move(p));
 }
 
-Permutation Permutation::EvenOdd(std::size_t n) {
-  REPRO_REQUIRE(n % 2 == 0, "even/odd split needs even size");
-  std::vector<std::uint32_t> p(n);
-  for (std::size_t i = 0; i < n / 2; ++i) {
-    p[i] = static_cast<std::uint32_t>(2 * i);
-    p[n / 2 + i] = static_cast<std::uint32_t>(2 * i + 1);
-  }
-  return Permutation(std::move(p));
-}
-
 Permutation Permutation::Random(std::size_t n, Rng& rng) {
   auto idx = rng.Permutation(n);
   std::vector<std::uint32_t> p(n);
   for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::uint32_t>(idx[i]);
-  return Permutation(std::move(p));
-}
-
-Permutation Permutation::Inverse() const {
-  std::vector<std::uint32_t> inv(perm_.size());
-  for (std::size_t i = 0; i < perm_.size(); ++i) {
-    inv[perm_[i]] = static_cast<std::uint32_t>(i);
-  }
-  return Permutation(std::move(inv));
-}
-
-Permutation Permutation::Compose(const Permutation& other) const {
-  REPRO_REQUIRE(size() == other.size(), "compose size mismatch");
-  std::vector<std::uint32_t> p(size());
-  for (std::size_t i = 0; i < size(); ++i) p[i] = perm_[other.perm_[i]];
   return Permutation(std::move(p));
 }
 
@@ -75,24 +44,10 @@ void Permutation::ApplyToColumns(const Matrix& x, Matrix& y) const {
   }
 }
 
-void Permutation::Apply(std::vector<float>& v) const {
-  REPRO_REQUIRE(v.size() == size(), "permutation apply size mismatch");
-  std::vector<float> tmp(v.size());
-  for (std::size_t i = 0; i < size(); ++i) tmp[i] = v[perm_[i]];
-  v = std::move(tmp);
-}
-
 Matrix Permutation::ToDense() const {
   Matrix m(size(), size());
   for (std::size_t i = 0; i < size(); ++i) m(i, perm_[i]) = 1.0f;
   return m;
-}
-
-bool Permutation::IsIdentity() const {
-  for (std::size_t i = 0; i < size(); ++i) {
-    if (perm_[i] != i) return false;
-  }
-  return true;
 }
 
 }  // namespace repro::core

@@ -16,27 +16,17 @@ class Permutation {
   Permutation() = default;
   explicit Permutation(std::vector<std::uint32_t> indices);
 
-  static Permutation Identity(std::size_t n);
   // perm[i] = bit-reverse(i): the Cooley-Tukey input ordering.
   static Permutation BitReversal(std::size_t n);
-  // Even indices first, then odd: one level of the recursive even/odd split.
-  static Permutation EvenOdd(std::size_t n);
   static Permutation Random(std::size_t n, Rng& rng);
 
   std::size_t size() const { return perm_.size(); }
   std::uint32_t operator[](std::size_t i) const { return perm_[i]; }
 
-  Permutation Inverse() const;
-  // this ∘ other: (this ∘ other)[i] = this[other[i]].
-  Permutation Compose(const Permutation& other) const;
-
   // y[i] = x[perm[i]] for each row of the batch matrix (columns permuted).
   void ApplyToColumns(const Matrix& x, Matrix& y) const;
-  // In-place single-vector variant.
-  void Apply(std::vector<float>& v) const;
 
   Matrix ToDense() const;
-  bool IsIdentity() const;
 
  private:
   std::vector<std::uint32_t> perm_;

@@ -86,16 +86,6 @@ void Graph::mapLinearly(const Tensor& t, std::size_t grain) {
   }
 }
 
-void Graph::mapRowsToTiles(const Tensor& t, std::size_t first_tile,
-                           std::size_t num_tiles) {
-  REPRO_REQUIRE(t.rows > 0 && num_tiles > 0, "mapRowsToTiles on non-2D tensor");
-  const std::size_t rows_per_tile = CeilDiv(t.rows, num_tiles);
-  for (std::size_t r = 0, i = 0; r < t.rows; r += rows_per_tile, ++i) {
-    const std::size_t count = std::min(rows_per_tile, t.rows - r);
-    setTileMapping(t.rowRange(r, count), (first_tile + i) % arch_.num_tiles);
-  }
-}
-
 std::size_t Graph::tileOfElement(const Tensor& t, std::size_t idx) const {
   const std::size_t abs = t.offset + idx;
   for (const auto& iv : variables_[t.var].mapping) {

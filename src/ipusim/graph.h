@@ -118,9 +118,6 @@ class Graph {
   // Spreads a tensor's elements across all tiles in contiguous chunks that
   // are multiples of `grain` elements.
   void mapLinearly(const Tensor& t, std::size_t grain = 1);
-  // Maps each row-block of a 2-D tensor to consecutive tiles.
-  void mapRowsToTiles(const Tensor& t, std::size_t first_tile,
-                      std::size_t num_tiles);
 
   // Tile that owns element `offset + idx` of the view (fatal if unmapped).
   std::size_t tileOfElement(const Tensor& t, std::size_t idx) const;

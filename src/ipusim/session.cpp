@@ -76,12 +76,6 @@ Status Session::save(const std::string& path) const {
   return engine_->executable().Save(path);
 }
 
-Status Session::load(const std::string& path) {
-  StatusOr<Executable> exe = Executable::Load(path);
-  if (!exe.ok()) return exe.status();
-  return instantiate(std::make_shared<const Executable>(exe.take()));
-}
-
 RunReport Session::run() {
   REPRO_REQUIRE(engine_.has_value(), "Session::run before compile");
   return engine_->run();

@@ -115,18 +115,15 @@ class Session {
   bool compiled() const { return engine_.has_value(); }
 
   // Instantiates an engine over an already-compiled artifact -- the AOT
-  // path. The session's build graph is ignored; tensor handles built
-  // against an identically-constructed graph remain valid (handles are
-  // value offsets into the artifact's graph snapshot). Same at-most-once
-  // rule as compile(); rejects a null artifact.
+  // path, e.g. one Executable::Load read back from save()'s file. The
+  // session's build graph is ignored; tensor handles built against an
+  // identically-constructed graph remain valid (handles are value offsets
+  // into the artifact's graph snapshot). Same at-most-once rule as
+  // compile(); rejects a null artifact.
   Status instantiate(std::shared_ptr<const Executable> exe);
 
   // Saves the compiled artifact (Executable::Save). Fatal before compile().
   Status save(const std::string& path) const;
-  // Loads an artifact from disk and instantiates it (compile()'s
-  // cross-process complement). Clean Status on missing/corrupt/
-  // version-mismatched files.
-  Status load(const std::string& path);
 
   // Runs the compiled program once, reusing the executable. Fatal before a
   // successful compile().

@@ -353,15 +353,4 @@ Matrix MatMul(const Matrix& a, const Matrix& b) {
   return c;
 }
 
-void Gemv(const Matrix& a, std::span<const float> x, std::span<float> y) {
-  REPRO_REQUIRE(x.size() == a.cols() && y.size() == a.rows(),
-                "Gemv shape mismatch");
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* row = a.data() + i * a.cols();
-    float acc = 0.0f;
-    for (std::size_t j = 0; j < a.cols(); ++j) acc += row[j] * x[j];
-    y[i] = acc;
-  }
-}
-
 }  // namespace repro

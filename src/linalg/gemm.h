@@ -86,9 +86,6 @@ bool RunAtGemmIsa(std::string_view isa, const std::function<void()>& fn);
 // Convenience allocating form of GemmBlocked.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
-// y = A * x for a single vector (used by small kernels and tests).
-void Gemv(const Matrix& a, std::span<const float> x, std::span<float> y);
-
 // FLOP count of an (m x k) * (k x n) multiply (2 flops per MAC).
 inline double GemmFlops(std::size_t m, std::size_t k, std::size_t n) {
   return 2.0 * static_cast<double>(m) * static_cast<double>(k) *

@@ -5,42 +5,6 @@
 
 namespace repro {
 
-Csr DenseToCsr(const Matrix& dense, float threshold) {
-  Csr csr;
-  csr.rows = dense.rows();
-  csr.cols = dense.cols();
-  csr.row_ptr.reserve(csr.rows + 1);
-  csr.row_ptr.push_back(0);
-  for (std::size_t r = 0; r < dense.rows(); ++r) {
-    for (std::size_t c = 0; c < dense.cols(); ++c) {
-      const float v = dense(r, c);
-      if (std::abs(v) > threshold) {
-        csr.col_idx.push_back(static_cast<std::uint32_t>(c));
-        csr.values.push_back(v);
-      }
-    }
-    csr.row_ptr.push_back(static_cast<std::uint32_t>(csr.values.size()));
-  }
-  return csr;
-}
-
-Coo DenseToCoo(const Matrix& dense, float threshold) {
-  Coo coo;
-  coo.rows = dense.rows();
-  coo.cols = dense.cols();
-  for (std::size_t r = 0; r < dense.rows(); ++r) {
-    for (std::size_t c = 0; c < dense.cols(); ++c) {
-      const float v = dense(r, c);
-      if (std::abs(v) > threshold) {
-        coo.row_idx.push_back(static_cast<std::uint32_t>(r));
-        coo.col_idx.push_back(static_cast<std::uint32_t>(c));
-        coo.values.push_back(v);
-      }
-    }
-  }
-  return coo;
-}
-
 Matrix CsrToDense(const Csr& csr) {
   Matrix m(csr.rows, csr.cols);
   for (std::size_t r = 0; r < csr.rows; ++r) {
@@ -49,49 +13,6 @@ Matrix CsrToDense(const Csr& csr) {
     }
   }
   return m;
-}
-
-Matrix CooToDense(const Coo& coo) {
-  Matrix m(coo.rows, coo.cols);
-  for (std::size_t i = 0; i < coo.nnz(); ++i) {
-    m(coo.row_idx[i], coo.col_idx[i]) = coo.values[i];
-  }
-  return m;
-}
-
-Coo CsrToCoo(const Csr& csr) {
-  Coo coo;
-  coo.rows = csr.rows;
-  coo.cols = csr.cols;
-  coo.col_idx = csr.col_idx;
-  coo.values = csr.values;
-  coo.row_idx.reserve(csr.nnz());
-  for (std::size_t r = 0; r < csr.rows; ++r) {
-    for (std::uint32_t i = csr.row_ptr[r]; i < csr.row_ptr[r + 1]; ++i) {
-      coo.row_idx.push_back(static_cast<std::uint32_t>(r));
-    }
-  }
-  return coo;
-}
-
-Csr CooToCsr(const Coo& coo) {
-  // Counting sort by row keeps this O(nnz + rows) and stable in column order
-  // for already row-major-sorted input.
-  Csr csr;
-  csr.rows = coo.rows;
-  csr.cols = coo.cols;
-  csr.row_ptr.assign(coo.rows + 1, 0);
-  for (std::uint32_t r : coo.row_idx) csr.row_ptr[r + 1]++;
-  for (std::size_t r = 0; r < coo.rows; ++r) csr.row_ptr[r + 1] += csr.row_ptr[r];
-  csr.col_idx.resize(coo.nnz());
-  csr.values.resize(coo.nnz());
-  std::vector<std::uint32_t> cursor(csr.row_ptr.begin(), csr.row_ptr.end() - 1);
-  for (std::size_t i = 0; i < coo.nnz(); ++i) {
-    const std::uint32_t pos = cursor[coo.row_idx[i]]++;
-    csr.col_idx[pos] = coo.col_idx[i];
-    csr.values[pos] = coo.values[i];
-  }
-  return csr;
 }
 
 Csr RandomCsr(std::size_t rows, std::size_t cols, double density, Rng& rng) {

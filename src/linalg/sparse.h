@@ -1,8 +1,10 @@
-// Sparse matrix formats (CSR and COO) plus conversions and generators.
+// Host CSR sparse matrices: the random generator behind Table 2's sparse
+// rows and the dense expansion tests compare against.
 //
 // Table 2 of the paper compares cusparse/popsparse SpMM at 90% and 99%
-// sparsity in both formats (Note 2: CSR wins on both devices); the sparse
-// device-model benches are driven by these host types.
+// sparsity in CSR and COO (Note 2: CSR wins on both devices). Both formats
+// are modelled on the device side (gpu::SparseFormat, ipu::SparseLayout),
+// each over a pattern drawn here as CSR.
 #pragma once
 
 #include <cstdint>
@@ -32,25 +34,7 @@ struct Csr {
   }
 };
 
-// Coordinate format, row-major sorted.
-struct Coo {
-  std::size_t rows = 0;
-  std::size_t cols = 0;
-  std::vector<std::uint32_t> row_idx;
-  std::vector<std::uint32_t> col_idx;
-  std::vector<float> values;
-
-  std::size_t nnz() const { return values.size(); }
-  std::size_t bytes() const { return values.size() * 12; }
-};
-
-// Drops entries with |v| <= threshold.
-Csr DenseToCsr(const Matrix& dense, float threshold = 0.0f);
-Coo DenseToCoo(const Matrix& dense, float threshold = 0.0f);
 Matrix CsrToDense(const Csr& csr);
-Matrix CooToDense(const Coo& coo);
-Coo CsrToCoo(const Csr& csr);
-Csr CooToCsr(const Coo& coo);
 
 // Uniform random sparse matrix with expected density `density` and
 // N(0,1) values; exact nnz = round(rows*cols*density) sampled without

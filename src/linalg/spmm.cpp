@@ -19,30 +19,9 @@ void SpmmCsr(const Csr& s, const Matrix& b, Matrix& c, bool accumulate) {
   }
 }
 
-void SpmmCoo(const Coo& s, const Matrix& b, Matrix& c, bool accumulate) {
-  REPRO_REQUIRE(b.rows() == s.cols && c.rows() == s.rows && c.cols() == b.cols(),
-                "SpmmCoo shape mismatch");
-  if (!accumulate) c.Zero();
-  const std::size_t n = b.cols();
-  for (std::size_t i = 0; i < s.nnz(); ++i) {
-    const float v = s.values[i];
-    float* crow = c.data() + s.row_idx[i] * n;
-    const float* brow = b.data() + s.col_idx[i] * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      crow[j] += v * brow[j];
-    }
-  }
-}
-
 Matrix SpmmCsr(const Csr& s, const Matrix& b) {
   Matrix c(s.rows, b.cols());
   SpmmCsr(s, b, c);
-  return c;
-}
-
-Matrix SpmmCoo(const Coo& s, const Matrix& b) {
-  Matrix c(s.rows, b.cols());
-  SpmmCoo(s, b, c);
   return c;
 }
 

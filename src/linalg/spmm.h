@@ -1,4 +1,4 @@
-// Sparse x dense multiplication kernels (SpMM) for CSR and COO operands.
+// Sparse x dense multiplication (SpMM) for a CSR operand.
 // C(m x n) = S(m x k, sparse) * B(k x n, dense).
 #pragma once
 
@@ -8,10 +8,7 @@
 namespace repro {
 
 void SpmmCsr(const Csr& s, const Matrix& b, Matrix& c, bool accumulate = false);
-void SpmmCoo(const Coo& s, const Matrix& b, Matrix& c, bool accumulate = false);
-
 Matrix SpmmCsr(const Csr& s, const Matrix& b);
-Matrix SpmmCoo(const Coo& s, const Matrix& b);
 
 // Useful FLOP count for sparse multiply: 2 flops per stored nonzero per
 // output column.

@@ -7,7 +7,9 @@
 #include "util/error.h"
 
 namespace repro::serve {
+namespace {
 
+// Largest kc <= 256 dividing k (so every edge is an exact row range).
 std::size_t PickKChunk(std::size_t k) {
   constexpr std::size_t kMax = 256;
   if (k <= kMax) return k;
@@ -16,6 +18,8 @@ std::size_t PickKChunk(std::size_t k) {
   }
   return k;  // awkward prime-ish k: single chunk
 }
+
+}  // namespace
 
 KSplitGemm AddKSplitGemm(ipu::Graph& g, ipu::Program& seq,
                          const std::string& name, const ipu::Tensor& x,

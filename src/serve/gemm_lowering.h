@@ -33,9 +33,6 @@ struct KSplitGemm {
   std::size_t m = 0, k = 0, mb = 0, kc = 0, gm = 0, gk = 0;
 };
 
-// Largest kc <= 256 dividing k (so every edge is an exact row range).
-std::size_t PickKChunk(std::size_t k);
-
 // Appends the GEMM's compute sets to `seq` and returns the weight handle.
 // Requires x.rows >= k, x.cols == batch, out.rows == ceil(m/16)*16,
 // out.cols == batch; `accumulate` (out += W x) needs a single k-chunk.

@@ -27,8 +27,9 @@ void ModelPlan::buildButterflyHidden(Program& seq) {
                 "butterfly serving needs square power-of-two hidden layer");
   REPRO_REQUIRE(spec_.butterfly_factors.size() == Log2(n),
                 "butterfly factor count mismatch");
+  // Butterfly stages at PopTorch-parity cost, the calibrated default.
   core::ButterflyStages stages = core::AddButterflyStages(
-      session_->graph(), seq, "serve_b", x_, opts_.poptorch_parity);
+      session_->graph(), seq, "serve_b", x_, /*parity=*/true);
   bfly_w_ = std::move(stages.w);
   hidden_ = stages.y;
 }

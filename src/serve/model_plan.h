@@ -50,8 +50,6 @@ struct PlanOptions {
   bool streaming = true;
   // 0 = whole device; otherwise the replica's tile-slice size.
   std::size_t num_tiles = 0;
-  // Butterfly stages at PopTorch-parity cost (the calibrated default).
-  bool poptorch_parity = true;
   // Optional trace sink (SessionOptions passthrough): compile-pass spans
   // and the calibration run's BSP timeline land on trace_pid. Capacity
   // probes (ProbeMaxReplicas) always null it -- dozens of probe compiles

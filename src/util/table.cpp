@@ -51,24 +51,6 @@ std::string Table::ToString() const {
   return out.str();
 }
 
-std::string Table::ToCsv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) out << ",";
-      if (row[c].find(',') != std::string::npos) {
-        out << '"' << row[c] << '"';
-      } else {
-        out << row[c];
-      }
-    }
-    out << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 void Table::Print() const { std::fputs(ToString().c_str(), stdout); }
 
 void PrintBanner(const std::string& title) {

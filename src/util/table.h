@@ -1,6 +1,6 @@
 // Plain-text table rendering for the benchmark harnesses. Every bench binary
 // prints the paper's reported values next to the measured ones; this keeps
-// that output aligned and machine-greppable (also emits CSV on demand).
+// that output aligned and machine-greppable.
 #pragma once
 
 #include <string>
@@ -22,8 +22,6 @@ class Table {
 
   // Renders with column alignment and a header rule.
   std::string ToString() const;
-  // Renders as comma-separated values (quotes cells containing commas).
-  std::string ToCsv() const;
 
   void Print() const;
 

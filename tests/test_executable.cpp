@@ -102,8 +102,11 @@ TEST(ExecutableRoundTrip, SaveLoadReproducesRunReportAndTensorBits) {
   // Fresh session, no graph built: the loaded artifact is self-contained.
   // Tensor handles are value offsets, so the cold session's handles address
   // the loaded snapshot directly.
+  StatusOr<Executable> loaded = Executable::Load(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   Session warm(Gc200());
-  ASSERT_TRUE(warm.load(path).ok());
+  ASSERT_TRUE(
+      warm.instantiate(std::make_shared<const Executable>(loaded.take())).ok());
   ASSERT_TRUE(warm.compiled());
 
   Rng rng(77);
@@ -546,25 +549,21 @@ TEST(ExeCacheTest, TimingPlanArtifactNamesArePinned) {
     core::TimeFastfoodIpu(Gc200(), 16, 1024, lo);
   });
 
-  // Execute serving plans.
+  // Execute serving plans; their butterfly stages are at PopTorch parity.
   for (core::Method method : kServed) {
     for (bool streaming : {true, false}) {
-      for (bool parity : {true, false}) {
-        const std::string label =
-            std::string("plan ") + core::MethodName(method) +
-            " streaming=" + std::to_string(streaming) +
-            " parity=" + std::to_string(parity);
-        got[label] = ArtifactNames(dir, [&](ExeCache* cache) {
-          serve::PlanOptions opts;
-          opts.max_batch = 4;
-          opts.streaming = streaming;
-          opts.poptorch_parity = parity;
-          opts.cache = cache;
-          auto plan =
-              serve::ModelPlan::Build(PinnedSpec(method), Gc200(), opts);
-          ASSERT_TRUE(plan.ok()) << plan.status().message();
-        });
-      }
+      const std::string label = std::string("plan ") +
+                                core::MethodName(method) +
+                                " streaming=" + std::to_string(streaming) +
+                                " parity=1";
+      got[label] = ArtifactNames(dir, [&](ExeCache* cache) {
+        serve::PlanOptions opts;
+        opts.max_batch = 4;
+        opts.streaming = streaming;
+        opts.cache = cache;
+        auto plan = serve::ModelPlan::Build(PinnedSpec(method), Gc200(), opts);
+        ASSERT_TRUE(plan.ok()) << plan.status().message();
+      });
     }
   }
 
@@ -603,17 +602,11 @@ TEST(ExeCacheTest, TimingPlanArtifactNamesArePinned) {
       // Execute and timing-only plans share a key: `execute` is a run
       // option, not part of the artifact.
       {"plan Baseline streaming=1 parity=1", "897a8519f4b69c45"},
-      {"plan Baseline streaming=1 parity=0", "897a8519f4b69c45"},
       {"plan Baseline streaming=0 parity=1", "80cc54e7b636e581"},
-      {"plan Baseline streaming=0 parity=0", "80cc54e7b636e581"},
       {"plan Butterfly streaming=1 parity=1", "a0253f289582d27a"},
-      {"plan Butterfly streaming=1 parity=0", "814e3a4a5a8ceebd"},
       {"plan Butterfly streaming=0 parity=1", "c407863c563ea7a6"},
-      {"plan Butterfly streaming=0 parity=0", "f6ed035364d7087d"},
       {"plan Pixelfly streaming=1 parity=1", "65fb60ec5ed068b7"},
-      {"plan Pixelfly streaming=1 parity=0", "65fb60ec5ed068b7"},
       {"plan Pixelfly streaming=0 parity=1", "e4853c84f21a8d23"},
-      {"plan Pixelfly streaming=0 parity=0", "e4853c84f21a8d23"},
       // Stage B depends only on the hidden slice, not the method.
       {"shard Baseline chips=2", "accce6142d1f9c00 d7c6072917a8d654"},
       {"shard Baseline chips=4", "3afc476dacdba82f e3639a83de45c18d"},

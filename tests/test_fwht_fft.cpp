@@ -59,7 +59,7 @@ TEST_P(FftSizes, MatchesNaiveDft) {
   for (auto& c : v) c = Cpx(rng.Normal(), rng.Normal());
   auto ref = DftNaive(v);
   std::vector<Cpx> fast = v;
-  Fft(fast);
+  FftPlan(n).Run(fast);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(fast[i].real(), ref[i].real(), 1e-8 * n);
     EXPECT_NEAR(fast[i].imag(), ref[i].imag(), 1e-8 * n);
@@ -72,8 +72,9 @@ TEST_P(FftSizes, InverseRoundTrip) {
   std::vector<Cpx> v(n);
   for (auto& c : v) c = Cpx(rng.Normal(), rng.Normal());
   auto orig = v;
-  Fft(v);
-  Fft(v, /*inverse=*/true);
+  const FftPlan plan(n);
+  plan.Run(v);
+  plan.Run(v, /*inverse=*/true);
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(v[i].real(), orig[i].real(), 1e-9 * n);
     EXPECT_NEAR(v[i].imag(), orig[i].imag(), 1e-9 * n);
@@ -132,13 +133,10 @@ TEST(FftPlan, MatchesTheRecurrenceLoopBitwise) {
       std::vector<Cpx> got = x;
       plan.Run(got, inverse);
       EXPECT_TRUE(SameBits(got, want)) << "n=" << n << " inverse=" << inverse;
-      // A plan runs any number of signals; Fft builds one per call.
+      // A plan runs any number of signals.
       got = x;
       plan.Run(got, inverse);
       EXPECT_TRUE(SameBits(got, want)) << "rerun n=" << n;
-      got = x;
-      Fft(got, inverse);
-      EXPECT_TRUE(SameBits(got, want)) << "Fft n=" << n;
     }
   }
 }

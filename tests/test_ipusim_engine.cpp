@@ -124,7 +124,7 @@ TEST(Engine, ReduceAddSumsPartials) {
   Graph& g = e.graph();
   Tensor p = g.addVariable("p", 3, 4);
   Tensor out = g.addVariable("o", 4);
-  g.mapRowsToTiles(p, 0, 3);
+  for (int i = 0; i < 3; ++i) g.setTileMapping(p.row(i), i);
   g.setTileMapping(out, 0);
   ComputeSetId cs = g.addComputeSet("red");
   VertexId v = g.addVertex(cs, codelets::kReduceAdd, 0);

@@ -79,15 +79,6 @@ TEST(Graph, MapLinearlyRespectsGrain) {
   }
 }
 
-TEST(Graph, MapRowsToTiles) {
-  Graph g(Gc200());
-  Tensor t = g.addVariable("x", 8, 4);
-  g.mapRowsToTiles(t, 10, 4);
-  EXPECT_EQ(g.tileOfElement(t, 0), 10u);
-  EXPECT_EQ(g.tileOfElement(t, 2 * 4), 11u);
-  EXPECT_EQ(g.tileOfElement(t, 7 * 4), 13u);
-}
-
 TEST(Graph, VerticesAndEdges) {
   Graph g(Gc200());
   Tensor t = g.addVariable("x", 16);

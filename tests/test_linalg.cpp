@@ -383,45 +383,8 @@ TEST(Gemm, IdentityIsNoop) {
   EXPECT_TRUE(AllClose(c, a));
 }
 
-TEST(Gemm, Gemv) {
-  Rng rng(9);
-  Matrix a = Matrix::RandomNormal(5, 3, rng);
-  std::vector<float> x{1.0f, 2.0f, 3.0f}, y(5);
-  Gemv(a, x, y);
-  Matrix xm(3, 1);
-  for (int i = 0; i < 3; ++i) xm(i, 0) = x[i];
-  Matrix ym = MatMul(a, xm);
-  for (int i = 0; i < 5; ++i) EXPECT_NEAR(y[i], ym(i, 0), 1e-5f);
-}
-
 TEST(Gemm, FlopsCount) {
   EXPECT_DOUBLE_EQ(GemmFlops(2, 3, 4), 48.0);
-}
-
-TEST(Sparse, DenseRoundTripCsr) {
-  Rng rng(10);
-  Matrix d = Matrix::RandomNormal(13, 9, rng);
-  // zero half the entries
-  for (std::size_t i = 0; i < d.size(); i += 2) d.data()[i] = 0.0f;
-  Csr csr = DenseToCsr(d);
-  EXPECT_TRUE(AllClose(CsrToDense(csr), d));
-}
-
-TEST(Sparse, DenseRoundTripCoo) {
-  Rng rng(11);
-  Matrix d = Matrix::RandomNormal(7, 11, rng);
-  for (std::size_t i = 0; i < d.size(); i += 3) d.data()[i] = 0.0f;
-  Coo coo = DenseToCoo(d);
-  EXPECT_TRUE(AllClose(CooToDense(coo), d));
-}
-
-TEST(Sparse, FormatConversions) {
-  Rng rng(12);
-  Csr csr = RandomCsr(20, 30, 0.1, rng);
-  Coo coo = CsrToCoo(csr);
-  Csr back = CooToCsr(coo);
-  EXPECT_EQ(back.nnz(), csr.nnz());
-  EXPECT_TRUE(AllClose(CsrToDense(back), CsrToDense(csr)));
 }
 
 class SparseDensity : public ::testing::TestWithParam<double> {};
@@ -454,15 +417,6 @@ TEST(Spmm, CsrMatchesDense) {
   EXPECT_TRUE(AllClose(SpmmCsr(s, b), ref, 1e-4, 1e-4));
 }
 
-TEST(Spmm, CooMatchesDense) {
-  Rng rng(15);
-  Csr s = RandomCsr(11, 19, 0.3, rng);
-  Coo coo = CsrToCoo(s);
-  Matrix b = Matrix::RandomNormal(19, 7, rng);
-  Matrix ref = MatMul(CsrToDense(s), b);
-  EXPECT_TRUE(AllClose(SpmmCoo(coo, b), ref, 1e-4, 1e-4));
-}
-
 TEST(Spmm, EmptyMatrix) {
   Rng rng(16);
   Csr s = RandomCsr(4, 4, 0.0, rng);
@@ -488,8 +442,6 @@ TEST(Sparse, BytesAccounting) {
   Rng rng(18);
   Csr csr = RandomCsr(10, 10, 0.5, rng);
   EXPECT_EQ(csr.bytes(), csr.nnz() * 8 + 11 * 4);
-  Coo coo = CsrToCoo(csr);
-  EXPECT_EQ(coo.bytes(), coo.nnz() * 12);
 }
 
 TEST(Sparse, DensityComputation) {

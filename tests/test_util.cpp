@@ -174,12 +174,6 @@ TEST(Table, RendersAlignedColumns) {
   EXPECT_NE(s.find("|---"), std::string::npos);
 }
 
-TEST(Table, CsvEscapesCommas) {
-  Table t({"a", "b"});
-  t.AddRow({"x,y", "2"});
-  EXPECT_NE(t.ToCsv().find("\"x,y\""), std::string::npos);
-}
-
 TEST(Table, NumFormatting) {
   EXPECT_EQ(Table::Num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::Int(42), "42");
