@@ -144,7 +144,7 @@ Status ShardPlan::buildStageB() {
   const std::size_t mh = spec_.hidden / opts_.num_chips;
   Program seq = Program::Sequence({});
 
-  hb_ = g.addVariable("shard_hb", mh, B);
+  hb_ = g.addVariable("shard_hin", mh, B);
   g.mapLinearly(hb_, B);
   seq.add(Program::HostWrite(hb_));
 

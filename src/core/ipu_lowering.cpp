@@ -117,13 +117,14 @@ double ButterflyCyclesPerMac(std::size_t n, bool parity) {
 
 // Builds one stage of 2x2-pair compute sets (butterfly / Hadamard) over the
 // feature-major activation tensor x (n rows of `batch` columns). Returns the
-// compute set; `codelet` is Butterfly2x2 (with weights w) or Hadamard2.
-ipu::ComputeSetId AddPairStage(Graph& g, const Tensor& x, std::size_t n,
+// compute set, named `name`; `codelet` is Butterfly2x2 (with weights w) or
+// Hadamard2.
+ipu::ComputeSetId AddPairStage(Graph& g, const std::string& name,
+                               const Tensor& x, std::size_t n,
                                std::size_t batch, std::size_t stride,
                                const char* codelet, const Tensor* w,
                                double cpm) {
-  ipu::ComputeSetId cs = g.addComputeSet(std::string(codelet) + "_s" +
-                                         std::to_string(stride));
+  ipu::ComputeSetId cs = g.addComputeSet(name);
   // Aim for roughly one vertex per tile, but a vertex cannot span blocks.
   const std::size_t pairs = n / 2;
   const std::size_t target =
@@ -189,10 +190,11 @@ ButterflyStages AddButterflyStages(Graph& g, Program& seq,
       seq.add(Program::Copy(out.y, staged));
       out.y = staged;
     }
-    seq.add(Program::Execute(AddPairStage(g, out.y, n, batch,
-                                          std::size_t{1} << f,
-                                          ipu::codelets::kButterfly2x2, &w,
-                                          cpm)));
+    // The serving trace golden holds these compute-set names.
+    const std::size_t stride = std::size_t{1} << f;
+    seq.add(Program::Execute(
+        AddPairStage(g, "Butterfly2x2_s" + std::to_string(stride), out.y, n,
+                     batch, stride, ipu::codelets::kButterfly2x2, &w, cpm)));
   }
   return out;
 }
@@ -384,6 +386,16 @@ IpuLayerTiming TimeFastfoodIpu(const ipu::IpuArch& arch, std::size_t batch,
     return cs;
   };
 
+  auto add_hadamard_cs = [&](const Tensor& act, std::size_t which,
+                             unsigned f) {
+    const std::size_t stride = std::size_t{1} << f;
+    return AddPairStage(g,
+                        "ff_h" + std::to_string(which) + "_s" +
+                            std::to_string(stride),
+                        act, n, batch, stride, ipu::codelets::kHadamard2,
+                        nullptr, 0.0);
+  };
+
   // Each unfused FWHT stage materialises its output through the exchange
   // (framework ops are not fused on the device), modelled as a bounce to the
   // offset-mapped xp/x pair around every stage -- this is what makes
@@ -391,18 +403,14 @@ IpuLayerTiming TimeFastfoodIpu(const ipu::IpuArch& arch, std::size_t batch,
   Program seq = Program::Sequence({});
   seq.add(Program::Execute(add_diag_cs(x, 0)));  // B
   for (unsigned f = 0; f < stages; ++f) {        // first H
-    seq.add(Program::Execute(AddPairStage(g, x, n, batch, std::size_t{1} << f,
-                                          ipu::codelets::kHadamard2, nullptr,
-                                          0.0)));
+    seq.add(Program::Execute(add_hadamard_cs(x, 1, f)));
     seq.add(Program::Copy(x, xp));
     seq.add(Program::Copy(xp, x));
   }
   seq.add(Program::Copy(x, xp));                  // Pi
   seq.add(Program::Execute(add_diag_cs(xp, 1)));  // G
   for (unsigned f = 0; f < stages; ++f) {         // second H
-    seq.add(Program::Execute(AddPairStage(g, xp, n, batch, std::size_t{1} << f,
-                                          ipu::codelets::kHadamard2, nullptr,
-                                          0.0)));
+    seq.add(Program::Execute(add_hadamard_cs(xp, 2, f)));
     seq.add(Program::Copy(xp, x));
     seq.add(Program::Copy(x, xp));
   }

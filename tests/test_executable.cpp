@@ -463,17 +463,24 @@ TEST(ExeCacheTest, KeyDependsOnGraphProgramAndFlags) {
 }
 
 // The artifact file names (the cache keys) that `build` leaves in a fresh
-// on-disk cache, sorted and space-separated.
-std::string ArtifactNames(const std::string& dir,
-                          const std::function<void(ExeCache*)>& build) {
+// on-disk cache, sorted and space-separated. `visit`, when given, sees each
+// artifact's path first, in name order.
+std::string ArtifactNames(
+    const std::string& dir, const std::function<void(ExeCache*)>& build,
+    const std::function<void(const std::string&)>& visit = nullptr) {
   std::filesystem::remove_all(dir);
   {
     ExeCache cache(dir);
     build(&cache);
   }
   std::set<std::string> names;
+  std::set<std::string> paths;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
     names.insert(entry.path().stem().string());
+    paths.insert(entry.path().string());
+  }
+  if (visit) {
+    for (const std::string& path : paths) visit(path);
   }
   std::filesystem::remove_all(dir);
   std::string joined;
@@ -493,19 +500,17 @@ nn::ForwardSpec PinnedSpec(core::Method method) {
   return nn::ExportForward(model);
 }
 
-TEST(ExeCacheTest, TimingPlanArtifactNamesArePinned) {
-  // Every lowered graph behind the paper timings, the serving plans and the
-  // shard plans, built through an on-disk cache: the artifact file names
-  // are the keys, pinned to the values a warm cache dir written by earlier
-  // builds holds. Any change to a lowering's graph or program moves a key.
-  const std::string dir = TempPath("exe_cache_plan_names");
-  std::map<std::string, std::string> got;
+// Every lowered graph behind the paper timings, the serving plans and the
+// shard plans, by label; each build compiles through the cache it is given.
+std::vector<std::pair<std::string, std::function<void(ExeCache*)>>>
+LoweredGraphBuilds() {
+  std::vector<std::pair<std::string, std::function<void(ExeCache*)>>> builds;
   const core::Method kServed[] = {core::Method::kBaseline,
                                   core::Method::kButterfly,
                                   core::Method::kPixelfly};
 
   // The capacity probe's timing plans.
-  got["timing plans"] = ArtifactNames(dir, [&](ExeCache* cache) {
+  builds.emplace_back("timing plans", [kServed](ExeCache* cache) {
     for (core::Method method : kServed) {
       serve::PlanOptions opts;
       opts.max_batch = 4;
@@ -520,30 +525,32 @@ TEST(ExeCacheTest, TimingPlanArtifactNamesArePinned) {
   for (std::size_t n : {std::size_t{128}, std::size_t{1024}}) {
     for (bool parity : {true, false}) {
       for (bool fuse : {true, false}) {
-        const std::string label = "butterfly n=" + std::to_string(n) +
-                                  " parity=" + std::to_string(parity) +
-                                  " fuse=" + std::to_string(fuse);
-        got[label] = ArtifactNames(dir, [&](ExeCache* cache) {
-          core::IpuLoweringOptions lo;
-          lo.poptorch_parity = parity;
-          lo.fuse_compute_sets = fuse;
-          lo.cache = cache;
-          core::TimeButterflyIpu(Gc200(), 16, n, lo);
-        });
+        builds.emplace_back(
+            "butterfly n=" + std::to_string(n) +
+                " parity=" + std::to_string(parity) +
+                " fuse=" + std::to_string(fuse),
+            [=](ExeCache* cache) {
+              core::IpuLoweringOptions lo;
+              lo.poptorch_parity = parity;
+              lo.fuse_compute_sets = fuse;
+              lo.cache = cache;
+              core::TimeButterflyIpu(Gc200(), 16, n, lo);
+            });
       }
     }
   }
   for (bool fuse : {true, false}) {
-    got["pixelfly fuse=" + std::to_string(fuse)] =
-        ArtifactNames(dir, [&](ExeCache* cache) {
-          core::IpuLoweringOptions lo;
-          lo.fuse_compute_sets = fuse;
-          lo.cache = cache;
-          core::TimePixelflyIpu(Gc200(), 16, core::ScaledPixelflyConfig(1024),
-                                lo);
-        });
+    builds.emplace_back("pixelfly fuse=" + std::to_string(fuse),
+                        [=](ExeCache* cache) {
+                          core::IpuLoweringOptions lo;
+                          lo.fuse_compute_sets = fuse;
+                          lo.cache = cache;
+                          core::TimePixelflyIpu(
+                              Gc200(), 16, core::ScaledPixelflyConfig(1024),
+                              lo);
+                        });
   }
-  got["fastfood"] = ArtifactNames(dir, [&](ExeCache* cache) {
+  builds.emplace_back("fastfood", [](ExeCache* cache) {
     core::IpuLoweringOptions lo;
     lo.cache = cache;
     core::TimeFastfoodIpu(Gc200(), 16, 1024, lo);
@@ -552,18 +559,18 @@ TEST(ExeCacheTest, TimingPlanArtifactNamesArePinned) {
   // Execute serving plans; their butterfly stages are at PopTorch parity.
   for (core::Method method : kServed) {
     for (bool streaming : {true, false}) {
-      const std::string label = std::string("plan ") +
-                                core::MethodName(method) +
-                                " streaming=" + std::to_string(streaming) +
-                                " parity=1";
-      got[label] = ArtifactNames(dir, [&](ExeCache* cache) {
-        serve::PlanOptions opts;
-        opts.max_batch = 4;
-        opts.streaming = streaming;
-        opts.cache = cache;
-        auto plan = serve::ModelPlan::Build(PinnedSpec(method), Gc200(), opts);
-        ASSERT_TRUE(plan.ok()) << plan.status().message();
-      });
+      builds.emplace_back(std::string("plan ") + core::MethodName(method) +
+                              " streaming=" + std::to_string(streaming) +
+                              " parity=1",
+                          [=](ExeCache* cache) {
+                            serve::PlanOptions opts;
+                            opts.max_batch = 4;
+                            opts.streaming = streaming;
+                            opts.cache = cache;
+                            auto plan = serve::ModelPlan::Build(
+                                PinnedSpec(method), Gc200(), opts);
+                            ASSERT_TRUE(plan.ok()) << plan.status().message();
+                          });
     }
   }
 
@@ -571,21 +578,32 @@ TEST(ExeCacheTest, TimingPlanArtifactNamesArePinned) {
   for (core::Method method : {core::Method::kBaseline,
                               core::Method::kButterfly}) {
     for (std::size_t chips : {std::size_t{2}, std::size_t{4}}) {
-      const std::string label = std::string("shard ") +
-                                core::MethodName(method) +
-                                " chips=" + std::to_string(chips);
-      got[label] = ArtifactNames(dir, [&](ExeCache* cache) {
-        cluster::ShardOptions opts;
-        opts.num_chips = chips;
-        opts.max_batch = 4;
-        opts.cache = cache;
-        auto plan =
-            cluster::ShardPlan::Build(PinnedSpec(method), Gc200(), opts);
-        ASSERT_TRUE(plan.ok()) << plan.status().message();
-      });
+      builds.emplace_back(std::string("shard ") + core::MethodName(method) +
+                              " chips=" + std::to_string(chips),
+                          [=](ExeCache* cache) {
+                            cluster::ShardOptions opts;
+                            opts.num_chips = chips;
+                            opts.max_batch = 4;
+                            opts.cache = cache;
+                            auto plan = cluster::ShardPlan::Build(
+                                PinnedSpec(method), Gc200(), opts);
+                            ASSERT_TRUE(plan.ok()) << plan.status().message();
+                          });
     }
   }
+  return builds;
+}
 
+TEST(ExeCacheTest, TimingPlanArtifactNamesArePinned) {
+  // Every lowered graph, built through an on-disk cache: the artifact file
+  // names are the keys, pinned to the values a warm cache dir written by
+  // earlier builds holds. Any change to a lowering's graph or program moves
+  // a key.
+  const std::string dir = TempPath("exe_cache_plan_names");
+  std::map<std::string, std::string> got;
+  for (const auto& [label, build] : LoweredGraphBuilds()) {
+    got[label] = ArtifactNames(dir, build);
+  }
   const std::map<std::string, std::string> want = {
       {"timing plans", "65fb60ec5ed068b7 897a8519f4b69c45 a0253f289582d27a"},
       {"butterfly n=128 parity=1 fuse=1", "25b45965920d38d1"},
@@ -598,7 +616,7 @@ TEST(ExeCacheTest, TimingPlanArtifactNamesArePinned) {
       {"butterfly n=1024 parity=0 fuse=0", "2fc4a952a6bb967f"},
       {"pixelfly fuse=1", "ff02a08668d81373"},
       {"pixelfly fuse=0", "2a165808abb3e19a"},
-      {"fastfood", "919d1c1e5a08817e"},
+      {"fastfood", "59117164b0e8fb32"},
       // Execute and timing-only plans share a key: `execute` is a run
       // option, not part of the artifact.
       {"plan Baseline streaming=1 parity=1", "897a8519f4b69c45"},
@@ -608,14 +626,35 @@ TEST(ExeCacheTest, TimingPlanArtifactNamesArePinned) {
       {"plan Pixelfly streaming=1 parity=1", "65fb60ec5ed068b7"},
       {"plan Pixelfly streaming=0 parity=1", "e4853c84f21a8d23"},
       // Stage B depends only on the hidden slice, not the method.
-      {"shard Baseline chips=2", "accce6142d1f9c00 d7c6072917a8d654"},
-      {"shard Baseline chips=4", "3afc476dacdba82f e3639a83de45c18d"},
-      {"shard Butterfly chips=2", "92ddb0d321dfc369 d7c6072917a8d654"},
-      {"shard Butterfly chips=4", "3afc476dacdba82f c521262bea414ec8"},
+      {"shard Baseline chips=2", "14b22d1118819718 accce6142d1f9c00"},
+      {"shard Baseline chips=4", "05a7b366d314f273 e3639a83de45c18d"},
+      {"shard Butterfly chips=2", "14b22d1118819718 92ddb0d321dfc369"},
+      {"shard Butterfly chips=4", "05a7b366d314f273 c521262bea414ec8"},
   };
   EXPECT_EQ(got.size(), want.size());
   for (const auto& [label, names] : want) {
     EXPECT_EQ(got[label], names) << label;
+  }
+}
+
+TEST(ExeCacheTest, LoweredGraphNamesAreUnique) {
+  // Within every lowered graph, no two variables and no two compute sets
+  // share a name: per-layer labels and ledger splits key on them.
+  const std::string dir = TempPath("exe_cache_graph_names");
+  for (const auto& build : LoweredGraphBuilds()) {
+    ArtifactNames(dir, build.second, [&](const std::string& path) {
+      StatusOr<Executable> exe = Executable::Load(path);
+      ASSERT_TRUE(exe.ok()) << exe.status().message();
+      std::set<std::string> vars, sets;
+      for (const Variable& v : exe.value().graph->variables()) {
+        EXPECT_TRUE(vars.insert(v.name).second)
+            << build.first << ": two variables named " << v.name;
+      }
+      for (const ComputeSet& cs : exe.value().graph->computeSets()) {
+        EXPECT_TRUE(sets.insert(cs.name).second)
+            << build.first << ": two compute sets named " << cs.name;
+      }
+    });
   }
 }
 
