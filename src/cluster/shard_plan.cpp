@@ -267,7 +267,6 @@ void ShardPlan::buildFabricSchedule() {
 Matrix ShardPlan::RunBatch(const Matrix& inputs) const {
   const std::size_t B = opts_.max_batch;
   const std::size_t C = opts_.num_chips;
-  const std::size_t rows = inputs.rows();
   const std::vector<float> xbuf = serve::FeatureMajorBatch(spec_, inputs, B);
 
   // Stage A on every chip over its input slice.
@@ -320,13 +319,7 @@ Matrix ShardPlan::RunBatch(const Matrix& inputs) const {
     for (std::size_t i = 0; i < lsum.size(); ++i) lsum[i] += lpart[i];
   }
 
-  Matrix out(rows, spec_.classes);
-  for (std::size_t k = 0; k < spec_.classes; ++k) {
-    for (std::size_t j = 0; j < rows; ++j) {
-      out(j, k) = lsum[k * B + j];
-    }
-  }
-  return out;
+  return serve::RowMajorLogits(lsum, spec_.classes, B, inputs.rows());
 }
 
 }  // namespace repro::cluster

@@ -170,4 +170,18 @@ std::vector<float> FeatureMajorBatch(const nn::ForwardSpec& spec,
   return x;
 }
 
+Matrix RowMajorLogits(std::span<const float> logits, std::size_t classes,
+                      std::size_t batch, std::size_t rows) {
+  REPRO_REQUIRE(logits.size() == classes * batch && rows <= batch,
+                "logits %zu for %zu classes x %zu batch (%zu rows)",
+                logits.size(), classes, batch, rows);
+  Matrix out(rows, classes);
+  for (std::size_t c = 0; c < classes; ++c) {
+    for (std::size_t j = 0; j < rows; ++j) {
+      out(j, c) = logits[c * batch + j];
+    }
+  }
+  return out;
+}
+
 }  // namespace repro::serve

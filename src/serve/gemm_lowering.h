@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -73,5 +74,10 @@ ClassifierHead AddClassifierHead(ipu::Graph& g, ipu::Program& seq,
 // unused batch columns zero.
 std::vector<float> FeatureMajorBatch(const nn::ForwardSpec& spec,
                                      const Matrix& inputs, std::size_t batch);
+
+// Its output twin: the first `rows` batch columns of feature-major logits
+// (classes x batch) as a row-major rows x classes matrix.
+Matrix RowMajorLogits(std::span<const float> logits, std::size_t classes,
+                      std::size_t batch, std::size_t rows);
 
 }  // namespace repro::serve

@@ -196,19 +196,12 @@ Matrix ModelPlan::RunBatch(ipu::Engine& engine, const Matrix& inputs,
                            ipu::RunReport* report) const {
   REPRO_REQUIRE(opts_.execute, "RunBatch on a timing-only plan");
   const std::size_t B = opts_.max_batch;
-  const std::size_t rows = inputs.rows();
   engine.writeTensor(x_, FeatureMajorBatch(spec_, inputs, B));
   ipu::RunReport r = engine.run();
   if (report != nullptr) *report = r;
   std::vector<float> lbuf(spec_.classes * B);
   engine.readTensor(cls_.logits.rowRange(0, spec_.classes), lbuf);
-  Matrix out(rows, spec_.classes);
-  for (std::size_t c = 0; c < spec_.classes; ++c) {
-    for (std::size_t j = 0; j < rows; ++j) {
-      out(j, c) = lbuf[c * B + j];
-    }
-  }
-  return out;
+  return RowMajorLogits(lbuf, spec_.classes, B, inputs.rows());
 }
 
 }  // namespace repro::serve
