@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus bench JSON schema checks:
-#   1. configure + build + ctest (the tier-1 gate from ROADMAP.md);
+#   1. configure + build + ctest (the tier-1 gate from ROADMAP.md); the
+#      build treats every compiler warning as an error;
 #   2. on x86-64 hosts, no fused multiply-add (vfmadd, vfmsub, vfnmadd,
 #      vfnmsub) in `objdump -d` of any built src/ library: host numerics
 #      keep their bits only while -ffp-contract=off holds (DESIGN.md "Host
@@ -41,18 +42,9 @@
 #      output it records); each digest must also equal
 #      scripts/golden/perfbench_tiny_digests.txt, so the simulated outputs
 #      are pinned across commits, not only across thread counts;
-#   8. AddressSanitizer build of the concurrency-heavy tests (test_serve,
-#      test_session, test_obs, test_kernels, test_stream, test_executable),
-#      of test_linalg, whose GEMM core reads vertex operands in place up to
-#      their row ends and writes column blocks of a wider C, of test_cluster
-#      and test_backend, which drive the serving event loop's numerics
-#      replay through routed and heterogeneous slots, and of the tests of
-#      the raw-pointer training kernels: test_pixelfly (per-block strided
-#      GEMMs), test_fwht_fft (the FFT plan), test_nn (the circulant layer's
-#      cached spectra) and test_failure_injection (backward past the cached
-#      batch, host IO outside a variable), and of test_ipusim_engine and
-#      test_ipusim_program, whose writeTensor, readTensor and Copy steps
-#      move bytes in engine storage, in a side build dir.
+#   8. the whole ctest suite again, built in a side build dir under
+#      AddressSanitizer and UndefinedBehaviorSanitizer (REPRO_SANITIZE=address;
+#      any undefined behaviour is fatal).
 #
 # On exit, pass or fail, it prints each stage's wall-clock seconds and the
 # total.
@@ -86,8 +78,8 @@ print_stage_seconds() {
 trap print_stage_seconds EXIT
 
 stage "configure + build"
-cmake -B "$build_dir" -S "$repo_root"
-cmake --build "$build_dir" -j
+cmake -B "$build_dir" -S "$repo_root" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+cmake --build "$build_dir" -j "$(nproc)"
 
 stage "tier-1 tests"
 ctest --test-dir "$build_dir" --output-on-failure -j
@@ -410,43 +402,14 @@ if ! diff -u "$repo_root/scripts/golden/perfbench_tiny_digests.txt" \
 fi
 echo "ok: perfbench sim.digest identical across threads and equal to the golden"
 
-stage "asan build (test_serve + test_session + test_obs + test_kernels + test_stream + test_executable + test_linalg + test_cluster + test_backend + test_pixelfly + test_fwht_fft + test_nn + test_failure_injection + test_ipusim_engine + test_ipusim_program)"
+stage "asan + ubsan build, whole ctest suite"
 asan_dir="$build_dir-asan"
 cmake -B "$asan_dir" -S "$repo_root" -DREPRO_SANITIZE=address > /dev/null
-cmake --build "$asan_dir" -j --target test_serve test_session test_obs \
-  test_kernels test_stream test_executable test_linalg test_cluster \
-  test_backend test_pixelfly test_fwht_fft test_nn test_failure_injection \
-  test_ipusim_engine test_ipusim_program
-"$asan_dir/tests/test_serve" > "$tmp_dir/asan_serve.log" \
-  || { echo "FAIL: asan test_serve"; tail -40 "$tmp_dir/asan_serve.log"; exit 1; }
-"$asan_dir/tests/test_session" > "$tmp_dir/asan_session.log" \
-  || { echo "FAIL: asan test_session"; tail -40 "$tmp_dir/asan_session.log"; exit 1; }
-"$asan_dir/tests/test_obs" > "$tmp_dir/asan_obs.log" \
-  || { echo "FAIL: asan test_obs"; tail -40 "$tmp_dir/asan_obs.log"; exit 1; }
-"$asan_dir/tests/test_kernels" > "$tmp_dir/asan_kernels.log" \
-  || { echo "FAIL: asan test_kernels"; tail -40 "$tmp_dir/asan_kernels.log"; exit 1; }
-"$asan_dir/tests/test_stream" > "$tmp_dir/asan_stream.log" \
-  || { echo "FAIL: asan test_stream"; tail -40 "$tmp_dir/asan_stream.log"; exit 1; }
-"$asan_dir/tests/test_executable" > "$tmp_dir/asan_executable.log" \
-  || { echo "FAIL: asan test_executable"; tail -40 "$tmp_dir/asan_executable.log"; exit 1; }
-"$asan_dir/tests/test_linalg" > "$tmp_dir/asan_linalg.log" \
-  || { echo "FAIL: asan test_linalg"; tail -40 "$tmp_dir/asan_linalg.log"; exit 1; }
-"$asan_dir/tests/test_cluster" > "$tmp_dir/asan_cluster.log" \
-  || { echo "FAIL: asan test_cluster"; tail -40 "$tmp_dir/asan_cluster.log"; exit 1; }
-"$asan_dir/tests/test_backend" > "$tmp_dir/asan_backend.log" \
-  || { echo "FAIL: asan test_backend"; tail -40 "$tmp_dir/asan_backend.log"; exit 1; }
-"$asan_dir/tests/test_pixelfly" > "$tmp_dir/asan_pixelfly.log" \
-  || { echo "FAIL: asan test_pixelfly"; tail -40 "$tmp_dir/asan_pixelfly.log"; exit 1; }
-"$asan_dir/tests/test_fwht_fft" > "$tmp_dir/asan_fwht_fft.log" \
-  || { echo "FAIL: asan test_fwht_fft"; tail -40 "$tmp_dir/asan_fwht_fft.log"; exit 1; }
-"$asan_dir/tests/test_nn" > "$tmp_dir/asan_nn.log" \
-  || { echo "FAIL: asan test_nn"; tail -40 "$tmp_dir/asan_nn.log"; exit 1; }
-"$asan_dir/tests/test_failure_injection" > "$tmp_dir/asan_failure_injection.log" \
-  || { echo "FAIL: asan test_failure_injection"; tail -40 "$tmp_dir/asan_failure_injection.log"; exit 1; }
-"$asan_dir/tests/test_ipusim_engine" > "$tmp_dir/asan_ipusim_engine.log" \
-  || { echo "FAIL: asan test_ipusim_engine"; tail -40 "$tmp_dir/asan_ipusim_engine.log"; exit 1; }
-"$asan_dir/tests/test_ipusim_program" > "$tmp_dir/asan_ipusim_program.log" \
-  || { echo "FAIL: asan test_ipusim_program"; tail -40 "$tmp_dir/asan_ipusim_program.log"; exit 1; }
-echo "ok: asan clean"
+cmake --build "$asan_dir" -j "$(nproc)"
+ctest --test-dir "$asan_dir" --output-on-failure -j \
+  > "$tmp_dir/asan_ctest.log" \
+  || { echo "FAIL: asan + ubsan ctest"; tail -60 "$tmp_dir/asan_ctest.log"; exit 1; }
+tail -3 "$tmp_dir/asan_ctest.log"
+echo "ok: asan + ubsan clean"
 
 echo "all checks passed"

@@ -11,7 +11,6 @@
 // paper's Fig. 7 discussion is about.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -36,9 +35,6 @@ class BlockButterfly {
   void Forward(const Matrix& x, Matrix& y) const;
 
   Matrix ToDense() const;
-
-  std::span<float> params() { return params_; }
-  std::span<const float> params() const { return params_; }
 
  private:
   // Block q of factor k: index (k * grid + i) * 2 + which, where which = 0

@@ -96,7 +96,7 @@ struct IpuLoweringOptions {
   // the BSP timeline of the timing run land on trace_pid.
   obs::Tracer* tracer = nullptr;
   std::size_t trace_pid = 0;
-  std::string trace_label;
+  std::string trace_label{};
   // Optional content-addressed compile cache (ipusim/exe_cache.h,
   // SessionOptions passthrough). Sweeps that revisit a (shape, flags)
   // combination reuse the compiled artifact; --cache-dir on the benches

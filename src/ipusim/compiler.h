@@ -41,7 +41,7 @@ struct CompileOptions {
   // stays in PassReport::seconds, outside the determinism contract.
   obs::Tracer* tracer = nullptr;
   std::size_t trace_pid = 0;
-  std::string trace_label;
+  std::string trace_label{};
 };
 
 // Validates the graph + program and produces an Executable, or an

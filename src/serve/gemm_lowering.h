@@ -1,9 +1,9 @@
 // The serving lowerings shared by the single-chip ModelPlan and the cluster
 // ShardPlan (cluster/shard_plan.h): the k-split GEMM, the bias + ReLU
-// epilogue, the classifier head, and the host-side input layout. The hidden
-// layers' own lowerings are shared with the paper timings
-// (core/ipu_lowering.h). Like those, each lowering appends to the caller's
-// graph and program and names what it adds from a caller's prefix.
+// epilogue, the classifier head, and the host-side input and logits
+// layouts. The hidden layers' own lowerings are shared with the paper
+// timings (core/ipu_lowering.h). Like those, each lowering appends to the
+// caller's graph and program and names what it adds from a caller's prefix.
 //
 // The k-split GEMM lowers a feature-major out = W * x (W is m x k, packed
 // block-major in mb x kc blocks) as AmpGemm partial products plus a

@@ -56,7 +56,7 @@ struct PlanOptions {
   // would bury the plan that actually serves.
   obs::Tracer* tracer = nullptr;
   std::size_t trace_pid = 0;
-  std::string trace_label;
+  std::string trace_label{};
   // Optional content-addressed compile cache (ipusim/exe_cache.h),
   // forwarded into SessionOptions::cache. One cache shared across the
   // capacity probe and the serving plan build means the probe's compiles

@@ -782,7 +782,7 @@ struct OneVertex {
   const char* codelet;
   std::vector<std::pair<const char*, std::size_t>> ins, outs;
   std::vector<std::pair<const char*, double>> imms;
-  std::vector<float> state;
+  std::vector<float> state{};
 };
 
 Executable Compile(const OneVertex& spec) {
