@@ -135,10 +135,4 @@ Matrix Pixelfly::ToDense() const {
   return out.Transposed();
 }
 
-void Pixelfly::zeroGrad() {
-  block_grads_.assign(block_grads_.size(), 0.0f);
-  u_grads_.Zero();
-  v_grads_.Zero();
-}
-
 }  // namespace repro::core

@@ -81,7 +81,6 @@ class Pixelfly {
   std::span<float> vGrads() { return v_grads_.flat(); }
   const Matrix& u() const { return u_; }  // n x r
   const Matrix& v() const { return v_; }  // n x r
-  void zeroGrad();
 
  private:
   PixelflyConfig config_;

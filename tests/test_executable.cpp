@@ -464,7 +464,7 @@ TEST(ExeCacheTest, KeyDependsOnGraphProgramAndFlags) {
 
 // The artifact file names (the cache keys) that `build` leaves in a fresh
 // on-disk cache, sorted and space-separated. `visit`, when given, sees each
-// artifact's path first, in name order.
+// artifact's path, in name order.
 std::string ArtifactNames(
     const std::string& dir, const std::function<void(ExeCache*)>& build,
     const std::function<void(const std::string&)>& visit = nullptr) {
@@ -473,20 +473,17 @@ std::string ArtifactNames(
     ExeCache cache(dir);
     build(&cache);
   }
-  std::set<std::string> names;
-  std::set<std::string> paths;
+  std::set<std::filesystem::path> paths;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    names.insert(entry.path().stem().string());
-    paths.insert(entry.path().string());
+    paths.insert(entry.path());
   }
-  if (visit) {
-    for (const std::string& path : paths) visit(path);
+  std::string joined;
+  for (const std::filesystem::path& path : paths) {
+    if (visit) visit(path.string());
+    if (!joined.empty()) joined += ' ';
+    joined += path.stem().string();
   }
   std::filesystem::remove_all(dir);
-  std::string joined;
-  for (const std::string& name : names) {
-    joined += (joined.empty() ? "" : " ") + name;
-  }
   return joined;
 }
 

@@ -78,7 +78,6 @@ TEST_P(PixelflyConfigs, GradCheck) {
   Pixelfly::Workspace ws;
   pf.Forward(x, y, &ws);
   Matrix dx(batch, cfg.n);
-  pf.zeroGrad();
   pf.Backward(ws, g, &dx);
 
   auto loss = [&]() {
@@ -256,7 +255,6 @@ TEST(Pixelfly, MatchesLoopReferenceBitwise) {
     Matrix y(batch, cfg.n), dx;
     Pixelfly::Workspace ws;
     pf.Forward(x, y, &ws);
-    pf.zeroGrad();
     pf.Backward(ws, dy, &dx);
 
     const LoopResult want = RunLoops(pf, x, dy);
