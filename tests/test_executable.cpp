@@ -634,6 +634,58 @@ TEST(ExeCacheTest, TimingPlanArtifactNamesArePinned) {
   }
 }
 
+TEST(ExeCacheTest, LoweredGraphArtifactTrailersArePinned) {
+  // Each artifact file's last 8 bytes, in key order. The trailer is the
+  // FNV-1a 64 of every byte before it, so pinning it pins the whole file:
+  // an encoder that moves any byte of any of these artifacts fails here.
+  const std::string dir = TempPath("exe_cache_plan_trailers");
+  std::map<std::string, std::string> got;
+  for (const auto& [label, build] : LoweredGraphBuilds()) {
+    std::string& trailers = got[label];
+    ArtifactNames(dir, build, [&](const std::string& path) {
+      std::ifstream in(path, std::ios::binary | std::ios::ate);
+      ASSERT_TRUE(in.good() && in.tellg() >= 8) << path;
+      in.seekg(-8, std::ios::end);
+      std::uint8_t tail[8];
+      in.read(reinterpret_cast<char*>(tail), 8);
+      std::uint64_t h = 0;
+      for (int i = 0; i < 8; ++i) h |= std::uint64_t{tail[i]} << (8 * i);
+      char hex[17];
+      std::snprintf(hex, sizeof(hex), "%016llx",
+                    static_cast<unsigned long long>(h));
+      trailers += (trailers.empty() ? "" : " ") + std::string(hex);
+    });
+  }
+  const std::map<std::string, std::string> want = {
+      {"timing plans", "210c429e78101bd5 08b3e5b917893f3f 38db1b8e569cdeb5"},
+      {"butterfly n=128 parity=1 fuse=1", "a71be166a08b77a9"},
+      {"butterfly n=128 parity=1 fuse=0", "841e17909eef0f9e"},
+      {"butterfly n=128 parity=0 fuse=1", "d7e2171189ccbb52"},
+      {"butterfly n=128 parity=0 fuse=0", "2cbb4e0904746941"},
+      {"butterfly n=1024 parity=1 fuse=1", "dc89d863c0fe4b35"},
+      {"butterfly n=1024 parity=1 fuse=0", "fbf109557092390c"},
+      {"butterfly n=1024 parity=0 fuse=1", "44587dac152b08c9"},
+      {"butterfly n=1024 parity=0 fuse=0", "e8cc6fd41934073c"},
+      {"pixelfly fuse=1", "7fd7be9b24cdfdb1"},
+      {"pixelfly fuse=0", "a9c4dab4f355808b"},
+      {"fastfood", "517410602c2f5c7e"},
+      {"plan Baseline streaming=1 parity=1", "08b3e5b917893f3f"},
+      {"plan Baseline streaming=0 parity=1", "f0f18fdab0c2f851"},
+      {"plan Butterfly streaming=1 parity=1", "38db1b8e569cdeb5"},
+      {"plan Butterfly streaming=0 parity=1", "f8c3808d64b11ab2"},
+      {"plan Pixelfly streaming=1 parity=1", "210c429e78101bd5"},
+      {"plan Pixelfly streaming=0 parity=1", "c1bb3cf5209a5339"},
+      {"shard Baseline chips=2", "8c6f3a2ab13b88c7 cd5e81b5a686455c"},
+      {"shard Baseline chips=4", "7ab998c50d75083a 4a0a5904d0781f5a"},
+      {"shard Butterfly chips=2", "8c6f3a2ab13b88c7 af44e625d75facbb"},
+      {"shard Butterfly chips=4", "7ab998c50d75083a 4a036a982fc119fb"},
+  };
+  EXPECT_EQ(got.size(), want.size());
+  for (const auto& [label, trailers] : want) {
+    EXPECT_EQ(got[label], trailers) << label;
+  }
+}
+
 TEST(ExeCacheTest, LoweredGraphNamesAreUnique) {
   // Within every lowered graph, no two variables and no two compute sets
   // share a name: per-layer labels and ledger splits key on them.
