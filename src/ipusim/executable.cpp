@@ -1,5 +1,6 @@
 #include "ipusim/executable.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <cstring>
@@ -24,47 +25,72 @@ constexpr std::uint64_t kMaxCount = 1ull << 32;
 // Fixed-width little-endian regardless of host order; doubles/floats are
 // emitted as their raw IEEE-754 bits, so a round trip is bit-exact and the
 // encoding is deterministic (the artifact-byte contract). The writers feed a
-// ByteSink: VectorSink appends to the artifact's bytes, HashSink folds the
-// same bytes into FNV-1a without storing them (the compile cache's key).
+// ByteSink run by one encoder template: CountSink sizes the artifact,
+// BufferSink then stores it into a buffer of exactly that size, and HashSink
+// folds the same bytes into FNV-1a one at a time without storing them (the
+// compile cache's key).
 
 template <typename S>
-concept ByteSink = requires(S sink, std::uint8_t b, const std::string& s) {
-  sink.Put(b);
-  sink.Put(s);
+concept ByteSink = requires(S sink, const void* p, std::size_t n) {
+  sink.Put(p, n);
 };
 
-struct VectorSink {
-  std::vector<std::uint8_t>& bytes;
-  void Put(std::uint8_t b) { bytes.push_back(b); }
-  void Put(const std::string& s) {
-    bytes.insert(bytes.end(), s.begin(), s.end());
+struct CountSink {
+  std::size_t n = 0;
+  void Put(const void*, std::size_t len) { n += len; }
+};
+
+struct BufferSink {
+  std::uint8_t* p;
+  void Put(const void* src, std::size_t len) {
+    if (len != 0) std::memcpy(p, src, len);
+    p += len;
   }
 };
 
 struct HashSink {
   std::uint64_t h;
-  void Put(std::uint8_t b) { h = (h ^ b) * 0x100000001b3ull; }
-  void Put(const std::string& s) {
-    for (char c : s) Put(static_cast<std::uint8_t>(c));
+  void Put(const void* src, std::size_t len) {
+    const auto* b = static_cast<const std::uint8_t*>(src);
+    for (std::size_t i = 0; i < len; ++i) h = (h ^ b[i]) * 0x100000001b3ull;
   }
 };
 
-void PutU64(ByteSink auto& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.Put(static_cast<std::uint8_t>(v >> (8 * i)));
+// A host word as its little-endian artifact bytes, and back.
+template <typename T>
+T LittleEndian(T v) {
+  if constexpr (std::endian::native == std::endian::big) {
+    std::uint8_t b[sizeof(T)];
+    std::memcpy(b, &v, sizeof(T));
+    std::reverse(b, b + sizeof(T));
+    std::memcpy(&v, b, sizeof(T));
+  }
+  return v;
 }
-void PutU32(ByteSink auto& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.Put(static_cast<std::uint8_t>(v >> (8 * i)));
+
+template <typename T>
+void PutWord(ByteSink auto& out, T v) {
+  v = LittleEndian(v);
+  out.Put(&v, sizeof(T));
 }
-void PutU8(ByteSink auto& out, std::uint8_t v) { out.Put(v); }
-void PutF64(ByteSink auto& out, double v) {
-  PutU64(out, std::bit_cast<std::uint64_t>(v));
-}
-void PutF32(ByteSink auto& out, float v) {
-  PutU32(out, std::bit_cast<std::uint32_t>(v));
-}
+void PutU64(ByteSink auto& out, std::uint64_t v) { PutWord(out, v); }
+void PutU32(ByteSink auto& out, std::uint32_t v) { PutWord(out, v); }
+void PutU8(ByteSink auto& out, std::uint8_t v) { PutWord(out, v); }
+void PutF64(ByteSink auto& out, double v) { PutWord(out, v); }
 void PutString(ByteSink auto& out, const std::string& s) {
   PutU64(out, s.size());
-  out.Put(s);
+  out.Put(s.data(), s.size());
+}
+// A counted array of fixed-width scalars: on a little-endian host its
+// elements are already their artifact bytes, so they go in one copy.
+template <typename T>
+void PutArray(ByteSink auto& out, const std::vector<T>& v) {
+  PutU64(out, v.size());
+  if constexpr (std::endian::native == std::endian::little) {
+    out.Put(v.data(), v.size() * sizeof(T));
+  } else {
+    for (T x : v) PutWord(out, x);
+  }
 }
 
 // --- bounds-checked reader ----------------------------------------------
@@ -83,38 +109,45 @@ struct Reader {
     }
     return true;
   }
-  std::uint64_t TakeU64() {
-    if (!need(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= std::uint64_t{bytes[pos + i]} << (8 * i);
-    pos += 8;
-    return v;
+  template <typename T>
+  T TakeWord() {
+    T v{};
+    if (!need(sizeof(T))) return v;
+    std::memcpy(&v, bytes.data() + pos, sizeof(T));
+    pos += sizeof(T);
+    return LittleEndian(v);
   }
-  std::uint32_t TakeU32() {
-    if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= std::uint32_t{bytes[pos + i]} << (8 * i);
-    pos += 4;
-    return v;
-  }
-  std::uint8_t TakeU8() {
-    if (!need(1)) return 0;
-    return bytes[pos++];
-  }
-  double TakeF64() { return std::bit_cast<double>(TakeU64()); }
-  float TakeF32() { return std::bit_cast<float>(TakeU32()); }
-  // Container length prefix with the structural sanity bound applied.
-  std::uint64_t TakeCount() {
+  std::uint64_t TakeU64() { return TakeWord<std::uint64_t>(); }
+  std::uint32_t TakeU32() { return TakeWord<std::uint32_t>(); }
+  std::uint8_t TakeU8() { return TakeWord<std::uint8_t>(); }
+  double TakeF64() { return TakeWord<double>(); }
+  // Container length prefix. `min_bytes` is an element's smallest encoding:
+  // its fixed-width fields plus 8 bytes for each string or container it
+  // holds. A count the bytes left cannot hold fails here, before anything
+  // reserves that many elements.
+  std::uint64_t TakeCount(std::size_t min_bytes) {
     const std::uint64_t n = TakeU64();
-    if (n > kMaxCount || (!failed && n > bytes.size() - pos)) failed = true;
+    if (n > kMaxCount || (!failed && n > (bytes.size() - pos) / min_bytes)) {
+      failed = true;
+    }
     return failed ? 0 : n;
   }
   std::string TakeString() {
-    const std::uint64_t n = TakeCount();
-    if (!need(n)) return {};
+    const std::uint64_t n = TakeCount(1);
     std::string s(reinterpret_cast<const char*>(bytes.data() + pos), n);
     pos += n;
     return s;
+  }
+  // The counterpart of PutArray: one length check, then one copy.
+  template <typename T>
+  void TakeArray(std::vector<T>& v) {
+    v.resize(TakeCount(sizeof(T)));
+    if (v.empty()) return;
+    std::memcpy(v.data(), bytes.data() + pos, v.size() * sizeof(T));
+    pos += v.size() * sizeof(T);
+    if constexpr (std::endian::native == std::endian::big) {
+      for (T& x : v) x = LittleEndian(x);
+    }
   }
 };
 
@@ -210,7 +243,7 @@ Program TakeProgram(Reader& r, std::size_t depth = 0) {
   p.src = TakeTensor(r);
   p.dst = TakeTensor(r);
   p.repeat_count = r.TakeU64();
-  const std::uint64_t n = r.TakeCount();
+  const std::uint64_t n = r.TakeCount(93);
   p.children.reserve(r.failed ? 0 : n);
   for (std::uint64_t i = 0; i < n && !r.failed; ++i) {
     p.children.push_back(TakeProgram(r, depth + 1));
@@ -222,7 +255,7 @@ StatusOr<Graph> TakeGraph(Reader& r) {
   const IpuArch arch = TakeArch(r);
 
   std::vector<Variable> variables;
-  const std::uint64_t nvars = r.TakeCount();
+  const std::uint64_t nvars = r.TakeCount(40);
   variables.reserve(nvars);
   for (std::uint64_t i = 0; i < nvars && !r.failed; ++i) {
     Variable v;
@@ -230,7 +263,7 @@ StatusOr<Graph> TakeGraph(Reader& r) {
     v.numel = r.TakeU64();
     v.rows = r.TakeU64();
     v.cols = r.TakeU64();
-    const std::uint64_t nmap = r.TakeCount();
+    const std::uint64_t nmap = r.TakeCount(24);
     v.mapping.reserve(nmap);
     for (std::uint64_t m = 0; m < nmap && !r.failed; ++m) {
       MappedInterval iv;
@@ -243,21 +276,21 @@ StatusOr<Graph> TakeGraph(Reader& r) {
   }
 
   std::vector<ComputeSet> compute_sets;
-  const std::uint64_t ncs = r.TakeCount();
+  const std::uint64_t ncs = r.TakeCount(8);
   compute_sets.reserve(ncs);
   for (std::uint64_t i = 0; i < ncs && !r.failed; ++i) {
     compute_sets.push_back({r.TakeString()});
   }
 
   std::vector<Vertex> vertices;
-  const std::uint64_t nverts = r.TakeCount();
+  const std::uint64_t nverts = r.TakeCount(44);
   vertices.reserve(nverts);
   for (std::uint64_t i = 0; i < nverts && !r.failed; ++i) {
     Vertex v;
     v.codelet = r.TakeString();
     v.tile = r.TakeU64();
     v.cs = r.TakeU32();
-    const std::uint64_t nedges = r.TakeCount();
+    const std::uint64_t nedges = r.TakeCount(45);
     v.edges.reserve(nedges);
     for (std::uint64_t e = 0; e < nedges && !r.failed; ++e) {
       Edge edge;
@@ -266,16 +299,12 @@ StatusOr<Graph> TakeGraph(Reader& r) {
       edge.is_output = r.TakeU8() != 0;
       v.edges.push_back(std::move(edge));
     }
-    const std::uint64_t nimm = r.TakeCount();
+    const std::uint64_t nimm = r.TakeCount(16);
     for (std::uint64_t m = 0; m < nimm && !r.failed; ++m) {
       std::string name = r.TakeString();
       v.immediates[std::move(name)] = r.TakeF64();
     }
-    const std::uint64_t nstate = r.TakeCount();
-    v.state.reserve(nstate);
-    for (std::uint64_t s = 0; s < nstate && !r.failed; ++s) {
-      v.state.push_back(r.TakeF32());
-    }
+    r.TakeArray(v.state);
     vertices.push_back(std::move(v));
   }
 
@@ -332,7 +361,7 @@ CompileStats TakeStats(Reader& r) {
   s.total_bytes = r.TakeU64();
   s.max_tile_bytes = r.TakeU64();
   s.free_bytes = r.TakeU64();
-  const std::uint64_t n = r.TakeCount();
+  const std::uint64_t n = r.TakeCount(32);
   s.pass_reports.reserve(n);
   for (std::uint64_t i = 0; i < n && !r.failed; ++i) {
     PassReport p;
@@ -360,86 +389,56 @@ void PutKernelPlan(ByteSink auto& out, const KernelPlan& plan) {
     PutU32(out, g.cs);
     PutU32(out, g.codelet);
     PutU64(out, g.tile);
-    PutU64(out, g.vertices.size());
-    for (VertexId v : g.vertices) PutU32(out, v);
-    PutU64(out, g.edge_start.size());
-    for (std::uint32_t e : g.edge_start) PutU32(out, e);
+    PutArray(out, g.vertices);
+    PutArray(out, g.edge_start);
     PutU64(out, g.edges.size());
     for (const Tensor& t : g.edges) PutTensor(out, t);
-    PutU64(out, g.imm_values.size());
-    for (double d : g.imm_values) PutF64(out, d);
-    PutU64(out, g.imm_present.size());
-    for (std::uint8_t p : g.imm_present) PutU8(out, p);
+    PutArray(out, g.imm_values);
+    PutArray(out, g.imm_present);
   }
-  PutU64(out, plan.vertex_cycles.size());
-  for (double d : plan.vertex_cycles) PutF64(out, d);
-  PutU64(out, plan.vertex_flops.size());
-  for (double d : plan.vertex_flops) PutF64(out, d);
+  PutArray(out, plan.vertex_cycles);
+  PutArray(out, plan.vertex_flops);
 }
 
 KernelPlan TakeKernelPlan(Reader& r) {
   KernelPlan plan;
-  const std::uint64_t ncod = r.TakeCount();
+  const std::uint64_t ncod = r.TakeCount(24);
   plan.codelets.reserve(ncod);
   for (std::uint64_t i = 0; i < ncod && !r.failed; ++i) {
     KernelCodelet c;
     c.name = r.TakeString();
-    const std::uint64_t nf = r.TakeCount();
+    const std::uint64_t nf = r.TakeCount(8);
     c.fields.reserve(nf);
     for (std::uint64_t f = 0; f < nf && !r.failed; ++f) {
       c.fields.push_back(r.TakeString());
     }
-    const std::uint64_t nm = r.TakeCount();
+    const std::uint64_t nm = r.TakeCount(8);
     c.imms.reserve(nm);
     for (std::uint64_t m = 0; m < nm && !r.failed; ++m) {
       c.imms.push_back(r.TakeString());
     }
     plan.codelets.push_back(std::move(c));
   }
-  const std::uint64_t ngroups = r.TakeCount();
+  const std::uint64_t ngroups = r.TakeCount(56);
   plan.groups.reserve(ngroups);
   for (std::uint64_t i = 0; i < ngroups && !r.failed; ++i) {
     KernelGroup g;
     g.cs = r.TakeU32();
     g.codelet = r.TakeU32();
     g.tile = r.TakeU64();
-    const std::uint64_t nv = r.TakeCount();
-    g.vertices.reserve(nv);
-    for (std::uint64_t v = 0; v < nv && !r.failed; ++v) {
-      g.vertices.push_back(r.TakeU32());
-    }
-    const std::uint64_t nes = r.TakeCount();
-    g.edge_start.reserve(nes);
-    for (std::uint64_t e = 0; e < nes && !r.failed; ++e) {
-      g.edge_start.push_back(r.TakeU32());
-    }
-    const std::uint64_t ne = r.TakeCount();
+    r.TakeArray(g.vertices);
+    r.TakeArray(g.edge_start);
+    const std::uint64_t ne = r.TakeCount(36);
     g.edges.reserve(ne);
     for (std::uint64_t e = 0; e < ne && !r.failed; ++e) {
       g.edges.push_back(TakeTensor(r));
     }
-    const std::uint64_t niv = r.TakeCount();
-    g.imm_values.reserve(niv);
-    for (std::uint64_t m = 0; m < niv && !r.failed; ++m) {
-      g.imm_values.push_back(r.TakeF64());
-    }
-    const std::uint64_t nip = r.TakeCount();
-    g.imm_present.reserve(nip);
-    for (std::uint64_t m = 0; m < nip && !r.failed; ++m) {
-      g.imm_present.push_back(r.TakeU8());
-    }
+    r.TakeArray(g.imm_values);
+    r.TakeArray(g.imm_present);
     plan.groups.push_back(std::move(g));
   }
-  const std::uint64_t ncyc = r.TakeCount();
-  plan.vertex_cycles.reserve(ncyc);
-  for (std::uint64_t i = 0; i < ncyc && !r.failed; ++i) {
-    plan.vertex_cycles.push_back(r.TakeF64());
-  }
-  const std::uint64_t nfl = r.TakeCount();
-  plan.vertex_flops.reserve(nfl);
-  for (std::uint64_t i = 0; i < nfl && !r.failed; ++i) {
-    plan.vertex_flops.push_back(r.TakeF64());
-  }
+  r.TakeArray(plan.vertex_cycles);
+  r.TakeArray(plan.vertex_flops);
   return plan;
 }
 
@@ -625,8 +624,37 @@ void PutGraph(ByteSink auto& out, const Graph& graph) {
       PutString(out, name);
       PutF64(out, value);
     }
-    PutU64(out, v.state.size());
-    for (float f : v.state) PutF32(out, f);
+    PutArray(out, v.state);
+  }
+}
+
+// Everything Serialize writes but the trailing checksum.
+void PutExecutable(ByteSink auto& out, const Executable& exe) {
+  out.Put(kMagic, sizeof(kMagic));
+  PutU32(out, kExecutableFormatVersion);
+  PutGraph(out, *exe.graph);
+  PutProgram(out, exe.program);
+  PutStats(out, exe.stats);
+  PutU64(out, exe.tiles.size());
+  for (const TileLedger& t : exe.tiles) {
+    for (std::size_t c = 0; c < kNumMemCategories; ++c) PutU64(out, t.bytes[c]);
+  }
+  PutU64(out, exe.cs_exchange.size());
+  for (const ExchangePlan& p : exe.cs_exchange) {
+    PutU64(out, p.total_bytes);
+    PutU64(out, p.max_tile_incoming);
+    PutU64(out, p.bottleneck_tile);
+  }
+  PutU64(out, exe.lowered_cs.size());
+  for (const LoweredComputeSet& cs : exe.lowered_cs) {
+    PutString(out, cs.name);
+    PutArray(out, cs.vertices);
+  }
+  PutKernelPlan(out, exe.kernel_plan);
+  PutU64(out, exe.streams.size());
+  for (const HostStream& hs : exe.streams) {
+    PutU8(out, static_cast<std::uint8_t>(hs.dir));
+    PutTensor(out, hs.tensor);
   }
 }
 
@@ -634,7 +662,7 @@ void PutGraph(ByteSink auto& out, const Graph& graph) {
 
 std::uint64_t Fnv1a64(std::span<const std::uint8_t> bytes, std::uint64_t h) {
   HashSink sink{h};
-  for (std::uint8_t b : bytes) sink.Put(b);
+  sink.Put(bytes.data(), bytes.size());
   return sink.h;
 }
 
@@ -648,38 +676,15 @@ std::uint64_t Fnv1a64(const Graph& graph, const Program& program,
 
 std::vector<std::uint8_t> Executable::Serialize() const {
   REPRO_REQUIRE(graph != nullptr, "Serialize on an empty Executable");
-  std::vector<std::uint8_t> bytes(kMagic, kMagic + sizeof(kMagic));
-  VectorSink out{bytes};
-  PutU32(out, kExecutableFormatVersion);
-  PutGraph(out, *graph);
-  PutProgram(out, program);
-  PutStats(out, stats);
-  PutU64(out, tiles.size());
-  for (const TileLedger& t : tiles) {
-    for (std::size_t c = 0; c < kNumMemCategories; ++c) PutU64(out, t.bytes[c]);
-  }
-  PutU64(out, cs_exchange.size());
-  for (const ExchangePlan& p : cs_exchange) {
-    PutU64(out, p.total_bytes);
-    PutU64(out, p.max_tile_incoming);
-    PutU64(out, p.bottleneck_tile);
-  }
-  PutU64(out, lowered_cs.size());
-  for (const LoweredComputeSet& cs : lowered_cs) {
-    PutString(out, cs.name);
-    PutU64(out, cs.vertices.size());
-    for (VertexId v : cs.vertices) PutU32(out, v);
-  }
-  PutKernelPlan(out, kernel_plan);
-  PutU64(out, streams.size());
-  for (const HostStream& hs : streams) {
-    PutU8(out, static_cast<std::uint8_t>(hs.dir));
-    PutTensor(out, hs.tensor);
-  }
+  CountSink size;
+  PutExecutable(size, *this);
+  std::vector<std::uint8_t> bytes(size.n + 8);
+  BufferSink out{bytes.data()};
+  PutExecutable(out, *this);
   // Trailing integrity checksum over everything above. The payload is mostly
   // raw IEEE-754 bits, where a flipped byte still parses as a valid float;
   // without this, mid-file corruption would load silently.
-  PutU64(out, Fnv1a64(bytes));
+  PutU64(out, Fnv1a64(std::span(bytes).first(size.n)));
   return bytes;
 }
 
@@ -692,10 +697,8 @@ StatusOr<Executable> Executable::Deserialize(
   }
   // Version first: a future format may move the checksum, and "version
   // mismatch" is the actionable message for it.
-  std::uint32_t version = 0;
-  for (std::size_t i = 0; i < 4; ++i) {
-    version |= static_cast<std::uint32_t>(bytes[sizeof(kMagic) + i]) << (8 * i);
-  }
+  Reader r{bytes, sizeof(kMagic)};
+  const std::uint32_t version = r.TakeU32();
   if (version != kExecutableFormatVersion) {
     return Status::InvalidArgument(
         "ipu::Executable format version mismatch: artifact v" +
@@ -704,17 +707,12 @@ StatusOr<Executable> Executable::Deserialize(
   }
   // The last 8 bytes are the FNV-1a checksum of everything before them.
   const std::size_t payload = bytes.size() - 8;
-  std::uint64_t stored = 0;
-  for (std::size_t i = 0; i < 8; ++i) {
-    stored |= static_cast<std::uint64_t>(bytes[payload + i]) << (8 * i);
-  }
-  if (Fnv1a64(bytes.first(payload)) != stored) {
+  if (Fnv1a64(bytes.first(payload)) != Reader{bytes, payload}.TakeU64()) {
     return Status::InvalidArgument(
         "corrupt executable artifact (checksum mismatch)");
   }
   bytes = bytes.first(payload);
-  Reader r{bytes};
-  r.pos = sizeof(kMagic) + 4;
+  r.bytes = bytes;
 
   StatusOr<Graph> graph = TakeGraph(r);
   if (!graph.ok()) return graph.status();
@@ -723,7 +721,7 @@ StatusOr<Executable> Executable::Deserialize(
   exe.graph = std::make_shared<const Graph>(graph.take());
   exe.program = TakeProgram(r);
   exe.stats = TakeStats(r);
-  const std::uint64_t ntiles = r.TakeCount();
+  const std::uint64_t ntiles = r.TakeCount(8 * kNumMemCategories);
   exe.tiles.reserve(ntiles);
   for (std::uint64_t i = 0; i < ntiles && !r.failed; ++i) {
     TileLedger t;
@@ -732,7 +730,7 @@ StatusOr<Executable> Executable::Deserialize(
     }
     exe.tiles.push_back(t);
   }
-  const std::uint64_t nex = r.TakeCount();
+  const std::uint64_t nex = r.TakeCount(24);
   exe.cs_exchange.reserve(nex);
   for (std::uint64_t i = 0; i < nex && !r.failed; ++i) {
     ExchangePlan p;
@@ -741,20 +739,16 @@ StatusOr<Executable> Executable::Deserialize(
     p.bottleneck_tile = r.TakeU64();
     exe.cs_exchange.push_back(p);
   }
-  const std::uint64_t nlcs = r.TakeCount();
+  const std::uint64_t nlcs = r.TakeCount(16);
   exe.lowered_cs.reserve(nlcs);
   for (std::uint64_t i = 0; i < nlcs && !r.failed; ++i) {
     LoweredComputeSet cs;
     cs.name = r.TakeString();
-    const std::uint64_t nv = r.TakeCount();
-    cs.vertices.reserve(nv);
-    for (std::uint64_t v = 0; v < nv && !r.failed; ++v) {
-      cs.vertices.push_back(r.TakeU32());
-    }
+    r.TakeArray(cs.vertices);
     exe.lowered_cs.push_back(std::move(cs));
   }
   exe.kernel_plan = TakeKernelPlan(r);
-  const std::uint64_t nstreams = r.TakeCount();
+  const std::uint64_t nstreams = r.TakeCount(37);
   exe.streams.reserve(nstreams);
   for (std::uint64_t i = 0; i < nstreams && !r.failed; ++i) {
     HostStream hs;

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -15,6 +16,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "ipusim/codelet.h"
@@ -371,24 +373,48 @@ TEST(ExecutableRejects, StreamDescriptorWhoseEndWraps) {
   EXPECT_EQ(back.status().code(), ErrorCode::kInvalidArgument);
 }
 
+// Appends the `width` low bytes of `v`, little-endian: the artifact's words.
+void PutLe(std::vector<std::uint8_t>& out, std::uint64_t v, int width) {
+  for (int i = 0; i < width; ++i) out.push_back((v >> (8 * i)) & 0xff);
+}
+
 // Little-endian bytes of an artifact's serialized Tensor.
 std::vector<std::uint8_t> TensorBytes(const Tensor& t) {
   std::vector<std::uint8_t> out;
-  auto put = [&](std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) out.push_back((v >> (8 * i)) & 0xff);
-  };
-  put(t.var, 4);
-  put(t.offset, 8);
-  put(t.numel, 8);
-  put(t.rows, 8);
-  put(t.cols, 8);
+  PutLe(out, t.var, 4);
+  PutLe(out, t.offset, 8);
+  PutLe(out, t.numel, 8);
+  PutLe(out, t.rows, 8);
+  PutLe(out, t.cols, 8);
   return out;
 }
 
-TEST(ExecutableRejects, VertexEdgeWhoseEndWraps) {
-  // A BiasRelu vertex's 4-element bias edge moved to offset SIZE_MAX - 1 in
-  // the graph section, resealed with a valid checksum: offset + numel wraps
-  // to 2, inside the bias, unless the check avoids forming the sum.
+// Appends the bytes of a serialized program step, its children after it.
+void PutProgramBytes(std::vector<std::uint8_t>& out, const Program& p) {
+  PutLe(out, static_cast<std::uint8_t>(p.kind), 1);
+  PutLe(out, p.cs, 4);
+  for (const Tensor& t : {p.src, p.dst}) {
+    const std::vector<std::uint8_t> view = TensorBytes(t);
+    out.insert(out.end(), view.begin(), view.end());
+  }
+  PutLe(out, p.repeat_count, 8);
+  PutLe(out, p.children.size(), 8);
+  for (const Program& c : p.children) PutProgramBytes(out, c);
+}
+
+// Reseals an edited artifact: its last 8 bytes are the FNV-1a 64 of
+// everything before them.
+void Reseal(std::vector<std::uint8_t>& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ull;
+  }
+  for (int i = 0; i < 8; ++i) bytes[bytes.size() - 8 + i] = (h >> (8 * i)) & 0xff;
+}
+
+// One BiasRelu vertex: its first edge is a 4-element bias, the others a
+// 4 x 2 input, run by a one-step Sequence.
+Executable CompileBiasRelu() {
   Session s(Gc200());
   Graph& g = s.graph();
   Tensor bias = g.addVariable("bias", 4);
@@ -402,8 +428,17 @@ TEST(ExecutableRejects, VertexEdgeWhoseEndWraps) {
   g.connect(v, "y", x, true);
   g.setInitialValue(v, "batch", 2.0);
   g.setInitialValue(v, "relu", 1.0);
-  ASSERT_TRUE(s.compile(Program::Execute(cs)).ok());
-  std::vector<std::uint8_t> bytes = s.executable().Serialize();
+  EXPECT_TRUE(s.compile(Program::Sequence({Program::Execute(cs)})).ok());
+  return s.executable();
+}
+
+TEST(ExecutableRejects, VertexEdgeWhoseEndWraps) {
+  // A BiasRelu vertex's 4-element bias edge moved to offset SIZE_MAX - 1 in
+  // the graph section, resealed with a valid checksum: offset + numel wraps
+  // to 2, inside the bias, unless the check avoids forming the sum.
+  const Executable exe = CompileBiasRelu();
+  const Tensor bias = exe.graph->vertices()[0].edges[0].view;
+  std::vector<std::uint8_t> bytes = exe.Serialize();
 
   // The graph section comes first, so the first copy of the bias view is
   // the vertex edge (the kernel plan keeps another, left intact).
@@ -414,18 +449,54 @@ TEST(ExecutableRejects, VertexEdgeWhoseEndWraps) {
   wrapped.offset = SIZE_MAX - 1;
   const std::vector<std::uint8_t> patch = TensorBytes(wrapped);
   std::copy(patch.begin(), patch.end(), at);
-  // Reseal: the last 8 bytes are the FNV-1a 64 of everything before them.
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (std::size_t i = 0; i + 8 < bytes.size(); ++i) {
-    h = (h ^ bytes[i]) * 0x100000001b3ull;
-  }
-  for (int i = 0; i < 8; ++i) bytes[bytes.size() - 8 + i] = (h >> (8 * i)) & 0xff;
+  Reseal(bytes);
 
   StatusOr<Executable> back = Executable::Deserialize(bytes);
   ASSERT_FALSE(back.ok());
   EXPECT_EQ(back.status().code(), ErrorCode::kInvalidArgument);
   EXPECT_NE(back.status().message().find("graph edge"), std::string::npos)
       << back.status().message();
+}
+
+TEST(ExecutableRejects, CountsTheBytesLeftCannotHold) {
+  // Each count is found by the bytes it prefixes, raised to the number of
+  // bytes left after it, and resealed. Every element takes at least one
+  // byte, but a vertex at least 44, a program step 93 and a cycle count 8,
+  // so each count must fail before anything reserves that many elements.
+  const Executable exe = CompileBiasRelu();
+  const std::vector<std::uint8_t> bytes = exe.Serialize();
+  const Vertex& v0 = exe.graph->vertices()[0];
+  std::vector<std::uint8_t> vertex_table, program, cycles;
+  PutLe(vertex_table, exe.graph->vertices().size(), 8);
+  PutLe(vertex_table, v0.codelet.size(), 8);
+  vertex_table.insert(vertex_table.end(), v0.codelet.begin(), v0.codelet.end());
+  PutLe(vertex_table, v0.tile, 8);
+  PutLe(vertex_table, v0.cs, 4);
+  PutProgramBytes(program, exe.program);
+  for (const std::vector<double>* table :
+       {&exe.kernel_plan.vertex_cycles, &exe.kernel_plan.vertex_flops}) {
+    PutLe(cycles, table->size(), 8);
+    for (double d : *table) PutLe(cycles, std::bit_cast<std::uint64_t>(d), 8);
+  }
+  // Name, the bytes that hold the count, and the count's offset in them.
+  const std::size_t kChildCount = 1 + 4 + 2 * 36 + 8;
+  const std::tuple<const char*, const std::vector<std::uint8_t>&, std::size_t>
+      counts[] = {{"vertex table", vertex_table, 0},
+                  {"program children", program, kChildCount},
+                  {"vertex cycles", cycles, 0}};
+  for (const auto& [name, prefix, offset] : counts) {
+    auto at = std::search(bytes.begin(), bytes.end(), prefix.begin(),
+                          prefix.end());
+    ASSERT_NE(at, bytes.end()) << name;
+    const std::size_t count_at = (at - bytes.begin()) + offset;
+    std::vector<std::uint8_t> raised = bytes;
+    const std::size_t left = raised.size() - 8 - (count_at + 8);
+    for (int i = 0; i < 8; ++i) raised[count_at + i] = (left >> (8 * i)) & 0xff;
+    Reseal(raised);
+    StatusOr<Executable> back = Executable::Deserialize(raised);
+    ASSERT_FALSE(back.ok()) << name;
+    EXPECT_EQ(back.status().code(), ErrorCode::kInvalidArgument) << name;
+  }
 }
 
 TEST(ExeCacheTest, KeyDependsOnGraphProgramAndFlags) {
