@@ -28,10 +28,17 @@ Matrix Matrix::RandomUniform(std::size_t rows, std::size_t cols, Rng& rng,
 void Matrix::Fill(float v) { std::fill(data_.begin(), data_.end(), v); }
 
 Matrix Matrix::Transposed() const {
+  // In 16 x 16 blocks, each destination row innermost: a block's 16 source
+  // rows stay in cache while its destination rows are written in order,
+  // where a row-by-row walk strides down a destination column per element.
+  constexpr std::size_t kBlock = 16;
   Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      t(c, r) = (*this)(r, c);
+  for (std::size_t r0 = 0; r0 < rows_; r0 += kBlock) {
+    const std::size_t r1 = std::min(rows_, r0 + kBlock);
+    for (std::size_t c0 = 0; c0 < cols_; c0 += kBlock) {
+      for (std::size_t c = c0; c < std::min(cols_, c0 + kBlock); ++c) {
+        for (std::size_t r = r0; r < r1; ++r) t(c, r) = (*this)(r, c);
+      }
     }
   }
   return t;

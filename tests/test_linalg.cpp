@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "linalg/gemm.h"
@@ -32,6 +35,26 @@ TEST(Matrix, IdentityAndTranspose) {
   Matrix a = Matrix::RandomNormal(3, 5, rng);
   Matrix att = a.Transposed().Transposed();
   EXPECT_DOUBLE_EQ(MaxAbsDiff(a, att), 0.0);
+}
+
+TEST(Matrix, TransposeMovesEveryElement) {
+  // Shapes below, at and across the transpose's 16 x 16 blocks.
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {1, 1}, {7, 33}, {16, 16}, {17, 1029}, {1024, 10}};
+  Rng rng(3);
+  for (const auto& [rows, cols] : shapes) {
+    const Matrix a = Matrix::RandomNormal(rows, cols, rng);
+    const Matrix t = a.Transposed();
+    ASSERT_EQ(t.rows(), cols);
+    ASSERT_EQ(t.cols(), rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      for (std::size_t c = 0; c < cols; ++c) {
+        ASSERT_EQ(std::bit_cast<std::uint32_t>(t(c, r)),
+                  std::bit_cast<std::uint32_t>(a(r, c)))
+            << rows << "x" << cols << " at (" << r << ", " << c << ")";
+      }
+    }
+  }
 }
 
 TEST(Matrix, ArithmeticOps) {
