@@ -478,7 +478,9 @@ TEST(ExecutableRejects, CountsTheBytesLeftCannotHold) {
     PutLe(cycles, table->size(), 8);
     for (double d : *table) PutLe(cycles, std::bit_cast<std::uint64_t>(d), 8);
   }
-  // Name, the bytes that hold the count, and the count's offset in them.
+  // Name, the bytes that hold the count, and the count's offset in them. A
+  // step's child count follows its kind, compute set, two views and repeat
+  // count.
   const std::size_t kChildCount = 1 + 4 + 2 * 36 + 8;
   const std::tuple<const char*, const std::vector<std::uint8_t>&, std::size_t>
       counts[] = {{"vertex table", vertex_table, 0},
