@@ -22,6 +22,7 @@ is reported as equal or not instead.
 import argparse
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -45,7 +46,7 @@ def export_parent(rev, work_dir):
     tree = os.path.join(work_dir, commit[:12])
     if not os.path.isdir(tree):
         partial = tree + ".partial"
-        subprocess.run(["rm", "-rf", partial], check=True)
+        shutil.rmtree(partial, ignore_errors=True)
         os.makedirs(partial)
         archive = subprocess.Popen(["git", "-C", ROOT, "archive", commit],
                                    stdout=subprocess.PIPE)
